@@ -37,7 +37,7 @@ from .contracts import AiShock, GapCurve, apply_shock, solve_completeness
 from .errors import ConvergenceError, DomainError
 from .frivolous import DefendantAction, FollowUp, FrivolousConfig, PlaintiffType, play
 from .rng import substream
-from .settlement import Dispute, FeeRule, OutcomeKind, _bounds, decide
+from .settlement import Dispute, FeeRule, _bounds
 
 _STREAM_RATES = 2**63  # reserved substream of the flip-rate estimator
 _MAX_CLOSURE_ITER = 10**7
@@ -213,7 +213,7 @@ def effective_dispute_rate(
     return area.dispute_rate * (1.0 - solution.g_star)
 
 
-def _cost_delta_ok(area: LegalArea, cost_delta: float) -> None:
+def _party_costs(area: LegalArea, cost_delta: float) -> tuple[float, float]:
     if not (isinstance(cost_delta, (int, float)) and math.isfinite(cost_delta) and cost_delta >= 0):
         raise DomainError(f"cost_delta must be finite and >= 0: got {cost_delta!r}")
     if cost_delta > min(area.cost_q, area.cost_g):
@@ -221,6 +221,16 @@ def _cost_delta_ok(area: LegalArea, cost_delta: float) -> None:
             f"cost_delta={cost_delta!r} exceeds a party cost "
             f"(cost_q={area.cost_q!r}, cost_g={area.cost_g!r})"
         )
+    return area.cost_q - cost_delta, area.cost_g - cost_delta
+
+
+def _tried(area: LegalArea, u_belief: np.ndarray, stakes, c_q: float, c_g: float) -> np.ndarray:
+    """Trial mask for belief draws u_belief: `decide` on arrays, a NaN width a trial too."""
+    eps = (2.0 * u_belief - 1.0) * area.belief_spread
+    p_q = np.clip(area.belief_center + eps, 0.0, 1.0)
+    p_g = np.clip(area.belief_center - eps, 0.0, 1.0)
+    lower, upper = _bounds(p_q, p_g, stakes, c_q, c_g, area.fee_rule)
+    return ~(upper - lower >= 0.0)
 
 
 def trial_fractions(
@@ -232,25 +242,18 @@ def trial_fractions(
     """Monte Carlo Pr[trial | dispute] at (inefficient, efficient) stakes.
 
     Both stakes levels reuse the same belief draws, so a cost cut moves the
-    two estimates together and their comparison is noise-free.
+    two estimates together and their comparison is noise-free. Each level is
+    one array pass of the settle/trial kernel `simulate` uses.
     """
-    _cost_delta_ok(area, cost_delta)
+    c_q, c_g = _party_costs(area, cost_delta)
     if not isinstance(n_samples, int) or n_samples < 1:
         raise DomainError(f"n_samples must be an integer >= 1: got {n_samples!r}")
     u = substream(seed, _STREAM_RATES).random(n_samples)
-    eps = (2.0 * u - 1.0) * area.belief_spread
-    p_q = np.clip(area.belief_center + eps, 0.0, 1.0)
-    p_g = np.clip(area.belief_center - eps, 0.0, 1.0)
-    c_q = area.cost_q - cost_delta
-    c_g = area.cost_g - cost_delta
     fractions = []
     for stakes in (area.stakes_j * area.stakes_multiplier, area.stakes_j):
-        trials = 0
-        for k in range(n_samples):
-            d = Dispute(p_q=float(p_q[k]), p_g=float(p_g[k]), j=stakes, c_q=c_q, c_g=c_g)
-            if decide(d, area.fee_rule).kind is OutcomeKind.TRIAL:
-                trials += 1
-        fractions.append(trials / n_samples)
+        # decide()'s input checks; beliefs are clipped into [0, 1] and always pass
+        Dispute(p_q=area.belief_center, p_g=area.belief_center, j=stakes, c_q=c_q, c_g=c_g)
+        fractions.append(np.count_nonzero(_tried(area, u, stakes, c_q, c_g)) / n_samples)
     return fractions[0], fractions[1]
 
 
@@ -276,38 +279,42 @@ def stationary_fraction(rates: FlipRates) -> float:
 
 
 def expected_path(x0: float, rates: FlipRates, periods: int) -> np.ndarray:
-    """Deterministic mean path x_{t+1} = x_t (1 - p_ei) + (1 - x_t) p_ie, length periods+1."""
+    """Mean path x_{t+1} = x_t (1 - p_ei) + (1 - x_t) p_ie, length periods+1.
+
+    Closed form x* + (x0 - x*) (1 - p_ie - p_ei)^t with path[0] = x0; flat if no rule flips.
+    """
     if not (isinstance(x0, (int, float)) and 0.0 <= x0 <= 1.0):
         raise DomainError(f"x0 must lie in [0, 1]: got {x0!r}")
     if not isinstance(periods, int) or periods < 0:
         raise DomainError(f"periods must be an integer >= 0: got {periods!r}")
-    path = np.empty(periods + 1)
-    path[0] = x = float(x0)
-    for t in range(1, periods + 1):
-        x = x * (1.0 - rates.p_ei) + (1.0 - x) * rates.p_ie
-        path[t] = x
+    if rates.p_ie + rates.p_ei == 0.0:
+        return np.full(periods + 1, float(x0))
+    x_inf = stationary_fraction(rates)
+    path = x_inf + (x0 - x_inf) * (1.0 - rates.p_ie - rates.p_ei) ** np.arange(periods + 1)
+    path[0] = x0
     return path
 
 
 def gap_closure_time(x0: float, rates: FlipRates, fraction: float = 0.9) -> int:
-    """Periods until the expected path closes `fraction` of its gap to stationary."""
+    """Periods until the expected path closes `fraction` of its gap to stationary.
+
+    Closed form: the least t >= 1 with |1 - p_ie - p_ei|^t <= 1 - fraction, exact
+    at float ties, where stepping the recurrence may land a period off. A start
+    within 4 ulps of the stationary fraction is rounding noise: 0 periods.
+    """
     if not (isinstance(fraction, (int, float)) and 0.0 < fraction < 1.0):
         raise DomainError(f"fraction must lie in (0, 1): got {fraction!r}")
     if not (isinstance(x0, (int, float)) and 0.0 <= x0 <= 1.0):
         raise DomainError(f"x0 must lie in [0, 1]: got {x0!r}")
     target_x = stationary_fraction(rates)
-    gap0 = abs(x0 - target_x)
-    if gap0 == 0.0:
+    if abs(x0 - target_x) <= 4 * math.ulp(target_x):
         return 0
-    threshold = (1.0 - fraction) * gap0
-    x = float(x0)
-    for t in range(1, _MAX_CLOSURE_ITER + 1):
-        x = x * (1.0 - rates.p_ei) + (1.0 - x) * rates.p_ie
-        if abs(x - target_x) <= threshold:
+    lam = abs(1.0 - rates.p_ie - rates.p_ei)
+    if lam < 1.0:
+        t = max(1, math.ceil(math.log(1.0 - fraction) / math.log(lam))) if lam else 1
+        if t <= _MAX_CLOSURE_ITER:
             return t
-    raise ConvergenceError(
-        f"gap not {fraction:.0%} closed within {_MAX_CLOSURE_ITER} periods"
-    )
+    raise ConvergenceError(f"gap not {fraction:.0%} closed within {_MAX_CLOSURE_ITER} periods")
 
 
 def _frivolous_period_counts(stream: FrivolousStream | None) -> tuple[int, int, int]:
@@ -344,7 +351,7 @@ def simulate(
     """
     if not isinstance(periods, int) or periods < 1:
         raise DomainError(f"periods must be an integer >= 1: got {periods!r}")
-    _cost_delta_ok(area, cost_delta)
+    c_q, c_g = _party_costs(area, cost_delta)
     rate = effective_dispute_rate(area, shock, tolerance)
     n = population.n_rules
 
@@ -365,8 +372,6 @@ def simulate(
     }
     fraction[0] = int(efficient.sum()) / n
 
-    c_q = area.cost_q - cost_delta
-    c_g = area.cost_g - cost_delta
     stakes_eff = area.stakes_j
     stakes_ineff = area.stakes_j * area.stakes_multiplier
     q_ie, q_ei = area.q_ie, area.q_ei
@@ -374,13 +379,8 @@ def simulate(
     for t in range(periods):
         u_dispute, u_belief, u_flip = draws[t, 0], draws[t, 1], draws[t, 2]
         disputed = u_dispute < rate
-        eps = (2.0 * u_belief - 1.0) * area.belief_spread
-        p_q = np.clip(area.belief_center + eps, 0.0, 1.0)
-        p_g = np.clip(area.belief_center - eps, 0.0, 1.0)
         stakes = np.where(efficient, stakes_eff, stakes_ineff)
-        lower, upper = _bounds(p_q, p_g, stakes, c_q, c_g, area.fee_rule)
-        width = upper - lower
-        trial = disputed & (width < 0.0)
+        trial = disputed & _tried(area, u_belief, stakes, c_q, c_g)
         q = np.where(efficient, q_ei, q_ie)
         flip = trial & (u_flip < q)
         efficient = efficient ^ flip

@@ -1,9 +1,12 @@
 """Rule-evolution machinery: rates, paths, and the population simulator."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexsim import (
     AiShock,
@@ -29,8 +32,52 @@ from lexsim import (
     substream,
     trial_fractions,
 )
+from lexsim.evolution import _MAX_CLOSURE_ITER, _STREAM_RATES
 
 GOLDEN_G = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def trial_fractions_by_decide(area, cost_delta, n_samples, seed):
+    """Reference: one decide() call per belief sample, on the estimator's draws."""
+    u = substream(seed, _STREAM_RATES).random(n_samples)
+    eps = (2.0 * u - 1.0) * area.belief_spread
+    p_q = np.clip(area.belief_center + eps, 0.0, 1.0)
+    p_g = np.clip(area.belief_center - eps, 0.0, 1.0)
+    c_q = area.cost_q - cost_delta
+    c_g = area.cost_g - cost_delta
+    fractions = []
+    for stakes in (area.stakes_j * area.stakes_multiplier, area.stakes_j):
+        trials = 0
+        for k in range(n_samples):
+            d = Dispute(p_q=float(p_q[k]), p_g=float(p_g[k]), j=stakes, c_q=c_q, c_g=c_g)
+            if decide(d, area.fee_rule).kind is OutcomeKind.TRIAL:
+                trials += 1
+        fractions.append(trials / n_samples)
+    return fractions[0], fractions[1]
+
+
+def path_by_recurrence(x0, rates, periods):
+    """Reference: step x_{t+1} = x_t (1 - p_ei) + (1 - x_t) p_ie."""
+    path = [float(x0)]
+    for _ in range(periods):
+        x = path[-1]
+        path.append(x * (1.0 - rates.p_ei) + (1.0 - x) * rates.p_ie)
+    return np.array(path)
+
+
+def closure_by_recurrence(x0, rates, fraction, max_iter=_MAX_CLOSURE_ITER):
+    """Reference: step the recurrence until `fraction` of the gap is closed."""
+    target_x = stationary_fraction(rates)
+    gap0 = abs(x0 - target_x)
+    if gap0 == 0.0:
+        return 0
+    threshold = (1.0 - fraction) * gap0
+    x = float(x0)
+    for t in range(1, max_iter + 1):
+        x = x * (1.0 - rates.p_ei) + (1.0 - x) * rates.p_ie
+        if abs(x - target_x) <= threshold:
+            return t
+    raise ConvergenceError(f"gap not {fraction:.0%} closed within {max_iter} periods")
 
 
 def tort_area(**overrides) -> LegalArea:
@@ -156,6 +203,60 @@ class TestTrialFractions:
         with pytest.raises(DomainError):
             trial_fractions(tort_area(), cost_delta=-1.0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        fee_rule=st.sampled_from(FeeRule),
+        stakes_j=st.floats(1e-3, 1e4),
+        stakes_multiplier=st.floats(1.0, 10.0),
+        cost_q=st.floats(0.0, 1e3),
+        cost_g=st.floats(0.0, 1e3),
+        belief_spread=st.floats(0.0, 1.5),
+        belief_center=st.floats(0.0, 1.0),
+        n_samples=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_array_kernel_equals_decide_loop(
+        self, data, fee_rule, stakes_j, stakes_multiplier, cost_q, cost_g,
+        belief_spread, belief_center, n_samples, seed,
+    ):
+        area = tort_area(
+            fee_rule=fee_rule, stakes_j=stakes_j, stakes_multiplier=stakes_multiplier,
+            cost_q=cost_q, cost_g=cost_g, belief_spread=belief_spread,
+            belief_center=belief_center,
+        )
+        cost_delta = data.draw(st.floats(0.0, min(cost_q, cost_g)), label="cost_delta")
+        assert trial_fractions(area, cost_delta, n_samples, seed) == trial_fractions_by_decide(
+            area, cost_delta, n_samples, seed
+        )
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_overflowing_costs_are_tried_like_decide(self):
+        # c_q + c_g overflows to inf, so clipped beliefs give NaN range widths;
+        # decide() tries those cases, and so must both array paths
+        area = tort_area(
+            dispute_rate=1.0, stakes_multiplier=1.0, cost_q=1e308, cost_g=1e308,
+            belief_spread=1.0, overturn_prob=0.0, fee_rule=FeeRule.ENGLISH,
+        )
+        fractions = trial_fractions(area, n_samples=400, seed=4)
+        assert fractions == trial_fractions_by_decide(area, 0.0, 400, 4)
+        assert fractions[0] > 0.0
+        trace = simulate(area, RulePopulation(50, 0.5), periods=1, seed=4)
+        tried = 0
+        for i in range(50):
+            eps = 2.0 * substream(4, i).random((1, 3))[0, 1] - 1.0
+            p_q, p_g = min(max(0.5 + eps, 0.0), 1.0), min(max(0.5 - eps, 0.0), 1.0)
+            d = Dispute(p_q=p_q, p_g=p_g, j=100.0, c_q=1e308, c_g=1e308)
+            tried += decide(d, FeeRule.ENGLISH).kind is OutcomeKind.TRIAL
+        assert trace.trials[1] == tried > 0
+
+    def test_overflowing_stakes_raise_decides_error(self):
+        area = tort_area(stakes_j=1e200, stakes_multiplier=1e200)
+        with pytest.raises(DomainError, match=r"^j must be finite and > 0: got inf$"):
+            trial_fractions_by_decide(area, 0.0, 10, 0)
+        with pytest.raises(DomainError, match=r"^j must be finite and > 0: got inf$"):
+            trial_fractions(area, n_samples=10)
+
 
 class TestFlipRates:
     def test_composition_of_factors(self):
@@ -218,6 +319,58 @@ class TestPaths:
     def test_closure_never_happens_when_oscillating_forever(self):
         with pytest.raises(ConvergenceError):
             gap_closure_time(0.0, FlipRates(1.0, 1.0))
+
+    def test_oscillation_is_refused_without_stepping(self):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match=r"^gap not 90% closed within 10000000 periods$"):
+            gap_closure_time(0.0, FlipRates(1.0, 1.0))
+        assert time.perf_counter() - start < 0.1
+
+    def test_expected_path_equals_recurrence(self):
+        grid = (0.0, 1e-3, 0.02, 0.3, 0.5, 0.95, 1.0)
+        for p_ie in grid:
+            for p_ei in grid:
+                for x0 in (0.0, 0.1, 0.5, 1.0):
+                    rates = FlipRates(p_ie, p_ei)
+                    path = expected_path(x0, rates, 120)
+                    assert path[0] == x0
+                    assert np.allclose(path, path_by_recurrence(x0, rates, 120),
+                                       rtol=0.0, atol=1e-12)
+
+    def test_expected_path_flat_without_flips(self):
+        path = expected_path(0.3, FlipRates(0.0, 0.0), 5)
+        assert path.tolist() == [0.3] * 6
+        assert path.tolist() == path_by_recurrence(0.3, FlipRates(0.0, 0.0), 5).tolist()
+
+    def test_closure_time_equals_recurrence_except_at_float_ties(self):
+        # only exact ties may differ: |lam|^t lands on 1 - fraction, and the
+        # stepped recurrence rounds to one side of it
+        grid = sorted(set(np.geomspace(1e-3, 1.0, 25).tolist() + (np.arange(1, 21) / 20).tolist()))
+        ties = 0
+        for p_ie in grid:
+            for p_ei in grid:
+                if p_ie == p_ei == 1.0:
+                    continue  # lam = -1 never closes; pinned above
+                rates = FlipRates(p_ie, p_ei)
+                lam = abs(1.0 - p_ie - p_ei)
+                for x0 in (0.0, 0.1, 0.5, 0.9, 1.0):
+                    for fraction in (0.5, 0.9, 0.99):
+                        got = gap_closure_time(x0, rates, fraction)
+                        want = closure_by_recurrence(x0, rates, fraction)
+                        if got != want:
+                            ties += 1
+                            assert abs(got - want) == 1
+                            assert any(math.isclose(lam**t, 1.0 - fraction, rel_tol=1e-9)
+                                       for t in (got, got - 1))
+        assert ties > 0
+
+    def test_closure_zero_at_rounding_noise_start(self):
+        # stationary_fraction is 0.7000000000000001, one ulp from the start; the
+        # stepped recurrence cannot close 90% of a one-ulp gap
+        rates = FlipRates(0.07, 0.03)
+        assert gap_closure_time(0.7, rates) == 0
+        with pytest.raises(ConvergenceError):
+            closure_by_recurrence(0.7, rates, 0.9, max_iter=10_000)
 
 
 class TestSimulate:
