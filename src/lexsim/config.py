@@ -17,7 +17,7 @@ from pathlib import Path
 from .composition import AreaShare, validate_composition
 from .contracts import AiShock, GapCurve
 from .errors import ConfigError, DomainError
-from .evolution import AreaKind, FrivolousStream, LegalArea, RulePopulation
+from .evolution import AreaKind, FrivolousStream, LegalArea, RulePopulation, _check_draw_size
 from .frivolous import FrivolousConfig
 from .settlement import Dispute, FeeRule
 
@@ -343,6 +343,11 @@ def _build_evolve(block, errs):
             except DomainError as e:
                 errs.append(("evolve.population", str(e)))
     periods = _num(block, "periods", "evolve.periods", errs, ge=1, integer=True)
+    if pop is not None and periods is not None:
+        try:
+            _check_draw_size(pop.n_rules, periods)
+        except DomainError as e:
+            errs.append(("evolve", str(e)))
     shock = _shock(block, "evolve", errs)
     cost_delta = _num(block, "cost_delta", "evolve.cost_delta", errs, default=0.0, ge=0.0)
     tolerance = _num(block, "tolerance", "evolve.tolerance", errs, default=1e-9, gt=0.0)

@@ -36,11 +36,12 @@ import numpy as np
 from .contracts import AiShock, GapCurve, apply_shock, solve_completeness
 from .errors import ConvergenceError, DomainError
 from .frivolous import DefendantAction, FollowUp, FrivolousConfig, PlaintiffType, play
-from .rng import substream
+from .rng import fill_substreams, substream
 from .settlement import Dispute, FeeRule, _bounds
 
 _STREAM_RATES = 2**63  # reserved substream of the flip-rate estimator
 _MAX_CLOSURE_ITER = 10**7
+_MAX_DRAW_BYTES = 2**32  # cap on simulate's up-front draw array, 24 B per rule-period
 
 
 class AreaKind(Enum):
@@ -317,6 +318,16 @@ def gap_closure_time(x0: float, rates: FlipRates, fraction: float = 0.9) -> int:
     raise ConvergenceError(f"gap not {fraction:.0%} closed within {_MAX_CLOSURE_ITER} periods")
 
 
+def _check_draw_size(n_rules: int, periods: int) -> None:
+    """Refuse a simulate run whose draw array would exceed _MAX_DRAW_BYTES."""
+    nbytes = 24 * n_rules * periods
+    if nbytes > _MAX_DRAW_BYTES:
+        raise DomainError(
+            f"n_rules x periods needs {nbytes} bytes of draws (24 per rule-period), "
+            f"above the limit of 2^32 = {_MAX_DRAW_BYTES}"
+        )
+
+
 def _frivolous_period_counts(stream: FrivolousStream | None) -> tuple[int, int, int]:
     """Per-period (filings, settlements, drops) of the nuisance stream.
 
@@ -346,11 +357,15 @@ def simulate(
 ) -> EvolutionTrace:
     """Run the population of rule chains for `periods` periods.
 
-    All draws are materialized up front (24 bytes per rule-period), three
-    uniforms per rule per period in the order dispute / belief / flip.
+    All draws are materialized up front (24 bytes per rule-period, at most
+    2^32 bytes in all), three uniforms per rule per period in the order
+    dispute / belief / flip. Rule i's column is exactly
+    `substream(seed, i).random((periods, 3))`; `fill_substreams` writes all
+    columns from one Philox by resetting its counter per rule.
     """
     if not isinstance(periods, int) or periods < 1:
         raise DomainError(f"periods must be an integer >= 1: got {periods!r}")
+    _check_draw_size(population.n_rules, periods)
     c_q, c_g = _party_costs(area, cost_delta)
     rate = effective_dispute_rate(area, shock, tolerance)
     n = population.n_rules
@@ -358,9 +373,7 @@ def simulate(
     efficient = np.zeros(n, dtype=bool)
     efficient[: population.initial_efficient_count] = True
 
-    draws = np.empty((periods, 3, n))
-    for i in range(n):
-        draws[:, :, i] = substream(seed, i).random((periods, 3))
+    draws = fill_substreams(seed, np.empty((periods, 3, n)))
 
     friv_filed, friv_settled, friv_dropped = _frivolous_period_counts(frivolous)
 

@@ -272,7 +272,8 @@ def _run_sweep(spec: SweepSpec, cfg: RunConfig):
           f"{len(grid) * spec.replicates} run(s)", file=sys.stderr)
     summary_header, summarize = _SUMMARIES[spec.model]
     header = paths + ["replicate", "seed"] + summary_header
-    rows = []
+    points = []  # (point, coords, params): every point is validated before any runs
+    point_errs: list[tuple[str, str]] = []
     for point in grid:
         coords = ", ".join(f"{p}={v}" for p, v in zip(paths, point))
         raw_point = copy.deepcopy(cfg.raw)
@@ -280,8 +281,12 @@ def _run_sweep(spec: SweepSpec, cfg: RunConfig):
             _set_path(raw_point, path, value)
         errs: list[tuple[str, str]] = []
         params = build_model_params(raw_point, spec.model, errs)
-        if errs:
-            raise ConfigError([(f"sweep point ({coords}) -> {p}", m) for p, m in errs])
+        point_errs.extend((f"sweep point ({coords}) -> {p}", m) for p, m in errs)
+        points.append((point, coords, params))
+    if point_errs:
+        raise ConfigError(point_errs)
+    rows = []
+    for point, coords, params in points:
         for rep in range(spec.replicates):
             seed_rep = (cfg.seed + rep) % _SEED_MOD
             try:
@@ -303,6 +308,11 @@ def run(cfg: RunConfig) -> RunResult:
     """Execute the configured model and write outputs; returns what was written."""
     if cfg.output_path is None:
         raise DomainError("run configuration has no output path")
+    if cfg.svg_path is not None and (
+        os.path.realpath(cfg.svg_path) == os.path.realpath(cfg.output_path)
+    ):
+        raise ConfigError([("svg", f"{cfg.svg_path!r} is the same file as the CSV output "
+                                   f"{cfg.output_path!r}")])
     if cfg.model == "sweep":
         header, rows, svg = _run_sweep(cfg.params, cfg)
     else:

@@ -271,3 +271,21 @@ class TestSweep:
         payload["sweep"]["replicates"] = 0
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, payload), "sweep")
+
+
+class TestEvolveDrawSize:
+    def test_oversized_population_is_a_config_error(self, tmp_path, monkeypatch):
+        from lexsim import evolution
+
+        def no_empty(*args, **kwargs):
+            raise AssertionError("np.empty called")
+
+        monkeypatch.setattr(evolution.np, "empty", no_empty)
+        payload = evolve_block(population={"n_rules": 10**6, "fraction_efficient": 0.5},
+                               periods=10**4)
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, payload), "evolve")
+        assert exc.value.errors == [
+            ("evolve", "n_rules x periods needs 240000000000 bytes of draws "
+                       "(24 per rule-period), above the limit of 2^32 = 4294967296"),
+        ]

@@ -487,3 +487,26 @@ class TestMeanPathAgreement:
         for t in range(0, 151, 15):
             sigma = math.sqrt(path[t] * (1.0 - path[t]) / n)
             assert abs(trace.fraction_efficient[t] - path[t]) <= 4.0 * sigma
+
+
+class TestDrawSizeGuard:
+    def test_oversized_run_is_refused_before_allocating(self, monkeypatch):
+        from lexsim import evolution
+
+        def no_empty(*args, **kwargs):
+            raise AssertionError("np.empty called")
+
+        monkeypatch.setattr(evolution.np, "empty", no_empty)
+        with pytest.raises(DomainError, match="above the limit of 2\\^32"):
+            simulate(tort_area(), RulePopulation(10**6, 0.5), periods=10**4)
+
+    def test_limit_is_24_bytes_per_rule_period_up_to_2_pow_32(self):
+        from lexsim.evolution import _check_draw_size
+
+        most = 2**32 // 24
+        _check_draw_size(most, 1)
+        _check_draw_size(1, most)
+        with pytest.raises(DomainError):
+            _check_draw_size(most + 1, 1)
+        with pytest.raises(DomainError):
+            _check_draw_size(1, most + 1)

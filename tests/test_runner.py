@@ -223,6 +223,31 @@ class TestSweepOutput:
         assert "sweep point" in str(exc.value)
         assert not out.exists()
 
+    def test_every_point_is_validated_before_any_runs(self, tmp_path, monkeypatch):
+        from lexsim import runner
+
+        calls = []
+        header, summarize = runner._SUMMARIES["equilibrium"]
+        monkeypatch.setitem(runner._SUMMARIES, "equilibrium",
+                            (header, lambda p, seed: calls.append(p) or summarize(p, seed)))
+        payload = {
+            "equilibrium": {"curve": {"b_scale": 1.0, "beta": 1.0,
+                                      "k_scale": 1.0, "kappa": 1.0}},
+            "sweep": {
+                "model": "equilibrium",
+                "axes": [{"path": "equilibrium.curve.k_scale", "values": [1.0, 2.0, -1.0]}],
+            },
+        }
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ConfigError) as exc:
+            run_model("sweep", write_config(tmp_path, payload), out)
+        assert exc.value.errors == [
+            ("sweep point (equilibrium.curve.k_scale=-1.0) -> equilibrium.curve.k_scale",
+             "must be > 0.0, got -1.0"),
+        ]
+        assert calls == []
+        assert not out.exists()
+
     def test_sweep_svg_plots_first_summary(self, tmp_path):
         out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
         run_model("sweep", f"{CONFIG_DIR}/sweep_litigation_delta.json", out, svg)
@@ -297,6 +322,23 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: io:")
         assert not out.exists()
+
+    def test_svg_onto_the_csv_is_exit_one_and_writes_nothing(self, tmp_path, capsys):
+        cfg = f"{CONFIG_DIR}/equilibrium_golden.json"
+        out = tmp_path / "eq.csv"
+        (tmp_path / "sub").mkdir()
+        same = tmp_path / "sub" / ".." / "eq.csv"
+        code = main(["equilibrium", "--config", cfg, "--out", str(out), "--svg", str(same)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: svg:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        out.write_text("kept")
+        assert main(["equilibrium", "--config", cfg, "--out", str(out),
+                     "--svg", str(out)]) == 1
+        assert out.read_text() == "kept"
+        capsys.readouterr()
 
     def test_seed_flag_changes_stochastic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
