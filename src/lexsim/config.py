@@ -17,7 +17,8 @@ from pathlib import Path
 from .composition import AreaShare, validate_composition
 from .contracts import AiShock, GapCurve
 from .errors import ConfigError, DomainError
-from .evolution import AreaKind, FrivolousStream, LegalArea, RulePopulation, _check_draw_size
+from .evolution import (AreaKind, FrivolousStream, LegalArea, RulePopulation, _check_draw_size,
+                        _INT64_MAX)
 from .frivolous import FrivolousConfig
 from .settlement import Dispute, FeeRule
 
@@ -81,6 +82,13 @@ class RunConfig:
     raw: dict
 
 
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def _num(block, key, path, errs, default=_REQUIRED, *, ge=None, gt=None, le=None, lt=None,
          integer=False):
     if key not in block:
@@ -95,7 +103,7 @@ def _num(block, key, path, errs, default=_REQUIRED, *, ge=None, gt=None, le=None
     if integer and not isinstance(v, int):
         errs.append((path, f"must be an integer, got {v!r}"))
         return None
-    if not math.isfinite(v):
+    if isinstance(v, float) and not math.isfinite(v):
         errs.append((path, f"must be finite, got {v!r}"))
         return None
     if ge is not None and not v >= ge:
@@ -109,6 +117,9 @@ def _num(block, key, path, errs, default=_REQUIRED, *, ge=None, gt=None, le=None
         return None
     if lt is not None and not v < lt:
         errs.append((path, f"must be < {lt}, got {v!r}"))
+        return None
+    if not _finite(v):  # an int beyond float range that no bound caught
+        errs.append((path, f"must be finite, got {v!r}"))
         return None
     return v
 
@@ -221,6 +232,48 @@ def _build_equilibrium(block, errs):
     return EquilibriumParams(curve=curve, shock=shock, tolerance=tolerance)
 
 
+_DISPUTE_KEYS = frozenset(("p_q", "p_g", "j", "c_q", "c_g"))
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _plain_dispute(item, reduction):
+    """The Dispute of a fault-free item, else None; no error paths are built.
+
+    `Dispute`'s own checks are exactly `_checked_dispute`'s bounds for int and
+    float values, so this accepts an item exactly when that reports nothing.
+    """
+    if type(item) is not dict or item.keys() != _DISPUTE_KEYS:
+        return None
+    if not _NUMBER_TYPES.issuperset(map(type, item.values())):  # no bool, no str
+        return None
+    try:
+        d = Dispute(**item)
+    except (DomainError, OverflowError):  # OverflowError: an int beyond float range
+        return None
+    if reduction is not None and reduction > min(d.c_q, d.c_g):
+        return None
+    return d
+
+
+def _checked_dispute(item, reduction, path, errs):
+    """One dispute item checked field by field, reporting every fault at its path."""
+    if not isinstance(item, dict):
+        errs.append((path, f"must be an object, got {item!r}"))
+        return None
+    _check_keys(item, _DISPUTE_KEYS, path, errs)
+    p_q = _num(item, "p_q", f"{path}.p_q", errs, ge=0.0, le=1.0)
+    p_g = _num(item, "p_g", f"{path}.p_g", errs, ge=0.0, le=1.0)
+    j = _num(item, "j", f"{path}.j", errs, gt=0.0)
+    c_q = _num(item, "c_q", f"{path}.c_q", errs, ge=0.0)
+    c_g = _num(item, "c_g", f"{path}.c_g", errs, ge=0.0)
+    if None in (p_q, p_g, j, c_q, c_g):
+        return None
+    if reduction is not None and reduction > min(c_q, c_g):
+        errs.append((path, f"cost_reduction {reduction!r} exceeds a party cost"))
+        return None
+    return Dispute(p_q=p_q, p_g=p_g, j=j, c_q=c_q, c_g=c_g)
+
+
 def _build_settle(block, errs):
     _check_keys(block, {"rule", "disputes", "cost_reduction"}, "settle", errs)
     rule_name = _str(block, "rule", "settle.rule", errs,
@@ -228,30 +281,17 @@ def _build_settle(block, errs):
     reduction = _num(block, "cost_reduction", "settle.cost_reduction", errs,
                      default=0.0, ge=0.0)
     items = _list(block, "disputes", "settle.disputes", errs)
-    disputes = []
-    ok = rule_name is not None and reduction is not None and items is not None
+    disputes = None
     if items is not None:
+        disputes = []
         for i, item in enumerate(items):
-            path = f"settle.disputes[{i}]"
-            if not isinstance(item, dict):
-                errs.append((path, f"must be an object, got {item!r}"))
-                ok = False
-                continue
-            _check_keys(item, {"p_q", "p_g", "j", "c_q", "c_g"}, path, errs)
-            p_q = _num(item, "p_q", f"{path}.p_q", errs, ge=0.0, le=1.0)
-            p_g = _num(item, "p_g", f"{path}.p_g", errs, ge=0.0, le=1.0)
-            j = _num(item, "j", f"{path}.j", errs, gt=0.0)
-            c_q = _num(item, "c_q", f"{path}.c_q", errs, ge=0.0)
-            c_g = _num(item, "c_g", f"{path}.c_g", errs, ge=0.0)
-            if None in (p_q, p_g, j, c_q, c_g):
-                ok = False
-                continue
-            if reduction is not None and reduction > min(c_q, c_g):
-                errs.append((path, f"cost_reduction {reduction!r} exceeds a party cost"))
-                ok = False
-                continue
-            disputes.append(Dispute(p_q=p_q, p_g=p_g, j=j, c_q=c_q, c_g=c_g))
-    if not ok:
+            d = _plain_dispute(item, reduction)
+            if d is None:
+                d = _checked_dispute(item, reduction, f"settle.disputes[{i}]", errs)
+            disputes.append(d)
+        if any(d is None for d in disputes):
+            disputes = None
+    if rule_name is None or reduction is None or disputes is None:
         return None
     return SettleParams(rule=FeeRule(rule_name), disputes=disputes, cost_reduction=reduction)
 
@@ -361,7 +401,7 @@ def _build_evolve(block, errs):
         _check_keys(fsub, {"game", "filers_per_period", "belief"}, "evolve.frivolous", errs)
         game = _game(fsub, "game", "evolve.frivolous.game", errs)
         filers = _num(fsub, "filers_per_period", "evolve.frivolous.filers_per_period", errs,
-                      ge=0, integer=True)
+                      ge=0, le=_INT64_MAX, integer=True)
         belief = _num(fsub, "belief", "evolve.frivolous.belief", errs,
                       default=None, ge=0.0, le=1.0)
         if game is not None and filers is not None:
@@ -478,7 +518,7 @@ def load_config(path: str, model: str) -> RunConfig:
         raise ConfigError([("", f"cannot read config file: {e}")])
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past int()'s digit limit
         raise ConfigError([("", f"invalid JSON: {e}")])
     if not isinstance(raw, dict):
         raise ConfigError([("", f"top level must be a JSON object, got {raw!r}")])

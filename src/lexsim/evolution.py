@@ -42,6 +42,7 @@ from .settlement import Dispute, FeeRule, _bounds
 _STREAM_RATES = 2**63  # reserved substream of the flip-rate estimator
 _MAX_CLOSURE_ITER = 10**7
 _MAX_DRAW_BYTES = 2**32  # cap on simulate's up-front draw array, 24 B per rule-period
+_INT64_MAX = 2**63 - 1
 
 
 class AreaKind(Enum):
@@ -176,10 +177,11 @@ class FrivolousStream:
     belief: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.filers_per_period, int) or self.filers_per_period < 0:
-            raise DomainError(
-                f"filers_per_period must be an integer >= 0: got {self.filers_per_period!r}"
-            )
+        n = self.filers_per_period
+        if not isinstance(n, int) or n < 0:
+            raise DomainError(f"filers_per_period must be an integer >= 0: got {n!r}")
+        if n > _INT64_MAX:  # the trace's count columns are int64
+            raise DomainError(f"filers_per_period must be <= {_INT64_MAX}: got {n!r}")
 
 
 @dataclass

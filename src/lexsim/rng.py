@@ -21,10 +21,15 @@ _U64_MAX = 2**64 - 1
 _BLOCK_STREAMS = 64  # streams drawn into one C-contiguous staging block
 
 
+def _is_u64(v) -> bool:
+    # bool is an int subclass, but True is not a seed or a stream id
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v <= _U64_MAX
+
+
 def _check_ids(seed: int, stream: int) -> None:
-    if not isinstance(seed, int) or not 0 <= seed <= _U64_MAX:
+    if not _is_u64(seed):
         raise DomainError(f"seed must be an integer in [0, 2^64): got {seed!r}")
-    if not isinstance(stream, int) or not 0 <= stream <= _U64_MAX:
+    if not _is_u64(stream):
         raise DomainError(f"stream id must be an integer in [0, 2^64): got {stream!r}")
 
 

@@ -3,20 +3,25 @@
 Output contract: CSV columns are fixed per model and documented in the README;
 floats are printed with 17 significant digits so rereading them round-trips
 bit-exactly; rows use "\n" line endings regardless of platform. Everything is
-computed before anything is written, and a failed write removes whatever this
-call had already written, so a run never leaves partial outputs behind.
+computed before anything is written, and outputs replace their targets only
+once every one is written, so a failed run leaves existing files as they were
+and no partial outputs behind.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import errno
 import io
 import itertools
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import charts
 from .composition import relative_price_change, shift_composition
@@ -34,13 +39,7 @@ from .contracts import apply_shock, marginal_benefit, marginal_cost, solve_compl
 from .errors import ConfigError, DomainError, LexsimError
 from .evolution import simulate
 from .frivolous import PlaintiffType, filing_region_shift, play
-from .settlement import (
-    OutcomeKind,
-    apply_cost_reduction,
-    decide,
-    settlement_range,
-    shrink_ratio,
-)
+from .settlement import settle_columns
 
 _SEED_MOD = 2**64
 
@@ -56,12 +55,13 @@ def _f(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv(header: list[str], rows: list[list[str]], svg: str | None):
+    """A list-row builder's result: CSV text, row count, SVG."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return buf.getvalue(), len(rows), svg
 
 
 def _run_equilibrium(p: EquilibriumParams, cfg: RunConfig):
@@ -89,35 +89,31 @@ def _run_equilibrium(p: EquilibriumParams, cfg: RunConfig):
             series.append(("MC shocked", gs, [marginal_cost(g, shocked_curve) for g in gs]))
         svg = charts.line_chart(series, title="Marginal benefit and cost of completeness",
                                 x_label="completeness g", y_label="marginal value")
-    return header, rows, svg
+    return _csv(header, rows, svg)
 
 
 def _run_settle(p: SettleParams, cfg: RunConfig):
     header = ["index", "rule", "p_q", "p_g", "j", "c_q", "c_g", "cost_reduction",
               "lower", "upper", "width", "outcome", "amount", "shrink_ratio"]
-    rows = []
-    widths = []
-    for idx, d in enumerate(p.disputes):
-        reduced = apply_cost_reduction(d, p.cost_reduction)
-        r = settlement_range(reduced, p.rule)
-        outcome = decide(reduced, p.rule)
-        try:
-            ratio = _f(shrink_ratio(d))
-        except DomainError:
-            ratio = ""
-        widths.append(r.width)
-        rows.append([
-            str(idx), p.rule.value, _f(d.p_q), _f(d.p_g), _f(d.j), _f(d.c_q), _f(d.c_g),
-            _f(p.cost_reduction), _f(r.lower), _f(r.upper), _f(r.width),
-            outcome.kind.value, "" if outcome.amount is None else _f(outcome.amount), ratio,
-        ])
+    a = settle_columns(p.disputes, p.rule, p.cost_reduction)
+    # every cell is a number, a fixed enum word or empty, so no cell needs CSV
+    # quoting and rows are formatted directly. "%.17g" % x == _f(x) for every
+    # double; "%.0s" consumes an amount or ratio cell that is left empty.
+    head = f"%d,{p.rule.value},%.17g,%.17g,%.17g,%.17g,%.17g,{_f(p.cost_reduction)}," \
+           "%.17g,%.17g,%.17g,"
+    templates = [head + tail for tail in ("trial,%.0s,%.0s\n", "trial,%.0s,%.17g\n",
+                                          "settle,%.17g,%.0s\n", "settle,%.17g,%.17g\n")]
+    kind = (2 * a["settle"] + ~np.isnan(a["ratio"])).tolist()
+    cells = zip(range(len(kind)), *(a[k].tolist() for k in (
+        "p_q", "p_g", "j", "c_q", "c_g", "lower", "upper", "width", "amount", "ratio")))
+    text = ",".join(header) + "\n" + "".join([templates[k] % row for k, row in zip(kind, cells)])
     svg = None
     if cfg.svg_path is not None:
-        xs = [float(i) for i in range(len(widths))]
-        svg = charts.line_chart([("range width", xs, widths)],
+        xs = [float(i) for i in range(len(kind))]
+        svg = charts.line_chart([("range width", xs, a["width"].tolist())],
                                 title="Settlement range width by dispute",
                                 x_label="dispute index", y_label="width")
-    return header, rows, svg
+    return text, len(kind), svg
 
 
 def _run_frivolous(p: FrivolousParams, cfg: RunConfig):
@@ -142,7 +138,7 @@ def _run_frivolous(p: FrivolousParams, cfg: RunConfig):
         svg = charts.line_chart([("plaintiff payoff", [0.0, 1.0], payoffs)],
                                 title="Filing payoffs by plaintiff type",
                                 x_label="0 = frivolous, 1 = meritorious", y_label="payoff")
-    return header, rows, svg
+    return _csv(header, rows, svg)
 
 
 def _run_evolve(p: EvolveParams, cfg: RunConfig):
@@ -166,7 +162,7 @@ def _run_evolve(p: EvolveParams, cfg: RunConfig):
         svg = charts.line_chart([("fraction efficient", xs, ys)],
                                 title=f"Efficient rules over time ({trace.area_name})",
                                 x_label="period", y_label="fraction efficient")
-    return header, rows, svg
+    return _csv(header, rows, svg)
 
 
 def _run_composition(p: CompositionParams, cfg: RunConfig):
@@ -189,7 +185,7 @@ def _run_composition(p: CompositionParams, cfg: RunConfig):
              ("new share", xs, [s.new_share for s in shifts])],
             title="Docket shares before and after the cost cut",
             x_label="area index", y_label="share")
-    return header, rows, svg
+    return _csv(header, rows, svg)
 
 
 def _summary_equilibrium(p: EquilibriumParams, seed: int) -> list[str]:
@@ -199,15 +195,12 @@ def _summary_equilibrium(p: EquilibriumParams, seed: int) -> list[str]:
 
 
 def _summary_settle(p: SettleParams, seed: int) -> list[str]:
-    widths = []
-    settled = 0
-    for d in p.disputes:
-        reduced = apply_cost_reduction(d, p.cost_reduction)
-        widths.append(settlement_range(reduced, p.rule).width)
-        if decide(reduced, p.rule).kind is OutcomeKind.SETTLE:
-            settled += 1
+    a = settle_columns(p.disputes, p.rule, p.cost_reduction)
     n = len(p.disputes)
-    return [str(n), str(settled), str(n - settled), _f(sum(widths) / n)]
+    settled = int(a["settle"].sum())
+    # Python's sum adds one width at a time; np.sum's pairwise sum could move
+    # the last digit of a sweep cell
+    return [str(n), str(settled), str(n - settled), _f(sum(a["width"].tolist()) / n)]
 
 
 def _summary_frivolous(p: FrivolousParams, seed: int) -> list[str]:
@@ -301,7 +294,7 @@ def _run_sweep(spec: SweepSpec, cfg: RunConfig):
         svg = charts.line_chart([(summary_header[0], xs, ys)],
                                 title=f"Sweep of {spec.model}: {summary_header[0]}",
                                 x_label="run index", y_label=summary_header[0])
-    return header, rows, svg
+    return _csv(header, rows, svg)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -314,7 +307,7 @@ def run(cfg: RunConfig) -> RunResult:
         raise ConfigError([("svg", f"{cfg.svg_path!r} is the same file as the CSV output "
                                    f"{cfg.output_path!r}")])
     if cfg.model == "sweep":
-        header, rows, svg = _run_sweep(cfg.params, cfg)
+        csv_text, n_rows, svg = _run_sweep(cfg.params, cfg)
     else:
         builders = {
             "equilibrium": _run_equilibrium,
@@ -323,25 +316,61 @@ def run(cfg: RunConfig) -> RunResult:
             "evolve": _run_evolve,
             "composition": _run_composition,
         }
-        header, rows, svg = builders[cfg.model](cfg.params, cfg)
+        csv_text, n_rows, svg = builders[cfg.model](cfg.params, cfg)
 
-    csv_text = _csv_text(header, rows)
-    written: list[str] = []
-    try:
-        with open(cfg.output_path, "w", newline="") as fh:
-            fh.write(csv_text)
-        written.append(cfg.output_path)
-        if svg is not None:
-            with open(cfg.svg_path, "w", newline="") as fh:
-                fh.write(svg)
-            written.append(cfg.svg_path)
-    except BaseException:
-        for path in written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        raise
+    outputs = [(cfg.output_path, csv_text)]
+    if svg is not None:
+        outputs.append((cfg.svg_path, svg))
+    _write_all(outputs)
     return RunResult(csv_path=cfg.output_path,
                      svg_path=cfg.svg_path if svg is not None else None,
-                     rows=len(rows))
+                     rows=n_rows)
+
+
+def _write_all(outputs: list[tuple[str, str]]) -> None:
+    """Write every (path, text) or, on failure, leave every existing file as it was.
+
+    A new or regular-file path gets its text in a new temporary file beside the
+    path's real target (so a symlinked output keeps its link), with the mode of
+    the file it replaces, or 0666 & ~umask for a new one as `open(path, "w")`
+    gives; the targets are replaced only once all are written. Any other
+    target (a device such as /dev/null, a FIFO, a pipe behind /dev/stdout)
+    holds no earlier output to keep and is written in place.
+    """
+    staged: list[tuple[str, str]] = []  # (temporary, target), not yet renamed
+    in_place: list[tuple[str, str]] = []
+    try:
+        for path, text in outputs:
+            try:
+                mode = os.stat(path).st_mode  # follows links, /dev/stdout's too
+            except OSError:  # missing, or the open below reports why not
+                mode = None
+            if mode is not None and stat.S_ISDIR(mode):  # found now, not by a rename
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if mode is not None and not stat.S_ISREG(mode):
+                in_place.append((path, text))
+                continue
+            target = os.path.realpath(path)
+            head, tail = os.path.split(target)
+            tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as e:
+                raise OSError(e.errno, e.strerror, path) from None
+            staged.append((tmp, target))
+            with open(fd, "w", newline="") as fh:
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
+                fh.write(text)
+        for path, text in in_place:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        while staged:
+            os.replace(*staged[0])
+            staged.pop(0)
+    finally:
+        for tmp, _ in staged:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass

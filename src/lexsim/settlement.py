@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -120,15 +122,54 @@ def decide(d: Dispute, rule: FeeRule) -> Outcome:
     return Outcome(OutcomeKind.TRIAL)
 
 
-def apply_cost_reduction(d: Dispute, delta_c: float) -> Dispute:
-    """Cut both sides' trial costs by delta_c; the reduction may not exceed either cost."""
+def _check_reduction(delta_c: float) -> None:
     if not (isinstance(delta_c, (int, float)) and math.isfinite(delta_c) and delta_c >= 0):
         raise DomainError(f"delta_c must be finite and >= 0: got {delta_c!r}")
+
+
+def _over_reduction(delta_c: float, d: Dispute) -> DomainError:
+    return DomainError(
+        f"delta_c={delta_c!r} exceeds a party's cost (c_q={d.c_q!r}, c_g={d.c_g!r})"
+    )
+
+
+def apply_cost_reduction(d: Dispute, delta_c: float) -> Dispute:
+    """Cut both sides' trial costs by delta_c; the reduction may not exceed either cost."""
+    _check_reduction(delta_c)
     if delta_c > min(d.c_q, d.c_g):
-        raise DomainError(
-            f"delta_c={delta_c!r} exceeds a party's cost (c_q={d.c_q!r}, c_g={d.c_g!r})"
-        )
+        raise _over_reduction(delta_c, d)
     return Dispute(p_q=d.p_q, p_g=d.p_g, j=d.j, c_q=d.c_q - delta_c, c_g=d.c_g - delta_c)
+
+
+def settle_columns(disputes: list[Dispute], rule: FeeRule,
+                   delta_c: float) -> dict[str, np.ndarray]:
+    """`apply_cost_reduction` -> `decide` -> `shrink_ratio` for a batch, as float64 columns.
+
+    Keys: the inputs p_q, p_g, j, c_q, c_g; lower, upper and width of the
+    reduced-cost range; settle (bool) and amount (meaningful where settle);
+    ratio, NaN where `shrink_ratio` is undefined. The inputs are converted to
+    float64 first, so an int beyond 2^53 is rounded before any arithmetic.
+    Overflow gives inf/NaN cells as the scalar functions do, and a NaN width is
+    a trial, as in `decide`. An over-large reduction names the first dispute
+    it exceeds.
+    """
+    _check_reduction(delta_c)
+    p_q, p_g, j, c_q, c_g = (
+        np.array([getattr(d, name) for d in disputes], dtype=np.float64)
+        for name in ("p_q", "p_g", "j", "c_q", "c_g")
+    )
+    over = delta_c > np.minimum(c_q, c_g)
+    if over.any():
+        raise _over_reduction(delta_c, disputes[int(over.argmax())])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, upper = _bounds(p_q, p_g, j, c_q - delta_c, c_g - delta_c, rule)
+        width = upper - lower
+        amount = 0.5 * (lower + upper)
+    denom = 1.0 - (p_q - p_g)  # grouped as in `shrink_ratio`
+    ratio = np.full_like(denom, np.nan)
+    np.divide(1.0, denom, out=ratio, where=denom != 0.0)
+    return dict(p_q=p_q, p_g=p_g, j=j, c_q=c_q, c_g=c_g, lower=lower, upper=upper,
+                width=width, settle=width >= 0.0, amount=amount, ratio=ratio)
 
 
 def shrink_ratio(d: Dispute) -> float:

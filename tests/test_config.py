@@ -1,8 +1,11 @@
 """JSON config loading and validation for every model block."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexsim import (
     AreaKind,
@@ -10,6 +13,8 @@ from lexsim import (
     FeeRule,
     load_config,
 )
+from lexsim import config
+from lexsim.config import SettleParams
 
 CONFIG_DIR = "configs"
 
@@ -289,3 +294,158 @@ class TestEvolveDrawSize:
             ("evolve", "n_rules x periods needs 240000000000 bytes of draws "
                        "(24 per rule-period), above the limit of 2^32 = 4294967296"),
         ]
+
+
+class TestHugeIntegers:
+    """JSON ints are unbounded; one past float range is a config error, not a crash."""
+
+    HUGE = 10**400
+
+    def run_cli(self, tmp_path, capsys, model, payload):
+        from lexsim.cli import main
+
+        path = write(tmp_path, payload)
+        out = tmp_path / "out.csv"
+        code = main([model, "--config", path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert not out.exists()
+        return code, err
+
+    def test_huge_seed(self, tmp_path, capsys):
+        payload = equilibrium_block()
+        payload["seed"] = self.HUGE
+        code, err = self.run_cli(tmp_path, capsys, "equilibrium", payload)
+        assert code == 1
+        assert err.startswith(f"error: config: seed: must be <= {2**64 - 1}, got 1000")
+        assert err.count("\n") == 1
+
+    def test_huge_dispute_stakes(self, tmp_path, capsys):
+        code, err = self.run_cli(tmp_path, capsys, "settle", settle_block(j=self.HUGE))
+        assert code == 1
+        assert err.startswith("error: config: settle.disputes[0].j: must be finite, got 1000")
+        assert err.count("\n") == 1
+
+    def test_huge_sweep_replicates(self, tmp_path):
+        # through load_config only: a run that let this pass would never end
+        payload = TestSweep().base()
+        payload["sweep"]["replicates"] = self.HUGE
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, payload), "sweep")
+        assert exc.value.errors == [("sweep.replicates", f"must be finite, got {self.HUGE}")]
+
+    @pytest.mark.parametrize("filers", [2**63, 2**64, HUGE])
+    def test_filers_beyond_int64(self, tmp_path, capsys, filers):
+        game = {"f_o": 1.0, "f_q": 1.0, "d": 10.0, "s": 5.0, "j": 100.0, "c_p": 10.0}
+        payload = evolve_block(frivolous={"game": game, "filers_per_period": filers})
+        code, err = self.run_cli(tmp_path, capsys, "evolve", payload)
+        assert code == 1
+        assert err == (f"error: config: evolve.frivolous.filers_per_period: "
+                       f"must be <= {2**63 - 1}, got {filers}\n")
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        text = json.dumps(equilibrium_block()).replace("{", '{"seed": ' + "9" * 5000 + ", ", 1)
+        code, err = self.run_cli(tmp_path, capsys, "equilibrium", text)
+        assert code == 1
+        assert err.startswith("error: config: : invalid JSON: Exceeds the limit")
+        assert err.count("\n") == 1
+
+
+KEYS = ("p_q", "p_g", "j", "c_q", "c_g")
+PROB = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, -0.0]))
+POSITIVE = st.one_of(st.floats(min_value=5e-324, max_value=1.7e308),
+                     st.floats(min_value=5e-324, max_value=1e4), st.integers(1, 1000),
+                     st.integers(1, 2**53))
+NONNEGATIVE = st.one_of(POSITIVE, st.sampled_from([0, 0.0, -0.0]))
+WILD = st.one_of(
+    st.booleans(), st.text(max_size=3), st.none(), st.lists(st.integers(), max_size=1),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, -1e-300, 1.5, 10**400, -(10**400)]),
+    st.integers(-(2**70), 2**70), st.integers(2**53 + 1, 2**70),
+)
+VALID = {"p_q": PROB, "p_g": PROB, "j": POSITIVE, "c_q": NONNEGATIVE, "c_g": NONNEGATIVE}
+
+
+@st.composite
+def dispute_items(draw, max_size):
+    """Valid dispute objects, then a few changes: wild values, missing or extra keys,
+    non-dict items, or a (valid) stake or cost past 2^53."""
+    items = draw(st.lists(st.fixed_dictionaries(VALID), min_size=1, max_size=max_size))
+    changes = st.tuples(st.integers(0, len(items) - 1),
+                        st.sampled_from(["value", "drop", "extra", "item", "big"]),
+                        st.sampled_from(KEYS), WILD)
+    for i, kind, key, value in draw(st.lists(changes, max_size=3)) if draw(st.booleans()) else []:
+        if kind == "big" and isinstance(items[i], dict):
+            items[i][key if key in ("j", "c_q", "c_g") else "j"] = draw(
+                st.integers(2**53 + 1, 2**70))
+        elif not isinstance(items[i], dict) or kind == "item":
+            items[i] = value
+        elif kind == "value":
+            items[i][key] = value
+        elif kind == "drop":
+            items[i].pop(key, None)
+        else:
+            items[i][key.upper()] = value
+    return items
+
+
+@st.composite
+def items_and_reduction(draw, max_size):
+    """A dispute list plus a cost_reduction that is often within its smallest cost."""
+    items = draw(dispute_items(max_size))
+    costs = [v for it in items if isinstance(it, dict) for k, v in it.items()
+             if k in ("c_q", "c_g") and type(v) in (int, float) and 0 <= v <= 1e308]
+    top = abs(min(costs, default=0.0))
+    reduction = draw(st.one_of(
+        st.sampled_from([0.0, 0, top, top, 1e-3, 2**60]), st.floats(0.0, float(top)),
+        st.integers(0, min(int(top), 2**60))))
+    return items, reduction
+
+
+def checked_loop(items, reduction, errs):
+    """`_build_settle`'s dispute loop with every item checked field by field."""
+    disputes = [config._checked_dispute(item, reduction, f"settle.disputes[{i}]", errs)
+                for i, item in enumerate(items)]
+    return None if None in disputes else disputes
+
+
+class TestPlainDispute:
+    """`_build_settle`'s quick per-item check against the field-by-field one."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=items_and_reduction(max_size=5), no_reduction=st.booleans())
+    def test_accepts_exactly_what_the_field_checks_accept(self, case, no_reduction):
+        items, reduction = case
+        if no_reduction:  # an invalid cost_reduction, which skips the cross-check
+            reduction = None
+        for item in items:
+            errs = []
+            checked = config._checked_dispute(item, reduction, "settle.disputes[0]", errs)
+            plain = config._plain_dispute(item, reduction)
+            assert (plain is None) == bool(errs)
+            if plain is not None:
+                assert plain == checked
+                assert [type(getattr(plain, k)) for k in KEYS] == \
+                    [type(getattr(checked, k)) for k in KEYS]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=items_and_reduction(max_size=4))
+    def test_build_settle_matches_the_checked_loop(self, case):
+        items, reduction = case
+        block = {"rule": "english", "disputes": items, "cost_reduction": reduction}
+        errs = []
+        params = config._build_settle(block, errs)
+        expected_errs = []
+        expected = checked_loop(items, reduction, expected_errs)
+        assert errs == expected_errs
+        if expected is None:
+            assert params is None
+        else:
+            assert params == SettleParams(rule=FeeRule.ENGLISH, disputes=expected,
+                                          cost_reduction=reduction)
+
+    def test_json_nan_and_infinity_reported_per_item(self, tmp_path):
+        text = ('{"settle": {"rule": "american", "disputes": ['
+                '{"p_q": NaN, "p_g": 0.5, "j": Infinity, "c_q": 1, "c_g": 1}]}}')
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, text), "settle")
+        assert exc.value.errors == [("settle.disputes[0].p_q", "must be finite, got nan"),
+                                    ("settle.disputes[0].j", "must be finite, got inf")]

@@ -67,3 +67,29 @@ class TestFillSubstreams:
     def test_rejects_out_that_is_not_a_float64_stream_array(self, out):
         with pytest.raises(DomainError):
             fill_substreams(0, out)
+
+
+class TestBoolIsNotAnId:
+    """bool is an int subclass; True must not quietly mean stream or seed 1."""
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_substream_rejects_bool_seed_and_stream(self, flag):
+        with pytest.raises(DomainError) as exc:
+            substream(flag, 0)
+        assert str(exc.value) == f"seed must be an integer in [0, 2^64): got {flag!r}"
+        with pytest.raises(DomainError) as exc:
+            substream(0, flag)
+        assert str(exc.value) == f"stream id must be an integer in [0, 2^64): got {flag!r}"
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_fill_substreams_rejects_bool_seed(self, flag):
+        with pytest.raises(DomainError) as exc:
+            fill_substreams(flag, np.empty((2, 3)))
+        assert str(exc.value) == f"seed must be an integer in [0, 2^64): got {flag!r}"
+
+    def test_simulate_rejects_bool_seed(self):
+        area = LegalArea(name="negligence", kind=AreaKind.TORT, dispute_rate=0.8,
+                         stakes_j=100.0, cost_q=18.0, cost_g=18.0)
+        with pytest.raises(DomainError) as exc:
+            simulate(area, RulePopulation(5, 0.5), periods=3, seed=True)
+        assert str(exc.value) == "seed must be an integer in [0, 2^64): got True"

@@ -1,19 +1,33 @@
 """End-to-end runs: CSV/SVG emission, sweeps, and the command-line front end."""
 
 import csv
+import io
 import json
 import math
 import os
+import stat
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexsim import (
     ConfigError,
+    Dispute,
     DomainError,
+    FeeRule,
+    OutcomeKind,
+    apply_cost_reduction,
+    decide,
     load_config,
     run,
+    settlement_range,
+    shrink_ratio,
 )
+from lexsim import runner
 from lexsim.cli import main
+from lexsim.config import RunConfig, SettleParams
 
 GOLDEN_G = (3.0 - math.sqrt(5.0)) / 2.0
 CONFIG_DIR = "configs"
@@ -372,3 +386,212 @@ class TestFloatFormatting:
         text = row["g_star_baseline"]
         assert float(text) == float(format(float(text), ".17g"))
         assert os.linesep not in ("\n",) or "\r" not in out.read_text()
+
+
+def settle_oracle(p):
+    """The scalar settle path, one dispute at a time: CSV text and summary cells."""
+    def f(x):
+        return format(float(x), ".17g")
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "rule", "p_q", "p_g", "j", "c_q", "c_g", "cost_reduction",
+                     "lower", "upper", "width", "outcome", "amount", "shrink_ratio"])
+    widths, settled = [], 0
+    for idx, d in enumerate(p.disputes):
+        reduced = apply_cost_reduction(d, p.cost_reduction)
+        r = settlement_range(reduced, p.rule)
+        outcome = decide(reduced, p.rule)
+        try:
+            ratio = f(shrink_ratio(d))
+        except DomainError:
+            ratio = ""
+        widths.append(r.width)
+        settled += outcome.kind is OutcomeKind.SETTLE
+        writer.writerow([
+            str(idx), p.rule.value, f(d.p_q), f(d.p_g), f(d.j), f(d.c_q), f(d.c_g),
+            f(p.cost_reduction), f(r.lower), f(r.upper), f(r.width),
+            outcome.kind.value, "" if outcome.amount is None else f(outcome.amount), ratio,
+        ])
+    n = len(p.disputes)
+    return buf.getvalue(), [str(n), str(settled), str(n - settled), f(sum(widths) / n)]
+
+
+def settle_arrays_output(p):
+    """CSV text and summary cells from the runner's array path, failing on any warning."""
+    cfg = RunConfig(model="settle", params=p, seed=0, output_path=None, svg_path=None, raw={})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text, n_rows, svg = runner._run_settle(p, cfg)
+        summary = runner._summary_settle(p, 0)
+    assert n_rows == len(p.disputes) and svg is None
+    return text, summary
+
+
+PROB = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, 0.0, 1.0, -0.0, 0.5]))
+STAKE = st.one_of(st.floats(min_value=5e-324, max_value=1e6), st.integers(1, 10**6),
+                  st.floats(1e300, 1.7976931348623157e308))
+COST = st.one_of(st.floats(0.0, 1e6), st.integers(0, 10**6), st.sampled_from([0, -0.0]),
+                 st.floats(1e300, 1.7976931348623157e308))
+
+
+@st.composite
+def settle_params(draw):
+    disputes = draw(st.lists(st.builds(Dispute, p_q=PROB, p_g=PROB, j=STAKE, c_q=COST,
+                                       c_g=COST), min_size=1, max_size=12))
+    top = min(min(d.c_q, d.c_g) for d in disputes)
+    reduction = draw(st.one_of(
+        st.sampled_from([0, 0.0, top]), st.floats(0.0, abs(float(top))),
+        st.integers(0, int(top)) if top < 2**53 else st.just(0)))
+    return SettleParams(rule=draw(st.sampled_from(FeeRule)), disputes=disputes,
+                        cost_reduction=reduction)
+
+
+class TestSettleArrays:
+    """The one-pass array settle path against the scalar per-dispute oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=settle_params())
+    def test_matches_the_scalar_path(self, p):
+        assert settle_arrays_output(p) == settle_oracle(p)
+
+    @pytest.mark.parametrize("rule", list(FeeRule))
+    def test_undefined_shrink_ratio_is_empty(self, rule):
+        p = SettleParams(rule=rule, cost_reduction=0.0, disputes=[
+            Dispute(p_q=1.0, p_g=0.0, j=10.0, c_q=1.0, c_g=2.0),
+            Dispute(p_q=1, p_g=0, j=10, c_q=1, c_g=2)])
+        text, summary = settle_arrays_output(p)
+        assert (text, summary) == settle_oracle(p)
+        assert all(line.endswith(",") for line in text.splitlines()[1:])
+
+    @pytest.mark.parametrize("rule", list(FeeRule))
+    def test_reduction_equal_to_the_smaller_cost(self, rule):
+        p = SettleParams(rule=rule, cost_reduction=3, disputes=[
+            Dispute(p_q=0.6, p_g=0.5, j=100, c_q=3, c_g=7),
+            Dispute(p_q=0.2, p_g=0.9, j=50.5, c_q=8.25, c_g=3.0)])
+        assert settle_arrays_output(p) == settle_oracle(p)
+
+    def test_reduction_beyond_a_cost_keeps_the_scalar_message(self):
+        p = SettleParams(rule=FeeRule.AMERICAN, cost_reduction=4, disputes=[
+            Dispute(p_q=0.6, p_g=0.5, j=100, c_q=5, c_g=7),
+            Dispute(p_q=0.6, p_g=0.5, j=100, c_q=8, c_g=3)])
+        with pytest.raises(DomainError) as got:
+            settle_arrays_output(p)
+        with pytest.raises(DomainError) as expected:
+            settle_oracle(p)
+        assert str(got.value) == str(expected.value) == \
+            "delta_c=4 exceeds a party's cost (c_q=8, c_g=3)"
+
+    def test_ints_past_2_53_are_rounded_to_float_first(self):
+        # j + c_q + c_g = 2^53 + 2 exactly, but 2^53 once rounded step by step
+        big = Dispute(p_q=0.25, p_g=0.5, j=2**53 - 1, c_q=2, c_g=1)
+        p = SettleParams(rule=FeeRule.ENGLISH, cost_reduction=0, disputes=[big])
+        as_floats = SettleParams(rule=FeeRule.ENGLISH, cost_reduction=0.0, disputes=[
+            Dispute(p_q=0.25, p_g=0.5, j=float(2**53 - 1), c_q=2.0, c_g=1.0)])
+        assert settle_arrays_output(p) == settle_oracle(as_floats)
+        assert settle_arrays_output(p) != settle_oracle(p)
+
+    def test_overflow_cells_through_the_cli(self, tmp_path, capfd):
+        disputes = [{"p_q": 0.9, "p_g": 0.1, "j": 1.7e308, "c_q": 1.6e308, "c_g": 1.5e308},
+                    {"p_q": 0.1, "p_g": 0.9, "j": 1e308, "c_q": 1e308, "c_g": 1e308},
+                    {"p_q": 0.5, "p_g": 0.5, "j": 1.0, "c_q": 1e308, "c_g": 1.7e308}]
+        for rule in FeeRule:
+            payload = {"settle": {"rule": rule.value, "disputes": disputes,
+                                  "cost_reduction": 1e307}}
+            out = tmp_path / f"{rule.value}.csv"
+            assert main(["settle", "--config", write_config(tmp_path, payload),
+                         "--out", str(out)]) == 0
+            captured = capfd.readouterr()
+            assert captured.err == ""
+            p = load_config(write_config(tmp_path, payload), "settle").params
+            assert out.read_text() == settle_oracle(p)[0]
+        assert "inf" in out.read_text() and "nan" in out.read_text()
+
+
+class TestAtomicOutputs:
+    CFG = f"{CONFIG_DIR}/equilibrium_golden.json"
+
+    def test_failed_svg_write_keeps_an_existing_csv(self, tmp_path, capsys, monkeypatch):
+        cfg = os.path.abspath(self.CFG)
+        monkeypatch.chdir(tmp_path)
+        keep = tmp_path / "keep.csv"
+        keep.write_bytes(b"old\n")
+        code = main(["equilibrium", "--config", cfg, "--out", "keep.csv",
+                     "--svg", "nodir/x.svg"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: io:") and "nodir/x.svg" in err
+        assert keep.read_bytes() == b"old\n"
+        assert sorted(os.listdir(tmp_path)) == ["keep.csv"]
+
+    def test_svg_onto_a_directory_keeps_an_existing_csv(self, tmp_path, capsys):
+        out, svg = tmp_path / "eq.csv", tmp_path / "charts"
+        out.write_text("old")
+        svg.mkdir()
+        assert main(["equilibrium", "--config", self.CFG, "--out", str(out),
+                     "--svg", str(svg)]) == 2
+        assert capsys.readouterr().err == f"error: io: [Errno 21] Is a directory: '{svg}'\n"
+        assert out.read_text() == "old"
+        assert sorted(os.listdir(tmp_path)) == ["charts", "eq.csv"]
+
+    def test_outputs_replace_files_and_leave_no_temporaries(self, tmp_path, capsys):
+        out, svg = tmp_path / "eq.csv", tmp_path / "eq.svg"
+        out.write_text("old")
+        svg.write_text("old")
+        assert main(["equilibrium", "--config", self.CFG, "--out", str(out),
+                     "--svg", str(svg)]) == 0
+        capsys.readouterr()
+        assert out.read_text().startswith("b_scale,") and svg.read_text().startswith("<svg ")
+        assert sorted(os.listdir(tmp_path)) == ["eq.csv", "eq.svg"]
+
+    def test_symlinked_output_stays_a_link(self, tmp_path, capsys):
+        target = tmp_path / "real" / "eq.csv"
+        target.parent.mkdir()
+        target.write_text("old")
+        link = tmp_path / "eq.csv"
+        link.symlink_to(target)
+        assert main(["equilibrium", "--config", self.CFG, "--out", str(link)]) == 0
+        capsys.readouterr()
+        assert link.is_symlink()
+        assert target.read_text().startswith("b_scale,")
+
+    def test_new_outputs_get_the_default_file_mode(self, tmp_path, capsys):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        out, svg = tmp_path / "eq.csv", tmp_path / "eq.svg"
+        assert main(["equilibrium", "--config", self.CFG, "--out", str(out),
+                     "--svg", str(svg)]) == 0
+        capsys.readouterr()
+        for path in (out, svg):
+            assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+    def test_existing_outputs_keep_their_mode(self, tmp_path, capsys):
+        out, svg = tmp_path / "eq.csv", tmp_path / "eq.svg"
+        for path, mode in ((out, 0o600), (svg, 0o640)):
+            path.write_text("old")
+            os.chmod(path, mode)
+        assert main(["equilibrium", "--config", self.CFG, "--out", str(out),
+                     "--svg", str(svg)]) == 0
+        capsys.readouterr()
+        assert os.stat(out).st_mode & 0o7777 == 0o600
+        assert os.stat(svg).st_mode & 0o7777 == 0o640
+        assert out.read_text().startswith("b_scale,")
+
+    def test_fifo_output_is_written_in_place(self, tmp_path, capsys):
+        expected = tmp_path / "expected.csv"
+        assert main(["equilibrium", "--config", self.CFG, "--out", str(expected)]) == 0
+        fifo, svg = tmp_path / "eq.fifo", tmp_path / "eq.svg"
+        os.mkfifo(fifo)
+        # a reader opened first lets the run's open() of the FIFO return at once
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["equilibrium", "--config", self.CFG, "--out", str(fifo),
+                         "--svg", str(svg)]) == 0
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        capsys.readouterr()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received == expected.read_bytes()
+        assert svg.read_text().startswith("<svg ")
+        assert sorted(os.listdir(tmp_path)) == ["eq.fifo", "eq.svg", "expected.csv"]
