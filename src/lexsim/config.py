@@ -24,6 +24,7 @@ from .settlement import Dispute, FeeRule
 
 MODELS = ("equilibrium", "settle", "frivolous", "evolve", "composition", "sweep")
 _SEED_MAX = 2**64 - 1
+_MAX_RUNS = 10**6  # per sweep, grid points x replicates; a sweep keeps every summary row
 _REQUIRED = object()
 
 
@@ -485,6 +486,9 @@ def _build_sweep(block, errs, raw):
             axes.append((axis_path, list(values)))
     if not ok:
         return None
+    runs = math.prod(len(values) for _, values in axes) * replicates
+    if runs > _MAX_RUNS:
+        errs.append(("sweep", f"grid points x replicates = {runs}, above the limit of {_MAX_RUNS}"))
     return SweepSpec(model=model, axes=axes, replicates=replicates)
 
 

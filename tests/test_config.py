@@ -277,6 +277,33 @@ class TestSweep:
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, payload), "sweep")
 
+    @pytest.mark.parametrize("values, replicates", [
+        ([1.0], 10**6),
+        ([0.5, 1.0, 2.0, 4.0], 250_000),
+    ])
+    def test_run_count_at_the_cap_loads(self, tmp_path, values, replicates):
+        payload = self.base()
+        payload["sweep"]["axes"][0]["values"] = values
+        payload["sweep"]["replicates"] = replicates
+        cfg = load_config(write(tmp_path, payload), "sweep")
+        assert cfg.params.replicates == replicates
+
+    @pytest.mark.parametrize("lengths, replicates, runs", [
+        ([1], 10**6 + 1, 10**6 + 1),
+        ([101, 9901], 1, 10**6 + 1),  # the axes multiply: 101 x 9901 grid points
+        ([1], 10**15, 10**15),
+    ])
+    def test_run_count_above_the_cap_is_one_error(self, tmp_path, lengths, replicates, runs):
+        payload = self.base()
+        payload["sweep"]["axes"] = [
+            {"path": f"equilibrium.curve.{name}", "values": [1.0 + i for i in range(n)]}
+            for name, n in zip(("kappa", "beta"), lengths)]
+        payload["sweep"]["replicates"] = replicates
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, payload), "sweep")
+        assert exc.value.errors == [
+            ("sweep", f"grid points x replicates = {runs}, above the limit of 1000000")]
+
 
 class TestEvolveDrawSize:
     def test_oversized_population_is_a_config_error(self, tmp_path, monkeypatch):

@@ -5,9 +5,16 @@ Each entry pins the sha256 of the CSV and the SVG that `lexsim <model>
 name's first word). A rerun matching itself (acceptance criterion 10) cannot
 see a byte that changed between versions; these digests can. Update one only
 for a change that is meant to alter that output.
+
+The sweep digests do the same for a two-point, two-replicate sweep of each
+model, built from that model's block in a shipped config. The frivolous sweep
+pins its CSV only; its chart, which plots boolean cells as 1 or 0, is checked
+in tests/test_runner.py.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +67,60 @@ def test_shipped_config_output_bytes(name, tmp_path, capsys):
                  "--svg", str(svg)])
     assert code == 0, capsys.readouterr().err
     assert (sha256(out), sha256(svg)) == DIGESTS[name]
+
+
+# model -> (shipped config, swept path, its two values)
+SWEEPS = {
+    "composition": ("composition_docket", "composition.flat_reduction", [2.0, 5.0]),
+    "equilibrium": ("equilibrium_shock", "equilibrium.shock.delta_litigation", [0.0, 0.2]),
+    "evolve": ("evolve_tort", "evolve.cost_delta", [0.0, 6.0]),
+    "frivolous": ("frivolous_nuisance", "frivolous.game.s", [1.0, 2.0]),
+    "settle": ("settle_fixture", "settle.cost_reduction", [0.0, 5.0]),
+}
+
+# model -> (csv sha256, svg sha256 or None where it is not pinned)
+SWEEP_DIGESTS = {
+    "composition": (
+        "12e4e76d19a2d23a42be0dba54ce808cc43882b9e124b42566f88b9d93ec20e6",
+        "42570fbddb58be44c67d936d2e6867e3f1a598de9ecf1c1856cb48888f608cd5",
+    ),
+    "equilibrium": (
+        "e11ce58caa477904def5ec9315757dc2df36bc9ce208758d40666983f939d0e7",
+        "de8e9e18a3303367b02ca139f966df2ac9d8480337543ce57a66a3e4e69330f6",
+    ),
+    "evolve": (
+        "bb5036e4f97efea8ee45d7219dad0b9d159c7b5628257d79831564ddcf2c133a",
+        "eddc5f3c7f0e9b1e150a82bc32ec52dfa7fb4c2547b429c22984187f39231575",
+    ),
+    "frivolous": (
+        "ee7e7614702dd8b28f0b8016799080fc903a22413373bff63d6717b6f411c56b",
+        None,
+    ),
+    "settle": (
+        "7e8c44ef24796001f1039df955fb85d4d26bd759943215e3a9619c7e70b0b844",
+        "db66e0014325da1ebcdd455e7e92fb4fc93e9327d5c1152c43c4c147579e3b79",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SWEEPS))
+def test_sweep_output_bytes(model, tmp_path, capsys):
+    name, path, values = SWEEPS[model]
+    shipped = json.loads((Path(CONFIG_DIR) / f"{name}.json").read_text())
+    payload = {model: shipped[model],
+               "sweep": {"model": model, "axes": [{"path": path, "values": values}],
+                         "replicates": 2}}
+    if "seed" in shipped:
+        payload["seed"] = shipped["seed"]
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(payload))
+    out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+    csv_digest, svg_digest = SWEEP_DIGESTS[model]
+    argv = ["sweep", "--config", str(config), "--out", str(out)]
+    if svg_digest is not None:
+        argv += ["--svg", str(svg)]
+    code = main(argv)
+    assert code == 0, capsys.readouterr().err
+    assert sha256(out) == csv_digest
+    if svg_digest is not None:
+        assert sha256(svg) == svg_digest

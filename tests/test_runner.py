@@ -7,6 +7,7 @@ import math
 import os
 import stat
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from lexsim import (
 )
 from lexsim import runner
 from lexsim.cli import main
-from lexsim.config import RunConfig, SettleParams
+from lexsim.config import SettleParams
 
 GOLDEN_G = (3.0 - math.sqrt(5.0)) / 2.0
 CONFIG_DIR = "configs"
@@ -241,9 +242,9 @@ class TestSweepOutput:
         from lexsim import runner
 
         calls = []
-        header, summarize = runner._SUMMARIES["equilibrium"]
-        monkeypatch.setitem(runner._SUMMARIES, "equilibrium",
-                            (header, lambda p, seed: calls.append(p) or summarize(p, seed)))
+        header, model = runner._MODELS["equilibrium"]
+        monkeypatch.setitem(runner._MODELS, "equilibrium",
+                            (header, lambda p, seed: calls.append(p) or model(p, seed)))
         payload = {
             "equilibrium": {"curve": {"b_scale": 1.0, "beta": 1.0,
                                       "k_scale": 1.0, "kappa": 1.0}},
@@ -266,6 +267,132 @@ class TestSweepOutput:
         out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
         run_model("sweep", f"{CONFIG_DIR}/sweep_litigation_delta.json", out, svg)
         assert "<polyline" in svg.read_text()
+
+    def test_frivolous_sweep_plots_filed_cells(self, tmp_path, capsys):
+        # the first frivolous summary cell is "true"/"false", which float() rejects
+        payload = shipped("frivolous_nuisance")
+        payload["sweep"] = {"model": "frivolous",
+                            "axes": [{"path": "frivolous.game.s", "values": [1.0, 2.0]}]}
+        out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        code = main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(out),
+                     "--svg", str(svg)])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert "Traceback" not in err and "error:" not in err
+        assert "<polyline" in svg.read_text()
+
+
+def one_point_sweep(tmp_path, payload, model, path, value, seed):
+    """The summary row of a one-point, one-replicate sweep and the model's own CSV rows."""
+    swept = dict(payload, seed=seed,
+                 sweep={"model": model, "axes": [{"path": path, "values": [value]}]})
+    out = tmp_path / "sweep.csv"
+    run_model("sweep", write_config(tmp_path, swept, "sweep.json"), out)
+    header, rows = read_csv(out)
+    assert len(rows) == 1
+    summary = dict(zip(header, rows[0]))
+    single = json.loads(json.dumps(payload))
+    cursor = single
+    for seg in path.split(".")[:-1]:
+        cursor = cursor[seg]
+    cursor[path.split(".")[-1]] = value
+    out = tmp_path / "single.csv"
+    run_model(model, write_config(tmp_path, dict(single, seed=seed), "single.json"), out)
+    header, rows = read_csv(out)
+    return summary, [dict(zip(header, r)) for r in rows]
+
+
+def shipped(name):
+    return json.loads((Path(CONFIG_DIR) / f"{name}.json").read_text())
+
+
+def f17(x):
+    return format(float(x), ".17g")
+
+
+class TestSweepMatchesCsv:
+    """A sweep row holds what the single-model CSV of the same params and seed implies."""
+
+    def test_equilibrium(self, tmp_path):
+        summary, rows = one_point_sweep(tmp_path, shipped("equilibrium_shock"), "equilibrium",
+                                        "equilibrium.shock.delta_litigation", 0.2, 3)
+        assert summary["g_star"] == rows[0]["g_star_shocked"]
+        assert summary["g_star_change"] == rows[0]["g_star_change"]
+
+    def test_settle(self, tmp_path):
+        payload = {"settle": {"rule": "english", "cost_reduction": 0.0, "disputes": [
+            {"p_q": 0.6, "p_g": 0.5, "j": 100.0, "c_q": 10.0, "c_g": 10.0},
+            {"p_q": 0.9, "p_g": 0.2, "j": 100.0, "c_q": 10.0, "c_g": 10.0},
+            {"p_q": 0.3, "p_g": 0.35, "j": 70.0, "c_q": 4.5, "c_g": 6.0}]}}
+        summary, rows = one_point_sweep(tmp_path, payload, "settle", "settle.cost_reduction",
+                                        2.5, 5)
+        assert {r["outcome"] for r in rows} == {"settle", "trial"}
+        settled = sum(r["outcome"] == "settle" for r in rows)
+        assert summary["n_disputes"] == str(len(rows))
+        assert summary["n_settled"] == str(settled)
+        assert summary["n_trials"] == str(len(rows) - settled)
+        widths = 0.0
+        for r in rows:
+            widths += float(r["width"])
+        assert summary["mean_width"] == f17(widths / len(rows))
+
+    def test_frivolous(self, tmp_path):
+        summary, rows = one_point_sweep(tmp_path, shipped("frivolous_nuisance"), "frivolous",
+                                        "frivolous.game.s", 2.0, 0)
+        by_type = {r["plaintiff_type"]: r for r in rows}
+        for ptype in ("frivolous", "meritorious"):
+            assert summary[f"{ptype}_filed"] == by_type[ptype]["filed"]
+            assert summary[f"{ptype}_payoff"] == by_type[ptype]["plaintiff_payoff"]
+
+    def test_evolve(self, tmp_path):
+        summary, rows = one_point_sweep(tmp_path, shipped("evolve_tort"), "evolve",
+                                        "evolve.cost_delta", 6.0, 11)
+        assert len(rows) == 201
+        assert summary["final_fraction_efficient"] == rows[-1]["fraction_efficient"]
+        for cell, column in (("total_disputes", "disputes"),
+                             ("total_settlements", "settlements"), ("total_trials", "trials")):
+            assert summary[cell] == str(sum(int(r[column]) for r in rows))
+
+    def test_composition(self, tmp_path):
+        summary, rows = one_point_sweep(tmp_path, shipped("composition_docket"), "composition",
+                                        "composition.flat_reduction", 2.0, 0)
+        assert summary["n_areas"] == str(len(rows))
+        shift = 0.0
+        for r in rows:
+            shift += abs(float(r["new_share"]) - float(r["old_share"]))
+        assert summary["share_l1_shift"] == f17(shift)
+
+
+class TestComputeOnce:
+    """Each run or sweep replicate solves its model once; a chart is drawn only for --svg."""
+
+    def spy(self, monkeypatch, name):
+        calls = []
+        real = getattr(runner, name)
+        monkeypatch.setattr(runner, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        return calls
+
+    def test_equilibrium_solves_twice_per_run(self, tmp_path, monkeypatch):
+        solves = self.spy(monkeypatch, "solve_completeness")
+        monkeypatch.setattr(runner, "charts", None)  # drawing a chart would raise
+        run_model("equilibrium", f"{CONFIG_DIR}/equilibrium_shock.json", tmp_path / "eq.csv")
+        assert len(solves) == 2
+        solves.clear()
+        run_model("sweep", f"{CONFIG_DIR}/sweep_litigation_delta.json", tmp_path / "sw.csv")
+        assert len(solves) == 2 * 6
+
+    def test_evolve_simulates_once_per_run_and_replicate(self, tmp_path, monkeypatch):
+        sims = self.spy(monkeypatch, "simulate")
+        run_model("evolve", f"{CONFIG_DIR}/evolve_tort.json", tmp_path / "ev.csv",
+                  tmp_path / "ev.svg")
+        assert len(sims) == 1
+        payload = shipped("evolve_tort")
+        payload["evolve"]["periods"] = 5
+        payload["sweep"] = {"model": "evolve", "replicates": 2,
+                            "axes": [{"path": "evolve.cost_delta", "values": [0.0, 6.0]}]}
+        run_model("sweep", write_config(tmp_path, payload), tmp_path / "sw.csv",
+                  tmp_path / "sw.svg")
+        assert len(sims) == 1 + 4
 
 
 class TestRunGuards:
@@ -419,12 +546,11 @@ def settle_oracle(p):
 
 def settle_arrays_output(p):
     """CSV text and summary cells from the runner's array path, failing on any warning."""
-    cfg = RunConfig(model="settle", params=p, seed=0, output_path=None, svg_path=None, raw={})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        text, n_rows, svg = runner._run_settle(p, cfg)
-        summary = runner._summary_settle(p, 0)
-    assert n_rows == len(p.disputes) and svg is None
+        summary, table, _ = runner._settle(p, 0)
+        text, n_rows = table()
+    assert n_rows == len(p.disputes)
     return text, summary
 
 
