@@ -8,12 +8,14 @@ needs. Nothing here is configurable beyond labels and canvas size on purpose.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from functools import partial
+from html import escape
 
 from .errors import DomainError
 
 _PALETTE = ("#1f6feb", "#d2491f", "#2da44e", "#8250df", "#bf8700", "#57606a")
 _TICKS = 5
+_escape = partial(escape, quote=False)  # element text: only & < > need escaping
 
 
 def _span(values: list[float]) -> tuple[float, float]:
@@ -77,7 +79,7 @@ def line_chart(
     if title:
         out.append(
             f'<text x="{_fmt(width / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15" fill="#24292f">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="15" fill="#24292f">{_escape(title)}</text>'
         )
 
     for k in range(_TICKS):
@@ -122,19 +124,19 @@ def line_chart(
             )
             out.append(
                 f'<text x="{_fmt(left + plot_w - 92)}" y="{_fmt(ly)}" '
-                f'font-family="sans-serif" font-size="11" fill="#24292f">{escape(label)}</text>'
+                f'font-family="sans-serif" font-size="11" fill="#24292f">{_escape(label)}</text>'
             )
 
     if x_label:
         out.append(
             f'<text x="{_fmt(left + plot_w / 2)}" y="{_fmt(height - 12)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" fill="#24292f">{escape(x_label)}</text>'
+            f'font-family="sans-serif" font-size="12" fill="#24292f">{_escape(x_label)}</text>'
         )
     if y_label:
         out.append(
             f'<text x="16" y="{_fmt(top + plot_h / 2)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" fill="#24292f" '
-            f'transform="rotate(-90 16 {_fmt(top + plot_h / 2)})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 16 {_fmt(top + plot_h / 2)})">{_escape(y_label)}</text>'
         )
 
     out.append("</svg>")

@@ -15,37 +15,27 @@ volume grows.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, _Bounded, _check
 
 _SHARE_SUM_SLACK = 1e-9
+_FLAT_REDUCTION = {"ge": 0.0}
 
 
 @dataclass(frozen=True)
-class AreaShare:
+class AreaShare(_Bounded):
     """One slice of the docket: its share, per-case cost, and filing elasticity."""
 
     name: str
-    share: float
-    unit_cost: float
-    demand_elasticity: float
+    share: float = field(metadata={"ge": 0.0, "le": 1.0})
+    unit_cost: float = field(metadata={"gt": 0.0})
+    demand_elasticity: float = field(metadata={"gt": 0.0})
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise DomainError("area name must be a nonempty string")
-        if not (isinstance(self.share, (int, float)) and 0.0 <= self.share <= 1.0):
-            raise DomainError(f"share must lie in [0, 1]: got {self.share!r}")
-        if not (
-            isinstance(self.unit_cost, (int, float))
-            and math.isfinite(self.unit_cost)
-            and self.unit_cost > 0
-        ):
-            raise DomainError(f"unit_cost must be finite and > 0: got {self.unit_cost!r}")
-        e = self.demand_elasticity
-        if not (isinstance(e, (int, float)) and math.isfinite(e) and e > 0):
-            raise DomainError(f"demand_elasticity must be finite and > 0: got {e!r}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -67,12 +57,7 @@ def validate_composition(areas: list[AreaShare], flat_reduction: float) -> None:
         raise DomainError(f"area shares sum to {total!r} > 1")
     if total == 0.0:
         raise DomainError("area shares sum to zero; nothing to shift")
-    if not (
-        isinstance(flat_reduction, (int, float))
-        and math.isfinite(flat_reduction)
-        and flat_reduction >= 0
-    ):
-        raise DomainError(f"flat_reduction must be finite and >= 0: got {flat_reduction!r}")
+    _check("flat_reduction", flat_reduction, _FLAT_REDUCTION)
     cheapest = min(a.unit_cost for a in areas)
     if flat_reduction >= cheapest:
         raise DomainError(

@@ -11,21 +11,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .composition import AreaShare, validate_composition
-from .contracts import AiShock, GapCurve
-from .errors import ConfigError, DomainError
-from .evolution import (AreaKind, FrivolousStream, LegalArea, RulePopulation, _check_draw_size,
-                        _INT64_MAX)
-from .frivolous import FrivolousConfig
-from .settlement import Dispute, FeeRule
+from .composition import _FLAT_REDUCTION, AreaShare, validate_composition
+from .contracts import _TOLERANCE, AiShock, GapCurve
+from .errors import ConfigError, DomainError, _bounded_fields, _finite
+from .evolution import (_COST_DELTA, _PERIODS, AreaKind, FrivolousStream, LegalArea,
+                        RulePopulation, _check_draw_size)
+from .frivolous import _BELIEF, _DELTA, FrivolousConfig
+from .rng import _U64_MAX
+from .settlement import _REDUCTION, Dispute, FeeRule
 
 MODELS = ("equilibrium", "settle", "frivolous", "evolve", "composition", "sweep")
-_SEED_MAX = 2**64 - 1
 _MAX_RUNS = 10**6  # per sweep, grid points x replicates; a sweep keeps every summary row
 _REQUIRED = object()
+_COMPARISONS = ((">=", operator.ge), (">", operator.gt), ("<=", operator.le), ("<", operator.lt))
 
 
 @dataclass(frozen=True)
@@ -83,13 +85,6 @@ class RunConfig:
     raw: dict
 
 
-def _finite(v) -> bool:
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int beyond float range
-        return False
-
-
 def _num(block, key, path, errs, default=_REQUIRED, *, ge=None, gt=None, le=None, lt=None,
          integer=False):
     if key not in block:
@@ -107,22 +102,28 @@ def _num(block, key, path, errs, default=_REQUIRED, *, ge=None, gt=None, le=None
     if isinstance(v, float) and not math.isfinite(v):
         errs.append((path, f"must be finite, got {v!r}"))
         return None
-    if ge is not None and not v >= ge:
-        errs.append((path, f"must be >= {ge}, got {v!r}"))
-        return None
-    if gt is not None and not v > gt:
-        errs.append((path, f"must be > {gt}, got {v!r}"))
-        return None
-    if le is not None and not v <= le:
-        errs.append((path, f"must be <= {le}, got {v!r}"))
-        return None
-    if lt is not None and not v < lt:
-        errs.append((path, f"must be < {lt}, got {v!r}"))
-        return None
+    for (op, holds), bound in zip(_COMPARISONS, (ge, gt, le, lt)):
+        if bound is not None and not holds(v, bound):
+            errs.append((path, f"must be {op} {bound}, got {v!r}"))
+            return None
     if not _finite(v):  # an int beyond float range that no bound caught
         errs.append((path, f"must be finite, got {v!r}"))
         return None
     return v
+
+
+def _bounded(cls, block, path, errs):
+    """Each bounded field of dataclass `cls`, read from `block` and checked against
+    the bounds its metadata declares; None if any of them is faulty."""
+    n_errs = len(errs)
+    vals = {name: _num(block, name, f"{path}.{name}", errs,
+                       _REQUIRED if default is MISSING else default, **bounds)
+            for name, default, bounds, _ in _bounded_fields(cls)}
+    return vals if len(errs) == n_errs else None
+
+
+def _names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
 
 
 def _str(block, key, path, errs, default=_REQUIRED, *, choices=None):
@@ -170,78 +171,44 @@ def _check_keys(block, allowed, path, errs):
             errs.append((f"{path}.{key}" if path else key, "unknown key"))
 
 
-def _curve(block, key, path, errs, required=True):
-    sub = _dict(block, key, path, errs, required=required)
-    if sub is None:
-        return None
-    _check_keys(sub, {"b_scale", "beta", "k_scale", "kappa"}, path, errs)
-    vals = {
-        name: _num(sub, name, f"{path}.{name}", errs, gt=0.0)
-        for name in ("b_scale", "beta", "k_scale", "kappa")
-    }
-    if any(v is None for v in vals.values()):
-        return None
-    try:
-        return GapCurve(**vals)
-    except DomainError as e:
-        errs.append((path, str(e)))
-        return None
-
-
-def _shock(block, path, errs):
-    sub = _dict(block, "shock", f"{path}.shock", errs, required=False)
-    if sub is None:
-        return AiShock()
-    _check_keys(sub, {"delta_contracting", "delta_litigation"}, f"{path}.shock", errs)
-    dc = _num(sub, "delta_contracting", f"{path}.shock.delta_contracting", errs,
-              default=0.0, ge=0.0, lt=1.0)
-    dl = _num(sub, "delta_litigation", f"{path}.shock.delta_litigation", errs,
-              default=0.0, ge=0.0, lt=1.0)
-    if dc is None or dl is None:
-        return None
-    return AiShock(delta_contracting=dc, delta_litigation=dl)
-
-
-def _game(block, key, path, errs):
+def _block(cls, block, key, path, errs, default=_REQUIRED):
+    """Dataclass `cls` from the object at `block[key]`, whose keys are its field names
+    and whose fields are all bounded numbers; None, the faults put in errs, if faulty."""
+    if key not in block and default is not _REQUIRED:
+        return default
     sub = _dict(block, key, path, errs)
     if sub is None:
         return None
-    allowed = {"f_o", "f_q", "d", "s", "j", "c_p", "defense_trial_cost"}
-    _check_keys(sub, allowed, path, errs)
-    vals = {}
-    for name in ("f_o", "f_q", "d", "s", "c_p"):
-        vals[name] = _num(sub, name, f"{path}.{name}", errs, ge=0.0)
-    vals["j"] = _num(sub, "j", f"{path}.j", errs, gt=0.0)
-    vals["defense_trial_cost"] = _num(sub, "defense_trial_cost",
-                                      f"{path}.defense_trial_cost", errs, default=0.0, ge=0.0)
-    if any(v is None for v in vals.values()):
+    _check_keys(sub, _names(cls), path, errs)
+    vals = _bounded(cls, sub, path, errs)
+    if vals is None:
         return None
     try:
-        return FrivolousConfig(**vals)
-    except DomainError as e:
+        return cls(**vals)
+    except DomainError as e:  # a check across fields
         errs.append((path, str(e)))
         return None
 
 
 def _build_equilibrium(block, errs):
-    _check_keys(block, {"curve", "shock", "tolerance"}, "equilibrium", errs)
-    curve = _curve(block, "curve", "equilibrium.curve", errs)
-    shock = _shock(block, "equilibrium", errs)
-    tolerance = _num(block, "tolerance", "equilibrium.tolerance", errs, default=1e-9, gt=0.0)
+    _check_keys(block, _names(EquilibriumParams), "equilibrium", errs)
+    curve = _block(GapCurve, block, "curve", "equilibrium.curve", errs)
+    shock = _block(AiShock, block, "shock", "equilibrium.shock", errs, AiShock())
+    tolerance = _num(block, "tolerance", "equilibrium.tolerance", errs, 1e-9, **_TOLERANCE)
     if curve is None or shock is None or tolerance is None:
         return None
     return EquilibriumParams(curve=curve, shock=shock, tolerance=tolerance)
 
 
-_DISPUTE_KEYS = frozenset(("p_q", "p_g", "j", "c_q", "c_g"))
+_DISPUTE_KEYS = frozenset(_names(Dispute))
 _NUMBER_TYPES = frozenset((int, float))
 
 
 def _plain_dispute(item, reduction):
     """The Dispute of a fault-free item, else None; no error paths are built.
 
-    `Dispute`'s own checks are exactly `_checked_dispute`'s bounds for int and
-    float values, so this accepts an item exactly when that reports nothing.
+    `Dispute` checks the same declared bounds `_checked_dispute` reads, so for
+    int and float values this accepts an item exactly when that reports nothing.
     """
     if type(item) is not dict or item.keys() != _DISPUTE_KEYS:
         return None
@@ -249,7 +216,7 @@ def _plain_dispute(item, reduction):
         return None
     try:
         d = Dispute(**item)
-    except (DomainError, OverflowError):  # OverflowError: an int beyond float range
+    except DomainError:
         return None
     if reduction is not None and reduction > min(d.c_q, d.c_g):
         return None
@@ -262,25 +229,20 @@ def _checked_dispute(item, reduction, path, errs):
         errs.append((path, f"must be an object, got {item!r}"))
         return None
     _check_keys(item, _DISPUTE_KEYS, path, errs)
-    p_q = _num(item, "p_q", f"{path}.p_q", errs, ge=0.0, le=1.0)
-    p_g = _num(item, "p_g", f"{path}.p_g", errs, ge=0.0, le=1.0)
-    j = _num(item, "j", f"{path}.j", errs, gt=0.0)
-    c_q = _num(item, "c_q", f"{path}.c_q", errs, ge=0.0)
-    c_g = _num(item, "c_g", f"{path}.c_g", errs, ge=0.0)
-    if None in (p_q, p_g, j, c_q, c_g):
+    vals = _bounded(Dispute, item, path, errs)
+    if vals is None:
         return None
-    if reduction is not None and reduction > min(c_q, c_g):
+    if reduction is not None and reduction > min(vals["c_q"], vals["c_g"]):
         errs.append((path, f"cost_reduction {reduction!r} exceeds a party cost"))
         return None
-    return Dispute(p_q=p_q, p_g=p_g, j=j, c_q=c_q, c_g=c_g)
+    return Dispute(**vals)
 
 
 def _build_settle(block, errs):
-    _check_keys(block, {"rule", "disputes", "cost_reduction"}, "settle", errs)
+    _check_keys(block, _names(SettleParams), "settle", errs)
     rule_name = _str(block, "rule", "settle.rule", errs,
                      choices={r.value for r in FeeRule})
-    reduction = _num(block, "cost_reduction", "settle.cost_reduction", errs,
-                     default=0.0, ge=0.0)
+    reduction = _num(block, "cost_reduction", "settle.cost_reduction", errs, 0.0, **_REDUCTION)
     items = _list(block, "disputes", "settle.disputes", errs)
     disputes = None
     if items is not None:
@@ -298,15 +260,15 @@ def _build_settle(block, errs):
 
 
 def _build_frivolous(block, errs):
-    _check_keys(block, {"game", "belief", "shift"}, "frivolous", errs)
-    game = _game(block, "game", "frivolous.game", errs)
-    belief = _num(block, "belief", "frivolous.belief", errs, default=None, ge=0.0, le=1.0)
+    _check_keys(block, _names(FrivolousParams), "frivolous", errs)
+    game = _block(FrivolousConfig, block, "game", "frivolous.game", errs)
+    belief = _num(block, "belief", "frivolous.belief", errs, None, **_BELIEF)
     shift = None
     sub = _dict(block, "shift", "frivolous.shift", errs, required=False)
     if sub is not None:
         _check_keys(sub, {"delta_f", "delta_d"}, "frivolous.shift", errs)
-        df = _num(sub, "delta_f", "frivolous.shift.delta_f", errs, default=0.0, ge=0.0)
-        dd = _num(sub, "delta_d", "frivolous.shift.delta_d", errs, default=0.0, ge=0.0)
+        df = _num(sub, "delta_f", "frivolous.shift.delta_f", errs, 0.0, **_DELTA)
+        dd = _num(sub, "delta_d", "frivolous.shift.delta_d", errs, 0.0, **_DELTA)
         if game is not None and df is not None and dd is not None:
             if df > game.f_o:
                 errs.append(("frivolous.shift.delta_f",
@@ -325,73 +287,40 @@ def _build_area(block, key, path, errs):
     sub = _dict(block, key, path, errs)
     if sub is None:
         return None
-    allowed = {"name", "kind", "dispute_rate", "stakes_j", "stakes_multiplier", "cost_q",
-               "cost_g", "belief_spread", "belief_center", "overturn_prob",
-               "overturn_prob_ie", "overturn_prob_ei", "fee_rule", "gap_curve"}
-    _check_keys(sub, allowed, path, errs)
+    _check_keys(sub, _names(LegalArea), path, errs)
     name = _str(sub, "name", f"{path}.name", errs)
     kind = _str(sub, "kind", f"{path}.kind", errs, choices={k.value for k in AreaKind})
-    rate = _num(sub, "dispute_rate", f"{path}.dispute_rate", errs, gt=0.0, le=1.0)
-    stakes = _num(sub, "stakes_j", f"{path}.stakes_j", errs, gt=0.0)
-    mult = _num(sub, "stakes_multiplier", f"{path}.stakes_multiplier", errs,
-                default=1.0, ge=1.0)
-    cost_q = _num(sub, "cost_q", f"{path}.cost_q", errs, default=0.0, ge=0.0)
-    cost_g = _num(sub, "cost_g", f"{path}.cost_g", errs, default=0.0, ge=0.0)
-    spread = _num(sub, "belief_spread", f"{path}.belief_spread", errs, default=0.0, ge=0.0)
-    center = _num(sub, "belief_center", f"{path}.belief_center", errs,
-                  default=0.5, ge=0.0, le=1.0)
-    q = _num(sub, "overturn_prob", f"{path}.overturn_prob", errs, default=0.0, ge=0.0, le=1.0)
-    q_ie = _num(sub, "overturn_prob_ie", f"{path}.overturn_prob_ie", errs,
-                default=None, ge=0.0, le=1.0)
-    q_ei = _num(sub, "overturn_prob_ei", f"{path}.overturn_prob_ei", errs,
-                default=None, ge=0.0, le=1.0)
+    vals = _bounded(LegalArea, sub, path, errs)
     rule_name = _str(sub, "fee_rule", f"{path}.fee_rule", errs, default=FeeRule.AMERICAN.value,
                      choices={r.value for r in FeeRule})
     curve = None
     if "gap_curve" in sub and sub["gap_curve"] is not None:
-        curve = _curve(sub, "gap_curve", f"{path}.gap_curve", errs)
+        curve = _block(GapCurve, sub, "gap_curve", f"{path}.gap_curve", errs)
         if curve is None:
             return None
-    required = (name, kind, rate, stakes, mult, cost_q, cost_g, spread, center, q, rule_name)
-    if any(v is None for v in required):
+    if None in (name, kind, vals, rule_name):
         return None
     try:
-        return LegalArea(
-            name=name, kind=AreaKind(kind), dispute_rate=rate, stakes_j=stakes,
-            stakes_multiplier=mult, cost_q=cost_q, cost_g=cost_g, belief_spread=spread,
-            belief_center=center, overturn_prob=q, overturn_prob_ie=q_ie,
-            overturn_prob_ei=q_ei, fee_rule=FeeRule(rule_name), gap_curve=curve,
-        )
+        return LegalArea(name=name, kind=AreaKind(kind), fee_rule=FeeRule(rule_name),
+                         gap_curve=curve, **vals)
     except DomainError as e:
         errs.append((path, str(e)))
         return None
 
 
 def _build_evolve(block, errs):
-    allowed = {"area", "population", "periods", "shock", "cost_delta", "frivolous", "tolerance"}
-    _check_keys(block, allowed, "evolve", errs)
+    _check_keys(block, _names(EvolveParams), "evolve", errs)
     area = _build_area(block, "area", "evolve.area", errs)
-    pop = None
-    sub = _dict(block, "population", "evolve.population", errs)
-    if sub is not None:
-        _check_keys(sub, {"n_rules", "fraction_efficient"}, "evolve.population", errs)
-        n = _num(sub, "n_rules", "evolve.population.n_rules", errs, ge=1, integer=True)
-        f = _num(sub, "fraction_efficient", "evolve.population.fraction_efficient", errs,
-                 ge=0.0, le=1.0)
-        if n is not None and f is not None:
-            try:
-                pop = RulePopulation(n_rules=n, fraction_efficient=f)
-            except DomainError as e:
-                errs.append(("evolve.population", str(e)))
-    periods = _num(block, "periods", "evolve.periods", errs, ge=1, integer=True)
+    pop = _block(RulePopulation, block, "population", "evolve.population", errs)
+    periods = _num(block, "periods", "evolve.periods", errs, **_PERIODS)
     if pop is not None and periods is not None:
         try:
             _check_draw_size(pop.n_rules, periods)
         except DomainError as e:
             errs.append(("evolve", str(e)))
-    shock = _shock(block, "evolve", errs)
-    cost_delta = _num(block, "cost_delta", "evolve.cost_delta", errs, default=0.0, ge=0.0)
-    tolerance = _num(block, "tolerance", "evolve.tolerance", errs, default=1e-9, gt=0.0)
+    shock = _block(AiShock, block, "shock", "evolve.shock", errs, AiShock())
+    cost_delta = _num(block, "cost_delta", "evolve.cost_delta", errs, 0.0, **_COST_DELTA)
+    tolerance = _num(block, "tolerance", "evolve.tolerance", errs, 1e-9, **_TOLERANCE)
     if area is not None and cost_delta is not None:
         if cost_delta > min(area.cost_q, area.cost_g):
             errs.append(("evolve.cost_delta",
@@ -399,14 +328,12 @@ def _build_evolve(block, errs):
     stream = None
     fsub = _dict(block, "frivolous", "evolve.frivolous", errs, required=False)
     if fsub is not None:
-        _check_keys(fsub, {"game", "filers_per_period", "belief"}, "evolve.frivolous", errs)
-        game = _game(fsub, "game", "evolve.frivolous.game", errs)
-        filers = _num(fsub, "filers_per_period", "evolve.frivolous.filers_per_period", errs,
-                      ge=0, le=_INT64_MAX, integer=True)
-        belief = _num(fsub, "belief", "evolve.frivolous.belief", errs,
-                      default=None, ge=0.0, le=1.0)
-        if game is not None and filers is not None:
-            stream = FrivolousStream(game=game, filers_per_period=filers, belief=belief)
+        _check_keys(fsub, _names(FrivolousStream), "evolve.frivolous", errs)
+        game = _block(FrivolousConfig, fsub, "game", "evolve.frivolous.game", errs)
+        vals = _bounded(FrivolousStream, fsub, "evolve.frivolous", errs)
+        belief = _num(fsub, "belief", "evolve.frivolous.belief", errs, None, **_BELIEF)
+        if game is not None and vals is not None:
+            stream = FrivolousStream(game=game, belief=belief, **vals)
     if None in (area, pop, periods, shock, cost_delta, tolerance):
         return None
     return EvolveParams(area=area, population=pop, periods=periods, shock=shock,
@@ -414,8 +341,9 @@ def _build_evolve(block, errs):
 
 
 def _build_composition(block, errs):
-    _check_keys(block, {"areas", "flat_reduction"}, "composition", errs)
-    reduction = _num(block, "flat_reduction", "composition.flat_reduction", errs, ge=0.0)
+    _check_keys(block, _names(CompositionParams), "composition", errs)
+    reduction = _num(block, "flat_reduction", "composition.flat_reduction", errs,
+                     **_FLAT_REDUCTION)
     items = _list(block, "areas", "composition.areas", errs)
     areas = []
     ok = reduction is not None and items is not None
@@ -426,17 +354,13 @@ def _build_composition(block, errs):
                 errs.append((path, f"must be an object, got {item!r}"))
                 ok = False
                 continue
-            _check_keys(item, {"name", "share", "unit_cost", "demand_elasticity"}, path, errs)
+            _check_keys(item, _names(AreaShare), path, errs)
             name = _str(item, "name", f"{path}.name", errs)
-            share = _num(item, "share", f"{path}.share", errs, ge=0.0, le=1.0)
-            cost = _num(item, "unit_cost", f"{path}.unit_cost", errs, gt=0.0)
-            elasticity = _num(item, "demand_elasticity", f"{path}.demand_elasticity",
-                              errs, gt=0.0)
-            if None in (name, share, cost, elasticity):
+            vals = _bounded(AreaShare, item, path, errs)
+            if name is None or vals is None:
                 ok = False
                 continue
-            areas.append(AreaShare(name=name, share=share, unit_cost=cost,
-                                   demand_elasticity=elasticity))
+            areas.append(AreaShare(name=name, **vals))
     if not ok:
         return None
     try:
@@ -448,7 +372,7 @@ def _build_composition(block, errs):
 
 
 def _build_sweep(block, errs, raw):
-    _check_keys(block, {"model", "axes", "replicates"}, "sweep", errs)
+    _check_keys(block, _names(SweepSpec), "sweep", errs)
     model = _str(block, "model", "sweep.model", errs,
                  choices=set(MODELS) - {"sweep"})
     replicates = _num(block, "replicates", "sweep.replicates", errs,
@@ -529,7 +453,7 @@ def load_config(path: str, model: str) -> RunConfig:
 
     errs: list[tuple[str, str]] = []
     _check_keys(raw, set(MODELS) | {"seed"}, "", errs)
-    seed = _num(raw, "seed", "seed", errs, default=0, ge=0, le=_SEED_MAX, integer=True)
+    seed = _num(raw, "seed", "seed", errs, default=0, ge=0, le=_U64_MAX, integer=True)
     params = None
     if model not in raw:
         errs.append((model, "missing configuration block"))

@@ -20,48 +20,34 @@ down. AiShock carries both levers so the offsetting case is one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _Bounded, _check
 
-_MAX_BISECT = 200
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be finite and > 0: got {value!r}")
+_MAX_BISECT = 1100  # bisection meets adjacent floats within 1074 halvings, even subnormal roots
+_TOLERANCE = {"gt": 0.0}
 
 
 @dataclass(frozen=True)
-class GapCurve:
+class GapCurve(_Bounded):
     """Shape of the drafting problem: MB and MC scales and curvatures."""
 
-    b_scale: float
-    beta: float
-    k_scale: float
-    kappa: float
-
-    def __post_init__(self):
-        for name in ("b_scale", "beta", "k_scale", "kappa"):
-            _require_positive(name, getattr(self, name))
+    b_scale: float = field(metadata={"gt": 0.0})
+    beta: float = field(metadata={"gt": 0.0})
+    k_scale: float = field(metadata={"gt": 0.0})
+    kappa: float = field(metadata={"gt": 0.0})
 
 
 @dataclass(frozen=True)
-class AiShock:
+class AiShock(_Bounded):
     """Proportional cost reductions: drafting (contracting) and dispute (litigation).
 
     Each delta lies in [0, 1); a delta of d multiplies the corresponding scale
     by (1 - d). The default shock is no shock.
     """
 
-    delta_contracting: float = 0.0
-    delta_litigation: float = 0.0
-
-    def __post_init__(self):
-        for name in ("delta_contracting", "delta_litigation"):
-            d = getattr(self, name)
-            if not (isinstance(d, (int, float)) and math.isfinite(d) and 0 <= d < 1):
-                raise DomainError(f"{name} must lie in [0, 1): got {d!r}")
+    delta_contracting: float = field(default=0.0, metadata={"ge": 0.0, "lt": 1.0})
+    delta_litigation: float = field(default=0.0, metadata={"ge": 0.0, "lt": 1.0})
 
 
 @dataclass(frozen=True)
@@ -107,8 +93,7 @@ def solve_completeness(curve: GapCurve, tolerance: float = 1e-9) -> Completeness
     rescalings of each other agree to machine precision; `tolerance` only
     gates the final residual |MB - MC| at the returned point.
     """
-    if not (isinstance(tolerance, (int, float)) and math.isfinite(tolerance) and tolerance > 0):
-        raise DomainError(f"tolerance must be finite and > 0: got {tolerance!r}")
+    _check("tolerance", tolerance, _TOLERANCE)
 
     def h(g: float) -> float:
         return marginal_benefit(g, curve) - marginal_cost(g, curve)

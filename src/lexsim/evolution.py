@@ -28,13 +28,13 @@ reach trial, so rule columns are untouched by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .contracts import AiShock, GapCurve, apply_shock, solve_completeness
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _Bounded, _check
 from .frivolous import DefendantAction, FollowUp, FrivolousConfig, PlaintiffType, play
 from .rng import fill_substreams, substream
 from .settlement import Dispute, FeeRule, _bounds
@@ -42,7 +42,10 @@ from .settlement import Dispute, FeeRule, _bounds
 _STREAM_RATES = 2**63  # reserved substream of the flip-rate estimator
 _MAX_CLOSURE_ITER = 10**7
 _MAX_DRAW_BYTES = 2**32  # cap on simulate's up-front draw array, 24 B per rule-period
-_INT64_MAX = 2**63 - 1
+_INT64_MAX = 2**63 - 1  # the trace's count columns are int64
+_COST_DELTA = {"ge": 0.0}  # a cut in both parties' trial costs
+_PERIODS = {"ge": 1, "integer": True}
+_FRACTION = {"ge": 0.0, "le": 1.0}  # an efficient fraction of the rules
 
 
 class AreaKind(Enum):
@@ -52,7 +55,7 @@ class AreaKind(Enum):
 
 
 @dataclass(frozen=True)
-class LegalArea:
+class LegalArea(_Bounded):
     """A body of law: dispute flow, stakes, costs, beliefs, and review odds.
 
     Contract-like kinds (contract, property) must carry a gap_curve; their
@@ -62,16 +65,16 @@ class LegalArea:
 
     name: str
     kind: AreaKind
-    dispute_rate: float
-    stakes_j: float
-    stakes_multiplier: float = 1.0
-    cost_q: float = 0.0
-    cost_g: float = 0.0
-    belief_spread: float = 0.0
-    belief_center: float = 0.5
-    overturn_prob: float = 0.0
-    overturn_prob_ie: float | None = None
-    overturn_prob_ei: float | None = None
+    dispute_rate: float = field(metadata={"gt": 0.0, "le": 1.0})
+    stakes_j: float = field(metadata={"gt": 0.0})
+    stakes_multiplier: float = field(default=1.0, metadata={"ge": 1.0})
+    cost_q: float = field(default=0.0, metadata={"ge": 0.0})
+    cost_g: float = field(default=0.0, metadata={"ge": 0.0})
+    belief_spread: float = field(default=0.0, metadata={"ge": 0.0})
+    belief_center: float = field(default=0.5, metadata={"ge": 0.0, "le": 1.0})
+    overturn_prob: float = field(default=0.0, metadata={"ge": 0.0, "le": 1.0})
+    overturn_prob_ie: float | None = field(default=None, metadata={"ge": 0.0, "le": 1.0})
+    overturn_prob_ei: float | None = field(default=None, metadata={"ge": 0.0, "le": 1.0})
     fee_rule: FeeRule = FeeRule.AMERICAN
     gap_curve: GapCurve | None = None
 
@@ -80,40 +83,7 @@ class LegalArea:
             raise DomainError("area name must be a nonempty string")
         if not isinstance(self.kind, AreaKind):
             raise DomainError(f"kind must be an AreaKind: got {self.kind!r}")
-        if not (
-            isinstance(self.dispute_rate, (int, float)) and 0.0 < self.dispute_rate <= 1.0
-        ):
-            raise DomainError(
-                f"dispute_rate must lie in (0, 1]: got {self.dispute_rate!r}"
-            )
-        if not (
-            isinstance(self.stakes_j, (int, float))
-            and math.isfinite(self.stakes_j)
-            and self.stakes_j > 0
-        ):
-            raise DomainError(f"stakes_j must be finite and > 0: got {self.stakes_j!r}")
-        if not (
-            isinstance(self.stakes_multiplier, (int, float))
-            and math.isfinite(self.stakes_multiplier)
-            and self.stakes_multiplier >= 1.0
-        ):
-            raise DomainError(
-                f"stakes_multiplier must be finite and >= 1: got {self.stakes_multiplier!r}"
-            )
-        for name in ("cost_q", "cost_g", "belief_spread"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise DomainError(f"{name} must be finite and >= 0: got {v!r}")
-        if not (
-            isinstance(self.belief_center, (int, float)) and 0.0 <= self.belief_center <= 1.0
-        ):
-            raise DomainError(f"belief_center must lie in [0, 1]: got {self.belief_center!r}")
-        for name in ("overturn_prob", "overturn_prob_ie", "overturn_prob_ei"):
-            v = getattr(self, name)
-            if v is None and name != "overturn_prob":
-                continue
-            if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0):
-                raise DomainError(f"{name} must lie in [0, 1]: got {v!r}")
+        super().__post_init__()
         if not isinstance(self.fee_rule, FeeRule):
             raise DomainError(f"fee_rule must be a FeeRule: got {self.fee_rule!r}")
         if self.kind is AreaKind.TORT:
@@ -135,18 +105,14 @@ class LegalArea:
 
 
 @dataclass(frozen=True)
-class RulePopulation:
-    n_rules: int
-    fraction_efficient: float
+class RulePopulation(_Bounded):
+    n_rules: int = field(metadata={"ge": 1, "integer": True})
+    fraction_efficient: float = field(metadata={"ge": 0.0, "le": 1.0})
 
     def __post_init__(self):
-        if not isinstance(self.n_rules, int) or self.n_rules < 1:
-            raise DomainError(f"n_rules must be an integer >= 1: got {self.n_rules!r}")
-        if self.n_rules >= _STREAM_RATES:
+        if isinstance(self.n_rules, int) and self.n_rules >= _STREAM_RATES:
             raise DomainError(f"n_rules must stay below 2^63: got {self.n_rules!r}")
-        f = self.fraction_efficient
-        if not (isinstance(f, (int, float)) and 0.0 <= f <= 1.0):
-            raise DomainError(f"fraction_efficient must lie in [0, 1]: got {f!r}")
+        super().__post_init__()
 
     @property
     def initial_efficient_count(self) -> int:
@@ -155,33 +121,20 @@ class RulePopulation:
 
 
 @dataclass(frozen=True)
-class FlipRates:
+class FlipRates(_Bounded):
     """Per-period transition probabilities of one rule's efficiency state."""
 
-    p_ie: float  # inefficient -> efficient
-    p_ei: float  # efficient -> inefficient
-
-    def __post_init__(self):
-        for name in ("p_ie", "p_ei"):
-            p = getattr(self, name)
-            if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
-                raise DomainError(f"{name} must lie in [0, 1]: got {p!r}")
+    p_ie: float = field(metadata={"ge": 0.0, "le": 1.0})  # inefficient -> efficient
+    p_ei: float = field(metadata={"ge": 0.0, "le": 1.0})  # efficient -> inefficient
 
 
 @dataclass(frozen=True)
-class FrivolousStream:
+class FrivolousStream(_Bounded):
     """Fixed count of nuisance filers appended to each period of a trace."""
 
     game: FrivolousConfig
-    filers_per_period: int
+    filers_per_period: int = field(metadata={"ge": 0, "le": _INT64_MAX, "integer": True})
     belief: float | None = None
-
-    def __post_init__(self):
-        n = self.filers_per_period
-        if not isinstance(n, int) or n < 0:
-            raise DomainError(f"filers_per_period must be an integer >= 0: got {n!r}")
-        if n > _INT64_MAX:  # the trace's count columns are int64
-            raise DomainError(f"filers_per_period must be <= {_INT64_MAX}: got {n!r}")
 
 
 @dataclass
@@ -217,8 +170,7 @@ def effective_dispute_rate(
 
 
 def _party_costs(area: LegalArea, cost_delta: float) -> tuple[float, float]:
-    if not (isinstance(cost_delta, (int, float)) and math.isfinite(cost_delta) and cost_delta >= 0):
-        raise DomainError(f"cost_delta must be finite and >= 0: got {cost_delta!r}")
+    _check("cost_delta", cost_delta, _COST_DELTA)
     if cost_delta > min(area.cost_q, area.cost_g):
         raise DomainError(
             f"cost_delta={cost_delta!r} exceeds a party cost "
@@ -249,8 +201,7 @@ def trial_fractions(
     one array pass of the settle/trial kernel `simulate` uses.
     """
     c_q, c_g = _party_costs(area, cost_delta)
-    if not isinstance(n_samples, int) or n_samples < 1:
-        raise DomainError(f"n_samples must be an integer >= 1: got {n_samples!r}")
+    _check("n_samples", n_samples, {"ge": 1, "integer": True})
     u = substream(seed, _STREAM_RATES).random(n_samples)
     fractions = []
     for stakes in (area.stakes_j * area.stakes_multiplier, area.stakes_j):
@@ -286,10 +237,8 @@ def expected_path(x0: float, rates: FlipRates, periods: int) -> np.ndarray:
 
     Closed form x* + (x0 - x*) (1 - p_ie - p_ei)^t with path[0] = x0; flat if no rule flips.
     """
-    if not (isinstance(x0, (int, float)) and 0.0 <= x0 <= 1.0):
-        raise DomainError(f"x0 must lie in [0, 1]: got {x0!r}")
-    if not isinstance(periods, int) or periods < 0:
-        raise DomainError(f"periods must be an integer >= 0: got {periods!r}")
+    _check("x0", x0, _FRACTION)
+    _check("periods", periods, {"ge": 0, "integer": True})
     if rates.p_ie + rates.p_ei == 0.0:
         return np.full(periods + 1, float(x0))
     x_inf = stationary_fraction(rates)
@@ -305,10 +254,8 @@ def gap_closure_time(x0: float, rates: FlipRates, fraction: float = 0.9) -> int:
     at float ties, where stepping the recurrence may land a period off. A start
     within 4 ulps of the stationary fraction is rounding noise: 0 periods.
     """
-    if not (isinstance(fraction, (int, float)) and 0.0 < fraction < 1.0):
-        raise DomainError(f"fraction must lie in (0, 1): got {fraction!r}")
-    if not (isinstance(x0, (int, float)) and 0.0 <= x0 <= 1.0):
-        raise DomainError(f"x0 must lie in [0, 1]: got {x0!r}")
+    _check("fraction", fraction, {"gt": 0.0, "lt": 1.0})
+    _check("x0", x0, _FRACTION)
     target_x = stationary_fraction(rates)
     if abs(x0 - target_x) <= 4 * math.ulp(target_x):
         return 0
@@ -365,8 +312,7 @@ def simulate(
     `substream(seed, i).random((periods, 3))`; `fill_substreams` writes all
     columns from one Philox by resetting its counter per rule.
     """
-    if not isinstance(periods, int) or periods < 1:
-        raise DomainError(f"periods must be an integer >= 1: got {periods!r}")
+    _check("periods", periods, _PERIODS)
     _check_draw_size(population.n_rules, periods)
     c_q, c_g = _party_costs(area, cost_delta)
     rate = effective_dispute_rate(area, shock, tolerance)

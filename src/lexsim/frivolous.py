@@ -27,11 +27,13 @@ belief_merit to study any screening belief.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, _Bounded, _check
+
+_BELIEF = {"ge": 0.0, "le": 1.0}  # the defendant's prior that a filing has merit
+_DELTA = {"ge": 0.0}  # a cut in the filing or the defense cost
 
 
 class PlaintiffType(Enum):
@@ -59,25 +61,17 @@ class RegionShift(Enum):
 
 
 @dataclass(frozen=True)
-class FrivolousConfig:
+class FrivolousConfig(_Bounded):
     """Costs of the filing game; defense_trial_cost is what a lost defended trial
     adds on top of the judgment (0 keeps counsel cost d as the whole defense bill)."""
 
-    f_o: float  # filing cost, frivolous plaintiff
-    f_q: float  # filing cost, meritorious plaintiff
-    d: float  # defendant's cost of mounting a defense
-    s: float  # settlement demand on the table
-    j: float  # judgment if the plaintiff wins (or wins by default)
-    c_p: float  # plaintiff's cost of actually going to trial
-    defense_trial_cost: float = 0.0
-
-    def __post_init__(self):
-        for name in ("f_o", "f_q", "d", "s", "c_p", "defense_trial_cost"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise DomainError(f"{name} must be finite and >= 0: got {v!r}")
-        if not (isinstance(self.j, (int, float)) and math.isfinite(self.j) and self.j > 0):
-            raise DomainError(f"j must be finite and > 0: got {self.j!r}")
+    f_o: float = field(metadata={"ge": 0.0})  # filing cost, frivolous plaintiff
+    f_q: float = field(metadata={"ge": 0.0})  # filing cost, meritorious plaintiff
+    d: float = field(metadata={"ge": 0.0})  # defendant's cost of mounting a defense
+    s: float = field(metadata={"ge": 0.0})  # settlement demand on the table
+    j: float = field(metadata={"gt": 0.0})  # judgment if the plaintiff wins (or wins by default)
+    c_p: float = field(metadata={"ge": 0.0})  # plaintiff's cost of actually going to trial
+    defense_trial_cost: float = field(default=0.0, metadata={"ge": 0.0})
 
 
 @dataclass(frozen=True)
@@ -105,8 +99,7 @@ def defendant_best_response(belief_merit: float, config: FrivolousConfig) -> Def
     Ties break toward Settle, then Defend: at equal cost the defendant takes
     the certain, litigation-free exit.
     """
-    if not (isinstance(belief_merit, (int, float)) and 0.0 <= belief_merit <= 1.0):
-        raise DomainError(f"belief_merit must lie in [0, 1]: got {belief_merit!r}")
+    _check("belief_merit", belief_merit, _BELIEF)
     defend_cost = config.d
     if plaintiff_followup(PlaintiffType.MERITORIOUS, config) is FollowUp.TRIAL:
         defend_cost = config.d + belief_merit * (config.j + config.defense_trial_cost)
@@ -188,8 +181,7 @@ def filing_region_shift(
     the region unchanged.
     """
     for name, delta, ceiling in (("delta_f", delta_f, config.f_o), ("delta_d", delta_d, config.d)):
-        if not (isinstance(delta, (int, float)) and math.isfinite(delta) and delta >= 0):
-            raise DomainError(f"{name} must be finite and >= 0: got {delta!r}")
+        _check(name, delta, _DELTA)
         if delta > ceiling:
             raise DomainError(f"{name}={delta!r} would push a cost below zero (cap {ceiling!r})")
     change = delta_f - delta_d

@@ -25,13 +25,14 @@ amplifies a cost change whenever the parties are mutually optimistic.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _Bounded, _check
+
+_REDUCTION = {"ge": 0.0}  # a cut in both parties' trial costs
 
 
 class FeeRule(Enum):
@@ -45,26 +46,14 @@ class OutcomeKind(Enum):
 
 
 @dataclass(frozen=True)
-class Dispute:
+class Dispute(_Bounded):
     """One filed case: subjective win odds, stakes, and per-side trial costs."""
 
-    p_q: float
-    p_g: float
-    j: float
-    c_q: float
-    c_g: float
-
-    def __post_init__(self):
-        for name in ("p_q", "p_g"):
-            p = getattr(self, name)
-            if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
-                raise DomainError(f"{name} must lie in [0, 1]: got {p!r}")
-        if not (isinstance(self.j, (int, float)) and math.isfinite(self.j) and self.j > 0):
-            raise DomainError(f"j must be finite and > 0: got {self.j!r}")
-        for name in ("c_q", "c_g"):
-            c = getattr(self, name)
-            if not (isinstance(c, (int, float)) and math.isfinite(c) and c >= 0):
-                raise DomainError(f"{name} must be finite and >= 0: got {c!r}")
+    p_q: float = field(metadata={"ge": 0.0, "le": 1.0})
+    p_g: float = field(metadata={"ge": 0.0, "le": 1.0})
+    j: float = field(metadata={"gt": 0.0})
+    c_q: float = field(metadata={"ge": 0.0})
+    c_g: float = field(metadata={"ge": 0.0})
 
 
 @dataclass(frozen=True)
@@ -122,11 +111,6 @@ def decide(d: Dispute, rule: FeeRule) -> Outcome:
     return Outcome(OutcomeKind.TRIAL)
 
 
-def _check_reduction(delta_c: float) -> None:
-    if not (isinstance(delta_c, (int, float)) and math.isfinite(delta_c) and delta_c >= 0):
-        raise DomainError(f"delta_c must be finite and >= 0: got {delta_c!r}")
-
-
 def _over_reduction(delta_c: float, d: Dispute) -> DomainError:
     return DomainError(
         f"delta_c={delta_c!r} exceeds a party's cost (c_q={d.c_q!r}, c_g={d.c_g!r})"
@@ -135,7 +119,7 @@ def _over_reduction(delta_c: float, d: Dispute) -> DomainError:
 
 def apply_cost_reduction(d: Dispute, delta_c: float) -> Dispute:
     """Cut both sides' trial costs by delta_c; the reduction may not exceed either cost."""
-    _check_reduction(delta_c)
+    _check("delta_c", delta_c, _REDUCTION)
     if delta_c > min(d.c_q, d.c_g):
         raise _over_reduction(delta_c, d)
     return Dispute(p_q=d.p_q, p_g=d.p_g, j=d.j, c_q=d.c_q - delta_c, c_g=d.c_g - delta_c)
@@ -153,7 +137,7 @@ def settle_columns(disputes: list[Dispute], rule: FeeRule,
     a trial, as in `decide`. An over-large reduction names the first dispute
     it exceeds.
     """
-    _check_reduction(delta_c)
+    _check("delta_c", delta_c, _REDUCTION)
     p_q, p_g, j, c_q, c_g = (
         np.array([getattr(d, name) for d in disputes], dtype=np.float64)
         for name in ("p_q", "p_g", "j", "c_q", "c_g")

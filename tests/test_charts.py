@@ -45,10 +45,10 @@ class TestOutputShape:
         # two series so the legend renders the raw labels
         svg = line_chart(
             [("a & b <c>", [0.0, 1.0], [0.0, 1.0]), ("other", [0.0, 1.0], [1.0, 0.0])],
-            title="x & y",
+            title="x & y <z> \"q\" 'a'",
         )
         assert "a &amp; b &lt;c&gt;" in svg
-        assert "x &amp; y" in svg
+        assert ">x &amp; y &lt;z&gt; \"q\" 'a'</text>" in svg  # quotes stay as they are
         assert "<c>" not in svg
 
     def test_no_external_references(self):

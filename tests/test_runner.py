@@ -455,6 +455,19 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: model:")
         assert not out.exists()
 
+    def test_curve_with_a_tiny_root_solves(self, tmp_path, capsys):
+        # g* = 2.45e-57, 241 halvings below 1: bisection must not stop at a fixed 200
+        curve = {"b_scale": 0.001131326278450144, "beta": 0.055953019238518295,
+                 "k_scale": 1.4304723814284908, "kappa": 0.054793870591714644}
+        cfg = write_config(tmp_path, {"equilibrium": {"curve": curve}})
+        out = tmp_path / "eq.csv"
+        assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert float(row["g_star_baseline"]) == pytest.approx(2.45e-57, rel=1e-2)
+        assert (row["residual"], row["iterations"]) == ("0", "241")
+
     def test_unwritable_svg_cleans_up_csv(self, tmp_path, capsys):
         out = tmp_path / "eq.csv"
         svg = tmp_path / "no_such_dir" / "eq.svg"
