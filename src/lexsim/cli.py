@@ -1,8 +1,9 @@
 """Command-line front end: one subcommand per model, JSON config in, CSV out.
 
 Exit codes: 0 success; 1 rejected configuration or command line; 2 model or
-I/O failure at run time. Errors are written to stderr as a single line of the
-form "error: <category>: <detail>".
+I/O failure at run time, running out of memory included. Errors are written to
+stderr as a single line of the form "error: <category>: <detail>". The "wrote"
+line goes to stdout, or to stderr when an output is stdout itself.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 
 from .config import MODELS, load_config
 from .errors import ConfigError, LexsimError
-from .runner import run
+from .runner import _is_stdout, run
 
 _HELP = {
     "equilibrium": "solve contract completeness where marginal benefit meets marginal cost",
@@ -77,10 +78,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: io: {_one_line(e)}", file=sys.stderr)
         return 2
-    if result.svg_path is not None:
-        print(f"wrote {result.csv_path} and {result.svg_path}")
-    else:
-        print(f"wrote {result.csv_path}")
+    except MemoryError:
+        print("error: model: out of memory", file=sys.stderr)
+        return 2
+    paths = [p for p in (result.csv_path, result.svg_path) if p is not None]
+    print("wrote " + " and ".join(paths),
+          file=sys.stderr if any(map(_is_stdout, paths)) else sys.stdout)
     return 0
 
 

@@ -331,9 +331,8 @@ def _build_evolve(block, errs):
         _check_keys(fsub, _names(FrivolousStream), "evolve.frivolous", errs)
         game = _block(FrivolousConfig, fsub, "game", "evolve.frivolous.game", errs)
         vals = _bounded(FrivolousStream, fsub, "evolve.frivolous", errs)
-        belief = _num(fsub, "belief", "evolve.frivolous.belief", errs, None, **_BELIEF)
         if game is not None and vals is not None:
-            stream = FrivolousStream(game=game, belief=belief, **vals)
+            stream = FrivolousStream(game=game, **vals)
     if None in (area, pop, periods, shock, cost_delta, tolerance):
         return None
     return EvolveParams(area=area, population=pop, periods=periods, shock=shock,

@@ -35,13 +35,14 @@ import numpy as np
 
 from .contracts import AiShock, GapCurve, apply_shock, solve_completeness
 from .errors import ConvergenceError, DomainError, _Bounded, _check
-from .frivolous import DefendantAction, FollowUp, FrivolousConfig, PlaintiffType, play
+from .frivolous import _BELIEF, DefendantAction, FollowUp, FrivolousConfig, PlaintiffType, play
 from .rng import fill_substreams, substream
 from .settlement import Dispute, FeeRule, _bounds
 
 _STREAM_RATES = 2**63  # reserved substream of the flip-rate estimator
 _MAX_CLOSURE_ITER = 10**7
-_MAX_DRAW_BYTES = 2**32  # cap on simulate's up-front draw array, 24 B per rule-period
+_RULE_BLOCK = 2048  # rules simulate steps together, each block on its own draw array
+_MAX_DRAW_BYTES = 2**32  # cap on one block's draw array, 24 B per rule-period
 _INT64_MAX = 2**63 - 1  # the trace's count columns are int64
 _COST_DELTA = {"ge": 0.0}  # a cut in both parties' trial costs
 _PERIODS = {"ge": 1, "integer": True}
@@ -134,7 +135,7 @@ class FrivolousStream(_Bounded):
 
     game: FrivolousConfig
     filers_per_period: int = field(metadata={"ge": 0, "le": _INT64_MAX, "integer": True})
-    belief: float | None = None
+    belief: float | None = field(default=None, metadata=_BELIEF)
 
 
 @dataclass
@@ -268,12 +269,13 @@ def gap_closure_time(x0: float, rates: FlipRates, fraction: float = 0.9) -> int:
 
 
 def _check_draw_size(n_rules: int, periods: int) -> None:
-    """Refuse a simulate run whose draw array would exceed _MAX_DRAW_BYTES."""
-    nbytes = 24 * n_rules * periods
+    """Refuse a simulate run whose block draw array would exceed _MAX_DRAW_BYTES."""
+    block = min(n_rules, _RULE_BLOCK)
+    nbytes = 24 * block * periods
     if nbytes > _MAX_DRAW_BYTES:
         raise DomainError(
-            f"n_rules x periods needs {nbytes} bytes of draws (24 per rule-period), "
-            f"above the limit of 2^32 = {_MAX_DRAW_BYTES}"
+            f"a block of {block} rules x {periods} periods needs {nbytes} bytes of draws "
+            f"(24 per rule-period), above the limit of 2^32 = {_MAX_DRAW_BYTES}"
         )
 
 
@@ -306,75 +308,54 @@ def simulate(
 ) -> EvolutionTrace:
     """Run the population of rule chains for `periods` periods.
 
-    All draws are materialized up front (24 bytes per rule-period, at most
-    2^32 bytes in all), three uniforms per rule per period in the order
-    dispute / belief / flip. Rule i's column is exactly
-    `substream(seed, i).random((periods, 3))`; `fill_substreams` writes all
-    columns from one Philox by resetting its counter per rule.
+    Rules are stepped in blocks of _RULE_BLOCK, each block through all periods
+    before the next; rule i draws `substream(seed, i).random((periods, 3))`,
+    three uniforms per period in the order dispute / belief / flip, which
+    `fill_substreams` writes for a whole block from one Philox. A block's
+    draws take 24 bytes per rule-period, at most 2^32 bytes.
     """
     _check("periods", periods, _PERIODS)
-    _check_draw_size(population.n_rules, periods)
+    periods = int(periods)  # a bool passes the check as an int
+    n = population.n_rules
+    _check_draw_size(n, periods)
     c_q, c_g = _party_costs(area, cost_delta)
     rate = effective_dispute_rate(area, shock, tolerance)
-    n = population.n_rules
-
-    efficient = np.zeros(n, dtype=bool)
-    efficient[: population.initial_efficient_count] = True
-
-    draws = fill_substreams(seed, np.empty((periods, 3, n)))
-
-    friv_filed, friv_settled, friv_dropped = _frivolous_period_counts(frivolous)
-
-    t_col = np.arange(periods + 1, dtype=np.int64)
-    fraction = np.empty(periods + 1)
-    counts = {
-        name: np.zeros(periods + 1, dtype=np.int64)
-        for name in ("disputes", "settlements", "trials")
-    }
-    fraction[0] = int(efficient.sum()) / n
-
+    n_efficient = population.initial_efficient_count
     stakes_eff = area.stakes_j
     stakes_ineff = area.stakes_j * area.stakes_multiplier
     q_ie, q_ei = area.q_ie, area.q_ei
 
-    for t in range(periods):
-        u_dispute, u_belief, u_flip = draws[t, 0], draws[t, 1], draws[t, 2]
-        disputed = u_dispute < rate
-        stakes = np.where(efficient, stakes_eff, stakes_ineff)
-        trial = disputed & _tried(area, u_belief, stakes, c_q, c_g)
-        q = np.where(efficient, q_ei, q_ie)
-        flip = trial & (u_flip < q)
-        efficient = efficient ^ flip
+    t_col = np.arange(periods + 1, dtype=np.int64)
+    disputes = np.zeros(periods + 1, dtype=np.int64)
+    trials = np.zeros(periods + 1, dtype=np.int64)
+    efficient_count = np.zeros(periods + 1, dtype=np.int64)
+    efficient_count[0] = n_efficient
 
-        row = t + 1
-        n_disputes = int(disputed.sum())
-        n_trials = int(trial.sum())
-        counts["disputes"][row] = n_disputes
-        counts["trials"][row] = n_trials
-        counts["settlements"][row] = n_disputes - n_trials
-        fraction[row] = int(efficient.sum()) / n
+    draws = np.empty((min(n, _RULE_BLOCK), periods, 3))
+    for first in range(0, n, _RULE_BLOCK):
+        block = fill_substreams(seed, first, draws[: n - first])
+        efficient = np.arange(first, first + len(block)) < n_efficient
+        for t in range(1, periods + 1):
+            disputed = block[:, t - 1, 0] < rate
+            stakes = np.where(efficient, stakes_eff, stakes_ineff)
+            trial = disputed & _tried(area, block[:, t - 1, 1], stakes, c_q, c_g)
+            efficient ^= trial & (block[:, t - 1, 2] < np.where(efficient, q_ei, q_ie))
+            disputes[t] += np.count_nonzero(disputed)
+            trials[t] += np.count_nonzero(trial)
+            efficient_count[t] += np.count_nonzero(efficient)
 
-    friv = {
-        name: np.full(periods + 1, value, dtype=np.int64)
-        for name, value in (
-            ("frivolous_filings", friv_filed),
-            ("frivolous_settlements", friv_settled),
-            ("frivolous_drops", friv_dropped),
-        )
-    }
-    for arr in friv.values():
-        arr[0] = 0
-
+    filed, settled, dropped = (np.where(t_col > 0, np.int64(c), np.int64(0))
+                               for c in _frivolous_period_counts(frivolous))
     return EvolutionTrace(
         area_name=area.name,
         seed=seed,
         n_rules=n,
         t=t_col,
-        fraction_efficient=fraction,
-        disputes=counts["disputes"],
-        settlements=counts["settlements"],
-        trials=counts["trials"],
-        frivolous_filings=friv["frivolous_filings"],
-        frivolous_settlements=friv["frivolous_settlements"],
-        frivolous_drops=friv["frivolous_drops"],
+        fraction_efficient=np.array([c / n for c in efficient_count.tolist()]),  # int / int
+        disputes=disputes,
+        settlements=disputes - trials,
+        trials=trials,
+        frivolous_filings=filed,
+        frivolous_settlements=settled,
+        frivolous_drops=dropped,
     )

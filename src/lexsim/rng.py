@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DomainError
 
 _U64_MAX = 2**64 - 1
-_BLOCK_STREAMS = 64  # streams drawn into one C-contiguous staging block
 
 
 def _is_u64(v) -> bool:
@@ -39,29 +38,27 @@ def substream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=stream << 192))
 
 
-def fill_substreams(seed: int, out: np.ndarray) -> np.ndarray:
-    """Fill `out[..., i]` with `substream(seed, i).random(out.shape[:-1])` for every i.
+def fill_substreams(seed: int, first: int, out: np.ndarray) -> np.ndarray:
+    """Fill `out[k]` with `substream(seed, first + k).random(out.shape[1:])` for every k.
 
     The draws are bit-identical to building each stream on its own, but one
     Philox serves them all: stream i only moves the top counter word to i, and
-    assigning the state also empties the generator's output buffer. Streams
-    are drawn in blocks of 64 into a contiguous staging array, then copied
-    into `out` transposed. Returns `out`.
+    assigning the state also empties the generator's output buffer. Each
+    stream is drawn straight into its slot of the C-contiguous `out`. Returns
+    `out`.
     """
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.ndim >= 1):
-        raise DomainError("out must be a float64 array with a trailing stream axis")
-    n = out.shape[-1]
-    _check_ids(seed, max(n - 1, 0))
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.ndim >= 1
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise DomainError("out must be a writable C-contiguous float64 array "
+                          "with a leading stream axis")
+    _check_ids(seed, first)
+    _check_ids(seed, first + max(len(out) - 1, 0))
     bits = np.random.Philox(key=seed, counter=0)
     gen = np.random.Generator(bits)
     state = bits.state
     counter = state["state"]["counter"]
-    block = np.empty((min(n, _BLOCK_STREAMS),) + out.shape[:-1])
-    for lo in range(0, n, _BLOCK_STREAMS):
-        m = min(_BLOCK_STREAMS, n - lo)
-        for k in range(m):
-            counter[3] = lo + k  # counter = stream << 192
-            bits.state = state
-            gen.random(out=block[k])
-        out[..., lo : lo + m] = np.moveaxis(block[:m], 0, -1)
+    for k in range(len(out)):
+        counter[3] = first + k  # counter = stream << 192
+        bits.state = state
+        gen.random(out=out[k : k + 1])  # a view, also where out[k] is a scalar
     return out

@@ -293,6 +293,15 @@ def run(cfg: RunConfig) -> RunResult:
     return RunResult(csv_path=cfg.output_path, svg_path=cfg.svg_path, rows=n_rows)
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether `path` names the file behind fd 1, this process's standard output."""
+    try:
+        st, out = os.stat(path), os.fstat(1)
+    except OSError:
+        return False
+    return (st.st_dev, st.st_ino) == (out.st_dev, out.st_ino)
+
+
 def _write_all(outputs: list[tuple[str, str]]) -> None:
     """Write every (path, text) or, on failure, leave every existing file as it was.
 
@@ -300,15 +309,21 @@ def _write_all(outputs: list[tuple[str, str]]) -> None:
     path's real target (so a symlinked output keeps its link), with the mode of
     the file it replaces, or 0666 & ~umask for a new one as `open(path, "w")`
     gives; the targets are replaced only once all are written. Any other
-    target (a device such as /dev/null, a FIFO, a pipe behind /dev/stdout)
-    holds no earlier output to keep and is written in place.
+    target (a device such as /dev/null, a FIFO) holds no earlier output to
+    keep and is written in place. A path naming this process's standard
+    output, such as /dev/stdout, is written through `sys.stdout`, after any
+    text already printed there and never renamed over.
     """
     staged: list[tuple[str, str]] = []  # (temporary, target), not yet renamed
     in_place: list[tuple[str, str]] = []
+    to_stdout: list[str] = []
     try:
         for path, text in outputs:
+            if _is_stdout(path):
+                to_stdout.append(text)
+                continue
             try:
-                mode = os.stat(path).st_mode  # follows links, /dev/stdout's too
+                mode = os.stat(path).st_mode  # follows links
             except OSError:  # missing, or the open below reports why not
                 mode = None
             if mode is not None and stat.S_ISDIR(mode):  # found now, not by a rename
@@ -331,6 +346,9 @@ def _write_all(outputs: list[tuple[str, str]]) -> None:
         for path, text in in_place:
             with open(path, "w", newline="") as fh:
                 fh.write(text)
+        for text in to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
         while staged:
             os.replace(*staged[0])
             staged.pop(0)

@@ -106,7 +106,8 @@ MAKERS = {
     "evolve.frivolous.game": maker(FrivolousConfig, GAME),
     "evolve.area": lambda name, v: area(**{name: v}),
     "evolve.population": maker(RulePopulation, POPULATION),
-    "evolve.frivolous": lambda name, v: FrivolousStream(FrivolousConfig(**GAME), **{name: v}),
+    "evolve.frivolous": lambda name, v: FrivolousStream(
+        **{"game": FrivolousConfig(**GAME), "filers_per_period": 1, name: v}),
     "composition.areas[0]": maker(AreaShare, SHARE),
     "FlipRates": maker(FlipRates, FLIPS),
 }
@@ -148,9 +149,7 @@ FIELDS = [
     *block("evolve.frivolous.game", dict(f_o=NONNEGATIVE, f_q=NONNEGATIVE, d=NONNEGATIVE,
                                          s=NONNEGATIVE, j=POSITIVE, c_p=NONNEGATIVE,
                                          defense_trial_cost=NONNEGATIVE)),
-    *block("evolve.frivolous", dict(filers_per_period=FILERS)),
-    ("evolve.frivolous.belief", PROBABILITY,
-     *call("belief_merit", lambda v: defendant_best_response(v, FrivolousConfig(**GAME)))),
+    *block("evolve.frivolous", dict(filers_per_period=FILERS, belief=PROBABILITY)),
     ("evolve.tolerance", POSITIVE,
      *call("tolerance", lambda v: solve_completeness(GapCurve(**CURVE), v))),
     *block("composition.areas[0]", dict(share=PROBABILITY, unit_cost=POSITIVE,
@@ -234,8 +233,8 @@ def expected_domain_message(path, kind, name, v):
     if path == "evolve.population.n_rules" and v == HUGE:
         return f"n_rules must stay below 2^63: got {v!r}"
     if path == "evolve.periods" and v == HUGE:
-        return (f"n_rules x periods needs {24 * 10 * v} bytes of draws (24 per rule-period), "
-                f"above the limit of 2^32 = {2**32}")
+        return (f"a block of 10 rules x {v} periods needs {24 * 10 * v} bytes of draws "
+                f"(24 per rule-period), above the limit of 2^32 = {2**32}")
     if kind is FILERS and isinstance(v, int) and v > INT64_MAX:
         return f"{name} must be <= {INT64_MAX}: got {v!r}"
     return kind.template.format(name, v)
@@ -254,8 +253,6 @@ def test_config_errors(tmp_path, path, kind):
                          ids=[f[0] for f in FIELDS if f[2]])
 def test_domain_errors(path, kind, make, name):
     for v in values(kind.bounds):
-        if path == "evolve.periods" and v is True:
-            continue  # passes the check, then numpy refuses a bool array shape
         expected = expected_domain_message(path, kind, name, v)
         if expected is None:
             make(name, v)

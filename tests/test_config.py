@@ -314,13 +314,19 @@ class TestEvolveDrawSize:
 
         monkeypatch.setattr(evolution.np, "empty", no_empty)
         payload = evolve_block(population={"n_rules": 10**6, "fraction_efficient": 0.5},
-                               periods=10**4)
+                               periods=10**5)
         with pytest.raises(ConfigError) as exc:
             load_config(write(tmp_path, payload), "evolve")
         assert exc.value.errors == [
-            ("evolve", "n_rules x periods needs 240000000000 bytes of draws "
-                       "(24 per rule-period), above the limit of 2^32 = 4294967296"),
+            ("evolve", "a block of 2048 rules x 100000 periods needs 4915200000 bytes of "
+                       "draws (24 per rule-period), above the limit of 2^32 = 4294967296"),
         ]
+
+    def test_the_cap_is_per_block_not_per_run(self, tmp_path):
+        # 10^6 x 10^4 needs 240 GB of draws for the whole run but 492 MB per block
+        payload = evolve_block(population={"n_rules": 10**6, "fraction_efficient": 0.5},
+                               periods=10**4)
+        assert load_config(write(tmp_path, payload), "evolve").params.periods == 10**4
 
 
 class TestHugeIntegers:

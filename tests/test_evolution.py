@@ -1,5 +1,6 @@
 """Rule-evolution machinery: rates, paths, and the population simulator."""
 
+import dataclasses
 import math
 import time
 
@@ -32,7 +33,8 @@ from lexsim import (
     substream,
     trial_fractions,
 )
-from lexsim.evolution import _MAX_CLOSURE_ITER, _STREAM_RATES
+from lexsim import evolution
+from lexsim.evolution import _MAX_CLOSURE_ITER, _STREAM_RATES, EvolutionTrace
 
 GOLDEN_G = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -435,6 +437,43 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(tort_area(), RulePopulation(10, 0.5), periods=0)
 
+    def test_periods_true_runs_one_period(self):
+        # bool is an int everywhere in the bounds layer, so True means 1
+        pop = RulePopulation(10, 0.5)
+        assert_same_trace(simulate(tort_area(), pop, periods=True, seed=2),
+                          simulate(tort_area(), pop, periods=1, seed=2))
+
+
+def assert_same_trace(a: EvolutionTrace, b: EvolutionTrace) -> None:
+    for f in dataclasses.fields(EvolutionTrace):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+class TestRuleBlocks:
+    """simulate steps _RULE_BLOCK rules at a time; the trace must not show where blocks end."""
+
+    def run(self, n, periods):
+        area = tort_area(dispute_rate=0.9, overturn_prob_ie=0.6, overturn_prob_ei=0.3)
+        game = FrivolousConfig(f_o=1.0, f_q=1.0, d=10.0, s=5.0, j=100.0, c_p=10.0)
+        return simulate(area, RulePopulation(n, 0.37), periods=periods, seed=17,
+                        frivolous=FrivolousStream(game=game, filers_per_period=3))
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_small_blocks_match_the_default(self, monkeypatch, block):
+        default = self.run(130, 40)
+        monkeypatch.setattr(evolution, "_RULE_BLOCK", block)
+        assert_same_trace(self.run(130, 40), default)
+
+    def test_default_blocks_match_one_block_for_all_rules(self, monkeypatch):
+        n = 2 * evolution._RULE_BLOCK + 3
+        blocked = self.run(n, 12)
+        monkeypatch.setattr(evolution, "_RULE_BLOCK", n)
+        assert_same_trace(blocked, self.run(n, 12))
+
 
 class TestFrivolousRider:
     def stream(self, **game_overrides) -> FrivolousStream:
@@ -491,22 +530,27 @@ class TestMeanPathAgreement:
 
 class TestDrawSizeGuard:
     def test_oversized_run_is_refused_before_allocating(self, monkeypatch):
-        from lexsim import evolution
-
         def no_empty(*args, **kwargs):
             raise AssertionError("np.empty called")
 
         monkeypatch.setattr(evolution.np, "empty", no_empty)
         with pytest.raises(DomainError, match="above the limit of 2\\^32"):
-            simulate(tort_area(), RulePopulation(10**6, 0.5), periods=10**4)
+            simulate(tort_area(), RulePopulation(10**6, 0.5), periods=10**5)
 
     def test_limit_is_24_bytes_per_rule_period_up_to_2_pow_32(self):
-        from lexsim.evolution import _check_draw_size
+        from lexsim.evolution import _RULE_BLOCK, _check_draw_size
 
+        # the cap is on one block of rules, so only min(n_rules, _RULE_BLOCK) counts
         most = 2**32 // 24
-        _check_draw_size(most, 1)
         _check_draw_size(1, most)
         with pytest.raises(DomainError):
-            _check_draw_size(most + 1, 1)
-        with pytest.raises(DomainError):
             _check_draw_size(1, most + 1)
+        per_block = 2**32 // (24 * _RULE_BLOCK)
+        for n in (_RULE_BLOCK, _RULE_BLOCK + 1, 2**63 - 1):
+            _check_draw_size(n, per_block)
+            with pytest.raises(DomainError) as exc:
+                _check_draw_size(n, per_block + 1)
+        assert str(exc.value) == (
+            f"a block of {_RULE_BLOCK} rules x {per_block + 1} periods needs "
+            f"{24 * _RULE_BLOCK * (per_block + 1)} bytes of draws (24 per rule-period), "
+            f"above the limit of 2^32 = {2**32}")

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from lexsim import (
     settlement_range,
     shrink_ratio,
 )
-from lexsim import runner
+from lexsim import config, evolution, runner
 from lexsim.cli import main
 from lexsim.config import SettleParams
 
@@ -494,6 +496,32 @@ class TestCli:
         assert out.read_text() == "kept"
         capsys.readouterr()
 
+    def test_out_of_memory_in_the_model_is_exit_two(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(evolution, "fill_substreams", no_memory)
+        out, svg = tmp_path / "evolve.csv", tmp_path / "evolve.svg"
+        out.write_text("kept")
+        code = main(["evolve", "--config", f"{CONFIG_DIR}/evolve_tort.json",
+                     "--out", str(out), "--svg", str(svg)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: model: out of memory\n")
+        assert out.read_text() == "kept"
+        assert sorted(os.listdir(tmp_path)) == ["evolve.csv"]
+
+    def test_out_of_memory_loading_the_config_is_exit_two(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(config, "build_model_params", no_memory)
+        out = tmp_path / "eq.csv"
+        code = main(["equilibrium", "--config", f"{CONFIG_DIR}/equilibrium_golden.json",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: model: out of memory\n")
+        assert os.listdir(tmp_path) == []
+
     def test_seed_flag_changes_stochastic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         cfg = f"{CONFIG_DIR}/evolve_tort.json"
@@ -515,6 +543,43 @@ class TestCli:
         code = main(["equilibrium", "--config", "x.json"])
         assert code == 1
         capsys.readouterr()
+
+
+class TestOutToStdout:
+    """`--out /dev/stdout`: stdout carries exactly the CSV and the `wrote` line goes to stderr."""
+
+    CFG = f"{CONFIG_DIR}/evolve_tort.json"
+
+    def expected(self, tmp_path):
+        csv_path = tmp_path / "expected.csv"
+        assert main(["evolve", "--config", self.CFG, "--out", str(csv_path)]) == 0
+        return csv_path.read_bytes()
+
+    def run_cli(self, stdout, svg=None):
+        argv = [sys.executable, "-m", "lexsim.cli", "evolve", "--config", self.CFG,
+                "--out", "/dev/stdout"] + ([] if svg is None else ["--svg", str(svg)])
+        env = {**os.environ, "PYTHONPATH": "src" + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env, check=False)
+
+    def test_stdout_redirected_to_a_file(self, tmp_path, capsys):
+        expected = self.expected(tmp_path)
+        redirected, svg = tmp_path / "r.txt", tmp_path / "evolve.svg"
+        with open(redirected, "wb") as fh:
+            done = self.run_cli(fh, svg)
+        capsys.readouterr()
+        assert done.returncode == 0
+        assert done.stderr == f"wrote /dev/stdout and {svg}\n".encode()
+        assert redirected.read_bytes() == expected
+        assert svg.read_text().startswith("<svg ")
+        assert sorted(os.listdir(tmp_path)) == ["evolve.svg", "expected.csv", "r.txt"]
+
+    def test_stdout_into_a_pipe(self, tmp_path, capsys):
+        expected = self.expected(tmp_path)
+        capsys.readouterr()
+        done = self.run_cli(subprocess.PIPE)
+        assert done.returncode == 0
+        assert done.stderr == b"wrote /dev/stdout\n"
+        assert done.stdout == expected
 
 
 class TestFloatFormatting:
