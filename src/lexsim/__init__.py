@@ -58,6 +58,7 @@ from .evolution import (
 )
 from .frivolous import (
     DefendantAction,
+    FilingShift,
     FollowUp,
     FrivolousConfig,
     GameOutcome,
@@ -101,6 +102,7 @@ __all__ = [
     "EvolutionTrace",
     "EvolveParams",
     "FeeRule",
+    "FilingShift",
     "FlipRates",
     "FollowUp",
     "FrivolousConfig",

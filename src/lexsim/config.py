@@ -5,6 +5,12 @@ block per model the file can drive ("equilibrium", "settle", "frivolous",
 "evolve", "composition", "sweep"). The subcommand picks which block is read.
 Validation is aggregated: every violation is collected with its field path and
 reported in one ConfigError rather than failing on the first.
+
+A model block's schema is its parameter dataclass: `_obj` reads each field by
+its declared type, its bounds metadata and its default, so a key, a default or
+a bound is written once, on the dataclass. Each model adds one `_check_<model>`
+for the rules across its fields. Only the sweep block, whose axes are free-form
+paths and values, has a reader of its own.
 """
 
 from __future__ import annotations
@@ -12,15 +18,19 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from enum import Enum
+from functools import cache
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .composition import _FLAT_REDUCTION, AreaShare, validate_composition
 from .contracts import _TOLERANCE, AiShock, GapCurve
-from .errors import ConfigError, DomainError, _bounded_fields, _finite
-from .evolution import (_COST_DELTA, _PERIODS, AreaKind, FrivolousStream, LegalArea,
-                        RulePopulation, _check_draw_size)
-from .frivolous import _BELIEF, _DELTA, FrivolousConfig
+from .errors import ConfigError, DomainError, _finite
+from .evolution import (_COST_DELTA, _PERIODS, FrivolousStream, LegalArea, RulePopulation,
+                        _check_draw_size)
+from .frivolous import _BELIEF, FilingShift, FrivolousConfig
 from .rng import _U64_MAX
 from .settlement import _REDUCTION, Dispute, FeeRule
 
@@ -28,44 +38,45 @@ MODELS = ("equilibrium", "settle", "frivolous", "evolve", "composition", "sweep"
 _MAX_RUNS = 10**6  # per sweep, grid points x replicates; a sweep keeps every summary row
 _REQUIRED = object()
 _COMPARISONS = ((">=", operator.ge), (">", operator.gt), ("<=", operator.le), ("<", operator.lt))
+_NUMBER_TYPES = frozenset((int, float))
 
 
 @dataclass(frozen=True)
 class EquilibriumParams:
     curve: GapCurve
-    shock: AiShock
-    tolerance: float
+    shock: AiShock = AiShock()
+    tolerance: float = field(default=1e-9, metadata=_TOLERANCE)
 
 
 @dataclass(frozen=True)
 class SettleParams:
     rule: FeeRule
     disputes: list[Dispute]
-    cost_reduction: float
+    cost_reduction: float = field(default=0.0, metadata=_REDUCTION)
 
 
 @dataclass(frozen=True)
 class FrivolousParams:
     game: FrivolousConfig
-    belief: float | None
-    shift: tuple[float, float] | None  # (delta_f, delta_d)
+    belief: float | None = field(default=None, metadata=_BELIEF)
+    shift: FilingShift | None = None
 
 
 @dataclass(frozen=True)
 class EvolveParams:
     area: LegalArea
     population: RulePopulation
-    periods: int
-    shock: AiShock
-    cost_delta: float
-    frivolous: FrivolousStream | None
-    tolerance: float
+    periods: int = field(metadata=_PERIODS)
+    shock: AiShock = AiShock()
+    cost_delta: float = field(default=0.0, metadata=_COST_DELTA)
+    frivolous: FrivolousStream | None = None
+    tolerance: float = field(default=1e-9, metadata=_TOLERANCE)
 
 
 @dataclass(frozen=True)
 class CompositionParams:
     areas: list[AreaShare]
-    flat_reduction: float
+    flat_reduction: float = field(metadata=_FLAT_REDUCTION)
 
 
 @dataclass(frozen=True)
@@ -112,44 +123,21 @@ def _num(block, key, path, errs, default=_REQUIRED, *, ge=None, gt=None, le=None
     return v
 
 
-def _bounded(cls, block, path, errs):
-    """Each bounded field of dataclass `cls`, read from `block` and checked against
-    the bounds its metadata declares; None if any of them is faulty."""
-    n_errs = len(errs)
-    vals = {name: _num(block, name, f"{path}.{name}", errs,
-                       _REQUIRED if default is MISSING else default, **bounds)
-            for name, default, bounds, _ in _bounded_fields(cls)}
-    return vals if len(errs) == n_errs else None
+@cache
+def _names(cls) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls))
 
 
-def _names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
-
-
-def _str(block, key, path, errs, default=_REQUIRED, *, choices=None):
+def _str(block, key, path, errs, *, choices=None):
     if key not in block:
-        if default is _REQUIRED:
-            errs.append((path, "required"))
-            return None
-        return default
+        errs.append((path, "required"))
+        return None
     v = block[key]
     if not isinstance(v, str) or not v:
         errs.append((path, f"must be a nonempty string, got {v!r}"))
         return None
     if choices is not None and v not in choices:
         errs.append((path, f"must be one of {sorted(choices)}, got {v!r}"))
-        return None
-    return v
-
-
-def _dict(block, key, path, errs, required=True):
-    if key not in block:
-        if required:
-            errs.append((path, "required"))
-        return None
-    v = block[key]
-    if not isinstance(v, dict):
-        errs.append((path, f"must be an object, got {v!r}"))
         return None
     return v
 
@@ -171,203 +159,145 @@ def _check_keys(block, allowed, path, errs):
             errs.append((f"{path}.{key}" if path else key, "unknown key"))
 
 
-def _block(cls, block, key, path, errs, default=_REQUIRED):
-    """Dataclass `cls` from the object at `block[key]`, whose keys are its field names
-    and whose fields are all bounded numbers; None, the faults put in errs, if faulty."""
-    if key not in block and default is not _REQUIRED:
-        return default
-    sub = _dict(block, key, path, errs)
-    if sub is None:
-        return None
-    _check_keys(sub, _names(cls), path, errs)
-    vals = _bounded(cls, sub, path, errs)
-    if vals is None:
-        return None
-    try:
-        return cls(**vals)
-    except DomainError as e:  # a check across fields
-        errs.append((path, str(e)))
-        return None
+@cache
+def _schema(cls) -> tuple:
+    """(name, type, default, bounds) of each field of dataclass `cls`, in declaration
+    order; a `X | None` type reads as X."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        t = hints[f.name]
+        if isinstance(t, UnionType):
+            t = next(a for a in get_args(t) if a is not NoneType)
+        out.append((f.name, t, f.default, f.metadata))
+    return tuple(out)
 
 
-def _build_equilibrium(block, errs):
-    _check_keys(block, _names(EquilibriumParams), "equilibrium", errs)
-    curve = _block(GapCurve, block, "curve", "equilibrium.curve", errs)
-    shock = _block(AiShock, block, "shock", "equilibrium.shock", errs, AiShock())
-    tolerance = _num(block, "tolerance", "equilibrium.tolerance", errs, 1e-9, **_TOLERANCE)
-    if curve is None or shock is None or tolerance is None:
-        return None
-    return EquilibriumParams(curve=curve, shock=shock, tolerance=tolerance)
+def _plain(cls, item):
+    """cls(**item) for a dict holding exactly cls's field names, each an int or a
+    float, that cls accepts; else None, and nothing reported.
 
-
-_DISPUTE_KEYS = frozenset(_names(Dispute))
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def _plain_dispute(item, reduction):
-    """The Dispute of a fault-free item, else None; no error paths are built.
-
-    `Dispute` checks the same declared bounds `_checked_dispute` reads, so for
-    int and float values this accepts an item exactly when that reports nothing.
+    The quick path for a list item: where every field of `cls` is a bounded number
+    (a Dispute), `cls` checks the same declared bounds `_obj` reads, so an item
+    passes here exactly when `_obj` would report nothing for it.
     """
-    if type(item) is not dict or item.keys() != _DISPUTE_KEYS:
+    if type(item) is not dict or item.keys() != _names(cls):
         return None
     if not _NUMBER_TYPES.issuperset(map(type, item.values())):  # no bool, no str
         return None
     try:
-        d = Dispute(**item)
+        return cls(**item)
     except DomainError:
         return None
-    if reduction is not None and reduction > min(d.c_q, d.c_g):
+
+
+def _obj(cls, value, path, errs, check=None):
+    """Dataclass `cls` read from the JSON object `value` by its declared field types;
+    None, with each fault put in errs at its path, if a field is faulty.
+
+    A field with bounds metadata is a number; a str field is a nonempty string, an
+    Enum field one of its values; a dataclass field is an object read the same way;
+    a list[X] field is a nonempty list of X. A field with a default may be missing,
+    and JSON null counts as missing where that default is None. Unknown keys are
+    reported but do not stop the rest. Then `check(vals, errs)` reports the faults
+    across fields: `vals` maps each field read without fault to its value, and a
+    list to its items, with None for each faulty one. Last, `cls` makes its own
+    checks, each reported at `path`.
+    """
+    if not isinstance(value, dict):
+        errs.append((path, f"must be an object, got {value!r}"))
         return None
-    return d
-
-
-def _checked_dispute(item, reduction, path, errs):
-    """One dispute item checked field by field, reporting every fault at its path."""
-    if not isinstance(item, dict):
-        errs.append((path, f"must be an object, got {item!r}"))
-        return None
-    _check_keys(item, _DISPUTE_KEYS, path, errs)
-    vals = _bounded(Dispute, item, path, errs)
-    if vals is None:
-        return None
-    if reduction is not None and reduction > min(vals["c_q"], vals["c_g"]):
-        errs.append((path, f"cost_reduction {reduction!r} exceeds a party cost"))
-        return None
-    return Dispute(**vals)
-
-
-def _build_settle(block, errs):
-    _check_keys(block, _names(SettleParams), "settle", errs)
-    rule_name = _str(block, "rule", "settle.rule", errs,
-                     choices={r.value for r in FeeRule})
-    reduction = _num(block, "cost_reduction", "settle.cost_reduction", errs, 0.0, **_REDUCTION)
-    items = _list(block, "disputes", "settle.disputes", errs)
-    disputes = None
-    if items is not None:
-        disputes = []
-        for i, item in enumerate(items):
-            d = _plain_dispute(item, reduction)
-            if d is None:
-                d = _checked_dispute(item, reduction, f"settle.disputes[{i}]", errs)
-            disputes.append(d)
-        if any(d is None for d in disputes):
-            disputes = None
-    if rule_name is None or reduction is None or disputes is None:
-        return None
-    return SettleParams(rule=FeeRule(rule_name), disputes=disputes, cost_reduction=reduction)
-
-
-def _build_frivolous(block, errs):
-    _check_keys(block, _names(FrivolousParams), "frivolous", errs)
-    game = _block(FrivolousConfig, block, "game", "frivolous.game", errs)
-    belief = _num(block, "belief", "frivolous.belief", errs, None, **_BELIEF)
-    shift = None
-    sub = _dict(block, "shift", "frivolous.shift", errs, required=False)
-    if sub is not None:
-        _check_keys(sub, {"delta_f", "delta_d"}, "frivolous.shift", errs)
-        df = _num(sub, "delta_f", "frivolous.shift.delta_f", errs, 0.0, **_DELTA)
-        dd = _num(sub, "delta_d", "frivolous.shift.delta_d", errs, 0.0, **_DELTA)
-        if game is not None and df is not None and dd is not None:
-            if df > game.f_o:
-                errs.append(("frivolous.shift.delta_f",
-                             f"must be <= f_o ({game.f_o!r}), got {df!r}"))
-            elif dd > game.d:
-                errs.append(("frivolous.shift.delta_d",
-                             f"must be <= d ({game.d!r}), got {dd!r}"))
+    _check_keys(value, _names(cls), path, errs)
+    n_errs = len(errs)
+    vals = {}
+    for name, t, default, bounds in _schema(cls):
+        p = f"{path}.{name}"
+        v = value.get(name)
+        if v is None and (default is None or name not in value):
+            if default is MISSING:
+                errs.append((p, "required"))
             else:
-                shift = (df, dd)
-    if game is None:
-        return None
-    return FrivolousParams(game=game, belief=belief, shift=shift)
-
-
-def _build_area(block, key, path, errs):
-    sub = _dict(block, key, path, errs)
-    if sub is None:
-        return None
-    _check_keys(sub, _names(LegalArea), path, errs)
-    name = _str(sub, "name", f"{path}.name", errs)
-    kind = _str(sub, "kind", f"{path}.kind", errs, choices={k.value for k in AreaKind})
-    vals = _bounded(LegalArea, sub, path, errs)
-    rule_name = _str(sub, "fee_rule", f"{path}.fee_rule", errs, default=FeeRule.AMERICAN.value,
-                     choices={r.value for r in FeeRule})
-    curve = None
-    if "gap_curve" in sub and sub["gap_curve"] is not None:
-        curve = _block(GapCurve, sub, "gap_curve", f"{path}.gap_curve", errs)
-        if curve is None:
-            return None
-    if None in (name, kind, vals, rule_name):
+                vals[name] = default
+            continue
+        if bounds:
+            x = _num(value, name, p, errs, **bounds)
+        elif get_origin(t) is list:
+            x = _list(value, name, p, errs)
+            if x is not None:
+                item_cls = get_args(t)[0]
+                x = [_plain(item_cls, item) or _obj(item_cls, item, f"{p}[{i}]", errs)
+                     for i, item in enumerate(x)]
+        elif is_dataclass(t):
+            x = _obj(t, v, p, errs)
+        else:  # a str, or an Enum named by its value
+            choices = {e.value for e in t} if issubclass(t, Enum) else None
+            x = _str(value, name, p, errs, choices=choices)
+            if x is not None and choices is not None:
+                x = t(x)
+        if x is not None:
+            vals[name] = x
+    if check is not None:
+        check(vals, errs)
+    if len(errs) > n_errs:
         return None
     try:
-        return LegalArea(name=name, kind=AreaKind(kind), fee_rule=FeeRule(rule_name),
-                         gap_curve=curve, **vals)
-    except DomainError as e:
+        return cls(**vals)
+    except DomainError as e:  # a check across fields that cls makes itself
         errs.append((path, str(e)))
         return None
 
 
-def _build_evolve(block, errs):
-    _check_keys(block, _names(EvolveParams), "evolve", errs)
-    area = _build_area(block, "area", "evolve.area", errs)
-    pop = _block(RulePopulation, block, "population", "evolve.population", errs)
-    periods = _num(block, "periods", "evolve.periods", errs, **_PERIODS)
-    if pop is not None and periods is not None:
+def _check_settle(vals, errs):
+    reduction = vals.get("cost_reduction")
+    if reduction is None:
+        return
+    for i, d in enumerate(vals.get("disputes", ())):
+        if d is not None and reduction > min(d.c_q, d.c_g):
+            errs.append((f"settle.disputes[{i}]",
+                         f"cost_reduction {reduction!r} exceeds a party cost"))
+
+
+def _check_frivolous(vals, errs):
+    game, shift = vals.get("game"), vals.get("shift")
+    if game is None or shift is None:
+        return
+    if shift.delta_f > game.f_o:
+        errs.append(("frivolous.shift.delta_f",
+                     f"must be <= f_o ({game.f_o!r}), got {shift.delta_f!r}"))
+    elif shift.delta_d > game.d:
+        errs.append(("frivolous.shift.delta_d",
+                     f"must be <= d ({game.d!r}), got {shift.delta_d!r}"))
+
+
+def _check_evolve(vals, errs):
+    population, periods = vals.get("population"), vals.get("periods")
+    if population is not None and periods is not None:
         try:
-            _check_draw_size(pop.n_rules, periods)
+            _check_draw_size(population.n_rules, periods)
         except DomainError as e:
             errs.append(("evolve", str(e)))
-    shock = _block(AiShock, block, "shock", "evolve.shock", errs, AiShock())
-    cost_delta = _num(block, "cost_delta", "evolve.cost_delta", errs, 0.0, **_COST_DELTA)
-    tolerance = _num(block, "tolerance", "evolve.tolerance", errs, 1e-9, **_TOLERANCE)
-    if area is not None and cost_delta is not None:
-        if cost_delta > min(area.cost_q, area.cost_g):
-            errs.append(("evolve.cost_delta",
-                         f"exceeds a party cost in area {area.name!r}"))
-    stream = None
-    fsub = _dict(block, "frivolous", "evolve.frivolous", errs, required=False)
-    if fsub is not None:
-        _check_keys(fsub, _names(FrivolousStream), "evolve.frivolous", errs)
-        game = _block(FrivolousConfig, fsub, "game", "evolve.frivolous.game", errs)
-        vals = _bounded(FrivolousStream, fsub, "evolve.frivolous", errs)
-        if game is not None and vals is not None:
-            stream = FrivolousStream(game=game, **vals)
-    if None in (area, pop, periods, shock, cost_delta, tolerance):
-        return None
-    return EvolveParams(area=area, population=pop, periods=periods, shock=shock,
-                        cost_delta=cost_delta, frivolous=stream, tolerance=tolerance)
+    area, cost_delta = vals.get("area"), vals.get("cost_delta")
+    if area is not None and cost_delta is not None and cost_delta > min(area.cost_q, area.cost_g):
+        errs.append(("evolve.cost_delta", f"exceeds a party cost in area {area.name!r}"))
 
 
-def _build_composition(block, errs):
-    _check_keys(block, _names(CompositionParams), "composition", errs)
-    reduction = _num(block, "flat_reduction", "composition.flat_reduction", errs,
-                     **_FLAT_REDUCTION)
-    items = _list(block, "areas", "composition.areas", errs)
-    areas = []
-    ok = reduction is not None and items is not None
-    if items is not None:
-        for i, item in enumerate(items):
-            path = f"composition.areas[{i}]"
-            if not isinstance(item, dict):
-                errs.append((path, f"must be an object, got {item!r}"))
-                ok = False
-                continue
-            _check_keys(item, _names(AreaShare), path, errs)
-            name = _str(item, "name", f"{path}.name", errs)
-            vals = _bounded(AreaShare, item, path, errs)
-            if name is None or vals is None:
-                ok = False
-                continue
-            areas.append(AreaShare(name=name, **vals))
-    if not ok:
-        return None
+def _check_composition(vals, errs):
+    areas, reduction = vals.get("areas"), vals.get("flat_reduction")
+    if areas is None or reduction is None or any(a is None for a in areas):
+        return
     try:
         validate_composition(areas, reduction)
     except DomainError as e:
         errs.append(("composition", str(e)))
-        return None
-    return CompositionParams(areas=areas, flat_reduction=reduction)
+
+
+_PARAMS = {  # model: (its parameter dataclass, the check across its fields)
+    "equilibrium": (EquilibriumParams, None),
+    "settle": (SettleParams, _check_settle),
+    "frivolous": (FrivolousParams, _check_frivolous),
+    "evolve": (EvolveParams, _check_evolve),
+    "composition": (CompositionParams, _check_composition),
+}
 
 
 def _build_sweep(block, errs, raw):
@@ -415,24 +345,16 @@ def _build_sweep(block, errs, raw):
     return SweepSpec(model=model, axes=axes, replicates=replicates)
 
 
-_BUILDERS = {
-    "equilibrium": _build_equilibrium,
-    "settle": _build_settle,
-    "frivolous": _build_frivolous,
-    "evolve": _build_evolve,
-    "composition": _build_composition,
-}
-
-
 def build_model_params(raw: dict, model: str, errs: list[tuple[str, str]]):
     """Validate and build `model`'s parameter block out of a parsed config dict."""
     block = raw.get(model)
+    if model != "sweep":
+        cls, check = _PARAMS[model]
+        return _obj(cls, block, model, errs, check)
     if not isinstance(block, dict):
         errs.append((model, f"must be an object, got {block!r}"))
         return None
-    if model == "sweep":
-        return _build_sweep(block, errs, raw)
-    return _BUILDERS[model](block, errs)
+    return _build_sweep(block, errs, raw)
 
 
 def load_config(path: str, model: str) -> RunConfig:

@@ -75,6 +75,14 @@ class FrivolousConfig(_Bounded):
 
 
 @dataclass(frozen=True)
+class FilingShift(_Bounded):
+    """Cuts in the frivolous plaintiff's filing cost (delta_f) and the defense cost (delta_d)."""
+
+    delta_f: float = field(default=0.0, metadata=_DELTA)
+    delta_d: float = field(default=0.0, metadata=_DELTA)
+
+
+@dataclass(frozen=True)
 class GameOutcome:
     plaintiff_type: PlaintiffType
     filed: bool
@@ -145,29 +153,17 @@ def play(
     """
     belief = 0.0 if belief_merit is None else belief_merit
     response = defendant_best_response(belief, config)
-    if not plaintiff_files(plaintiff_type, response, config):
+    payoff = _filing_payoff(plaintiff_type, response, config)
+    if payoff < 0.0:  # the plaintiff does not file
         return GameOutcome(plaintiff_type, False, DefendantAction.NONE, FollowUp.NONE, 0.0, 0.0)
-
-    fee = config.f_o if plaintiff_type is PlaintiffType.FRIVOLOUS else config.f_q
-    if response is DefendantAction.SETTLE:
-        return GameOutcome(
-            plaintiff_type, True, response, FollowUp.NONE, config.s - fee, -config.s
-        )
-    if response is DefendantAction.DEFAULT:
-        return GameOutcome(
-            plaintiff_type, True, response, FollowUp.NONE, config.j - fee, -config.j
-        )
+    if response is not DefendantAction.DEFEND:
+        cost = config.s if response is DefendantAction.SETTLE else config.j
+        return GameOutcome(plaintiff_type, True, response, FollowUp.NONE, payoff, -cost)
     followup = plaintiff_followup(plaintiff_type, config)
+    cost = config.d
     if followup is FollowUp.TRIAL:
-        return GameOutcome(
-            plaintiff_type,
-            True,
-            response,
-            followup,
-            config.j - fee - config.c_p,
-            -(config.d + config.j + config.defense_trial_cost),
-        )
-    return GameOutcome(plaintiff_type, True, response, followup, -fee, -config.d)
+        cost = config.d + config.j + config.defense_trial_cost
+    return GameOutcome(plaintiff_type, True, response, followup, payoff, -cost)
 
 
 def filing_region_shift(

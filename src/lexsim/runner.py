@@ -137,7 +137,8 @@ def _frivolous(p: FrivolousParams, seed: int):
         header = ["plaintiff_type", "belief", "filed", "defendant_action",
                   "plaintiff_followup", "plaintiff_payoff", "defendant_payoff", "region_shift"]
         belief = 0.0 if p.belief is None else p.belief
-        region = "" if p.shift is None else filing_region_shift(p.game, *p.shift).value
+        region = "" if p.shift is None else \
+            filing_region_shift(p.game, p.shift.delta_f, p.shift.delta_d).value
         return _csv(header, [[
             o.plaintiff_type.value, _f(belief), f, o.defendant_action.value,
             o.plaintiff_followup.value, _f(o.plaintiff_payoff), _f(o.defendant_payoff), region,

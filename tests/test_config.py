@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lexsim import (
     AreaKind,
     ConfigError,
+    Dispute,
     FeeRule,
     load_config,
 )
@@ -434,25 +435,27 @@ def items_and_reduction(draw, max_size):
 
 
 def checked_loop(items, reduction, errs):
-    """`_build_settle`'s dispute loop with every item checked field by field."""
-    disputes = [config._checked_dispute(item, reduction, f"settle.disputes[{i}]", errs)
+    """The settle block's disputes read item by item through `_obj`, field by field,
+    then each one that read clean checked against `cost_reduction`."""
+    disputes = [config._obj(Dispute, item, f"settle.disputes[{i}]", errs)
                 for i, item in enumerate(items)]
+    for i, d in enumerate(disputes):
+        if d is not None and reduction > min(d.c_q, d.c_g):
+            errs.append((f"settle.disputes[{i}]",
+                         f"cost_reduction {reduction!r} exceeds a party cost"))
     return None if None in disputes else disputes
 
 
 class TestPlainDispute:
-    """`_build_settle`'s quick per-item check against the field-by-field one."""
+    """`_obj`'s quick path for a list item (`_plain`) against its field-by-field read."""
 
     @settings(max_examples=250, deadline=None)
-    @given(case=items_and_reduction(max_size=5), no_reduction=st.booleans())
-    def test_accepts_exactly_what_the_field_checks_accept(self, case, no_reduction):
-        items, reduction = case
-        if no_reduction:  # an invalid cost_reduction, which skips the cross-check
-            reduction = None
+    @given(items=dispute_items(max_size=5))
+    def test_accepts_exactly_what_the_field_checks_accept(self, items):
         for item in items:
             errs = []
-            checked = config._checked_dispute(item, reduction, "settle.disputes[0]", errs)
-            plain = config._plain_dispute(item, reduction)
+            checked = config._obj(Dispute, item, "settle.disputes[0]", errs)
+            plain = config._plain(Dispute, item)
             assert (plain is None) == bool(errs)
             if plain is not None:
                 assert plain == checked
@@ -465,15 +468,17 @@ class TestPlainDispute:
         items, reduction = case
         block = {"rule": "english", "disputes": items, "cost_reduction": reduction}
         errs = []
-        params = config._build_settle(block, errs)
+        params = config.build_model_params({"settle": block}, "settle", errs)
         expected_errs = []
         expected = checked_loop(items, reduction, expected_errs)
         assert errs == expected_errs
-        if expected is None:
+        if errs:
             assert params is None
         else:
             assert params == SettleParams(rule=FeeRule.ENGLISH, disputes=expected,
                                           cost_reduction=reduction)
+            assert [type(getattr(d, k)) for d in params.disputes for k in KEYS] == \
+                [type(getattr(d, k)) for d in expected for k in KEYS]
 
     def test_json_nan_and_infinity_reported_per_item(self, tmp_path):
         text = ('{"settle": {"rule": "american", "disputes": ['
