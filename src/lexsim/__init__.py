@@ -27,6 +27,7 @@ from .config import (
     FrivolousParams,
     RunConfig,
     SettleParams,
+    SweepAxis,
     SweepSpec,
     load_config,
 )
@@ -124,6 +125,7 @@ __all__ = [
     "SettleParams",
     "SettlementRange",
     "ShareShift",
+    "SweepAxis",
     "SweepSpec",
     "apply_cost_reduction",
     "apply_shock",

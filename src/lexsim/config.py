@@ -9,8 +9,8 @@ reported in one ConfigError rather than failing on the first.
 A model block's schema is its parameter dataclass: `_obj` reads each field by
 its declared type, its bounds metadata and its default, so a key, a default or
 a bound is written once, on the dataclass. Each model adds one `_check_<model>`
-for the rules across its fields. Only the sweep block, whose axes are free-form
-paths and values, has a reader of its own.
+for the rules across its fields. The sweep block is read the same way, from
+`SweepSpec` and its `SweepAxis` items.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .frivolous import _BELIEF, FilingShift, FrivolousConfig
 from .rng import _U64_MAX
 from .settlement import _REDUCTION, Dispute, FeeRule
 
-MODELS = ("equilibrium", "settle", "frivolous", "evolve", "composition", "sweep")
 _MAX_RUNS = 10**6  # per sweep, grid points x replicates; a sweep keeps every summary row
-_REQUIRED = object()
 _COMPARISONS = ((">=", operator.ge), (">", operator.gt), ("<=", operator.le), ("<", operator.lt))
 _NUMBER_TYPES = frozenset((int, float))
 
@@ -80,10 +78,16 @@ class CompositionParams:
 
 
 @dataclass(frozen=True)
+class SweepAxis:
+    path: str  # dotted, into the swept model's block
+    values: list
+
+
+@dataclass(frozen=True)
 class SweepSpec:
     model: str
-    axes: list[tuple[str, list]]
-    replicates: int
+    axes: list[SweepAxis]
+    replicates: int = field(default=1, metadata={"ge": 1, "integer": True})
 
 
 @dataclass
@@ -96,14 +100,7 @@ class RunConfig:
     raw: dict
 
 
-def _num(block, key, path, errs, default=_REQUIRED, *, ge=None, gt=None, le=None, lt=None,
-         integer=False):
-    if key not in block:
-        if default is _REQUIRED:
-            errs.append((path, "required"))
-            return None
-        return default
-    v = block[key]
+def _num(v, path, errs, *, ge=None, gt=None, le=None, lt=None, integer=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         errs.append((path, f"must be a number, got {v!r}"))
         return None
@@ -128,11 +125,7 @@ def _names(cls) -> frozenset[str]:
     return frozenset(f.name for f in fields(cls))
 
 
-def _str(block, key, path, errs, *, choices=None):
-    if key not in block:
-        errs.append((path, "required"))
-        return None
-    v = block[key]
+def _str(v, path, errs, *, choices=None):
     if not isinstance(v, str) or not v:
         errs.append((path, f"must be a nonempty string, got {v!r}"))
         return None
@@ -142,13 +135,9 @@ def _str(block, key, path, errs, *, choices=None):
     return v
 
 
-def _list(block, key, path, errs, *, min_len=1):
-    if key not in block:
-        errs.append((path, "required"))
-        return None
-    v = block[key]
-    if not isinstance(v, list) or len(v) < min_len:
-        errs.append((path, f"must be a list with at least {min_len} item(s), got {v!r}"))
+def _list(v, path, errs):
+    if not isinstance(v, list) or not v:
+        errs.append((path, f"must be a list with at least 1 item(s), got {v!r}"))
         return None
     return v
 
@@ -173,15 +162,20 @@ def _schema(cls) -> tuple:
     return tuple(out)
 
 
+@cache
+def _all_numbers(cls) -> bool:
+    return all(bounds for *_, bounds in _schema(cls))
+
+
 def _plain(cls, item):
     """cls(**item) for a dict holding exactly cls's field names, each an int or a
     float, that cls accepts; else None, and nothing reported.
 
     The quick path for a list item: where every field of `cls` is a bounded number
     (a Dispute), `cls` checks the same declared bounds `_obj` reads, so an item
-    passes here exactly when `_obj` would report nothing for it.
+    passes here exactly when `_obj` would report nothing for it; any other cls gets None.
     """
-    if type(item) is not dict or item.keys() != _names(cls):
+    if not _all_numbers(cls) or type(item) is not dict or item.keys() != _names(cls):
         return None
     if not _NUMBER_TYPES.issuperset(map(type, item.values())):  # no bool, no str
         return None
@@ -191,18 +185,19 @@ def _plain(cls, item):
         return None
 
 
-def _obj(cls, value, path, errs, check=None):
+def _obj(cls, value, path, errs, check=None, raw=None):
     """Dataclass `cls` read from the JSON object `value` by its declared field types;
     None, with each fault put in errs at its path, if a field is faulty.
 
     A field with bounds metadata is a number; a str field is a nonempty string, an
     Enum field one of its values; a dataclass field is an object read the same way;
-    a list[X] field is a nonempty list of X. A field with a default may be missing,
-    and JSON null counts as missing where that default is None. Unknown keys are
-    reported but do not stop the rest. Then `check(vals, errs)` reports the faults
-    across fields: `vals` maps each field read without fault to its value, and a
-    list to its items, with None for each faulty one. Last, `cls` makes its own
-    checks, each reported at `path`.
+    a list[X] field is a nonempty list of X, and a bare list field a nonempty list of
+    any JSON values. A field with a default may be missing, and JSON null counts as
+    missing where that default is None. Unknown keys are reported but do not stop
+    the rest. Then `check(vals, errs, raw)` reports the faults across fields: `vals`
+    maps each field read without fault to its value, and a list of X to its items,
+    with None for each faulty one; `raw` is the whole config. Last, `cls` makes its
+    own checks, each reported at `path`.
     """
     if not isinstance(value, dict):
         errs.append((path, f"must be an object, got {value!r}"))
@@ -220,10 +215,10 @@ def _obj(cls, value, path, errs, check=None):
                 vals[name] = default
             continue
         if bounds:
-            x = _num(value, name, p, errs, **bounds)
-        elif get_origin(t) is list:
-            x = _list(value, name, p, errs)
-            if x is not None:
+            x = _num(v, p, errs, **bounds)
+        elif t is list or get_origin(t) is list:
+            x = _list(v, p, errs)
+            if x is not None and t is not list:
                 item_cls = get_args(t)[0]
                 x = [_plain(item_cls, item) or _obj(item_cls, item, f"{p}[{i}]", errs)
                      for i, item in enumerate(x)]
@@ -231,13 +226,13 @@ def _obj(cls, value, path, errs, check=None):
             x = _obj(t, v, p, errs)
         else:  # a str, or an Enum named by its value
             choices = {e.value for e in t} if issubclass(t, Enum) else None
-            x = _str(value, name, p, errs, choices=choices)
+            x = _str(v, p, errs, choices=choices)
             if x is not None and choices is not None:
                 x = t(x)
         if x is not None:
             vals[name] = x
     if check is not None:
-        check(vals, errs)
+        check(vals, errs, raw)
     if len(errs) > n_errs:
         return None
     try:
@@ -247,7 +242,7 @@ def _obj(cls, value, path, errs, check=None):
         return None
 
 
-def _check_settle(vals, errs):
+def _check_settle(vals, errs, raw):
     reduction = vals.get("cost_reduction")
     if reduction is None:
         return
@@ -257,7 +252,7 @@ def _check_settle(vals, errs):
                          f"cost_reduction {reduction!r} exceeds a party cost"))
 
 
-def _check_frivolous(vals, errs):
+def _check_frivolous(vals, errs, raw):
     game, shift = vals.get("game"), vals.get("shift")
     if game is None or shift is None:
         return
@@ -269,7 +264,7 @@ def _check_frivolous(vals, errs):
                      f"must be <= d ({game.d!r}), got {shift.delta_d!r}"))
 
 
-def _check_evolve(vals, errs):
+def _check_evolve(vals, errs, raw):
     population, periods = vals.get("population"), vals.get("periods")
     if population is not None and periods is not None:
         try:
@@ -281,7 +276,7 @@ def _check_evolve(vals, errs):
         errs.append(("evolve.cost_delta", f"exceeds a party cost in area {area.name!r}"))
 
 
-def _check_composition(vals, errs):
+def _check_composition(vals, errs, raw):
     areas, reduction = vals.get("areas"), vals.get("flat_reduction")
     if areas is None or reduction is None or any(a is None for a in areas):
         return
@@ -291,70 +286,44 @@ def _check_composition(vals, errs):
         errs.append(("composition", str(e)))
 
 
+def _check_sweep(vals, errs, raw):
+    n_errs = len(errs)
+    model = vals.get("model") and _str(vals["model"], "sweep.model", errs,
+                                       choices=set(MODELS) - {"sweep"})
+    if model and model not in raw:
+        errs.append((model, f"missing block for swept model {model!r}"))
+    axes = vals.get("axes", [None])  # a faulty list counts as one faulty axis
+    for i, axis in enumerate(axes):
+        if axis is None:
+            continue
+        segments, p = axis.path.split("."), f"sweep.axes[{i}].path"
+        if any(not s for s in segments) or len(segments) < 2:
+            errs.append((p, f"must be a dotted path into a model block, got {axis.path!r}"))
+        elif model and segments[0] != model:
+            errs.append((p, f"must start with the swept model {model!r}, got {axis.path!r}"))
+    # the run limit only once every other check passes, unknown keys aside
+    if len(errs) == n_errs and model and "replicates" in vals and None not in axes:
+        runs = math.prod(len(axis.values) for axis in axes) * vals["replicates"]
+        if runs > _MAX_RUNS:
+            errs.append(("sweep", f"grid points x replicates = {runs}, "
+                                  f"above the limit of {_MAX_RUNS}"))
+
+
 _PARAMS = {  # model: (its parameter dataclass, the check across its fields)
     "equilibrium": (EquilibriumParams, None),
     "settle": (SettleParams, _check_settle),
     "frivolous": (FrivolousParams, _check_frivolous),
     "evolve": (EvolveParams, _check_evolve),
     "composition": (CompositionParams, _check_composition),
+    "sweep": (SweepSpec, _check_sweep),
 }
-
-
-def _build_sweep(block, errs, raw):
-    _check_keys(block, _names(SweepSpec), "sweep", errs)
-    model = _str(block, "model", "sweep.model", errs,
-                 choices=set(MODELS) - {"sweep"})
-    replicates = _num(block, "replicates", "sweep.replicates", errs,
-                      default=1, ge=1, integer=True)
-    items = _list(block, "axes", "sweep.axes", errs)
-    axes = []
-    ok = model is not None and replicates is not None and items is not None
-    if model is not None and model not in raw:
-        errs.append((model, f"missing block for swept model {model!r}"))
-        ok = False
-    if items is not None:
-        for i, item in enumerate(items):
-            path = f"sweep.axes[{i}]"
-            if not isinstance(item, dict):
-                errs.append((path, f"must be an object, got {item!r}"))
-                ok = False
-                continue
-            _check_keys(item, {"path", "values"}, path, errs)
-            axis_path = _str(item, "path", f"{path}.path", errs)
-            values = _list(item, "values", f"{path}.values", errs)
-            if axis_path is None or values is None:
-                ok = False
-                continue
-            segments = axis_path.split(".")
-            if any(not s for s in segments) or len(segments) < 2:
-                errs.append((f"{path}.path", f"must be a dotted path into a model block, "
-                                             f"got {axis_path!r}"))
-                ok = False
-                continue
-            if model is not None and segments[0] != model:
-                errs.append((f"{path}.path",
-                             f"must start with the swept model {model!r}, got {axis_path!r}"))
-                ok = False
-                continue
-            axes.append((axis_path, list(values)))
-    if not ok:
-        return None
-    runs = math.prod(len(values) for _, values in axes) * replicates
-    if runs > _MAX_RUNS:
-        errs.append(("sweep", f"grid points x replicates = {runs}, above the limit of {_MAX_RUNS}"))
-    return SweepSpec(model=model, axes=axes, replicates=replicates)
+MODELS = tuple(_PARAMS)
 
 
 def build_model_params(raw: dict, model: str, errs: list[tuple[str, str]]):
     """Validate and build `model`'s parameter block out of a parsed config dict."""
-    block = raw.get(model)
-    if model != "sweep":
-        cls, check = _PARAMS[model]
-        return _obj(cls, block, model, errs, check)
-    if not isinstance(block, dict):
-        errs.append((model, f"must be an object, got {block!r}"))
-        return None
-    return _build_sweep(block, errs, raw)
+    cls, check = _PARAMS[model]
+    return _obj(cls, raw.get(model), model, errs, check, raw)
 
 
 def load_config(path: str, model: str) -> RunConfig:
@@ -367,14 +336,14 @@ def load_config(path: str, model: str) -> RunConfig:
         raise ConfigError([("", f"cannot read config file: {e}")])
     try:
         raw = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer past int()'s digit limit
+    except (ValueError, RecursionError) as e:  # bad JSON, huge integer, or too deep
         raise ConfigError([("", f"invalid JSON: {e}")])
     if not isinstance(raw, dict):
         raise ConfigError([("", f"top level must be a JSON object, got {raw!r}")])
 
     errs: list[tuple[str, str]] = []
     _check_keys(raw, set(MODELS) | {"seed"}, "", errs)
-    seed = _num(raw, "seed", "seed", errs, default=0, ge=0, le=_U64_MAX, integer=True)
+    seed = _num(raw["seed"], "seed", errs, ge=0, le=_U64_MAX, integer=True) if "seed" in raw else 0
     params = None
     if model not in raw:
         errs.append((model, "missing configuration block"))

@@ -14,7 +14,6 @@ same result. A sweep calls neither builder, so its rows agree with the CSV.
 
 from __future__ import annotations
 
-import copy
 import csv
 import errno
 import io
@@ -214,14 +213,18 @@ _MODELS = {
 
 
 def _set_path(raw: dict, path: str, value) -> None:
-    segments = path.split(".")
+    """Put `value` at the dotted `path` in `raw`, copying each object along the path
+    first, so what `raw` shares with another config stays as it was."""
+    *parents, last = path.split(".")
     cursor = raw
-    for seg in segments[:-1]:
-        nxt = cursor.setdefault(seg, {})
+    for i, seg in enumerate(parents):
+        nxt = cursor.get(seg, {})
         if not isinstance(nxt, dict):
-            raise ConfigError([(path, f"path runs through non-object value {nxt!r}")])
-        cursor = nxt
-    cursor[segments[-1]] = value
+            kind = {list: "a list", str: "a string", bool: "a boolean", type(None): "null"}
+            raise ConfigError([(path, f"path runs through {'.'.join(parents[:i + 1])}, "
+                                      f"{kind.get(type(nxt), 'a number')}, not an object")])
+        cursor[seg] = cursor = dict(nxt)
+    cursor[last] = value
 
 
 def _axis_cell(value) -> str:
@@ -235,8 +238,8 @@ def _axis_cell(value) -> str:
 
 
 def _sweep(spec: SweepSpec, cfg: RunConfig):
-    paths = [path for path, _ in spec.axes]
-    grid = list(itertools.product(*(values for _, values in spec.axes)))
+    paths = [axis.path for axis in spec.axes]
+    grid = list(itertools.product(*(axis.values for axis in spec.axes)))
     print(f"sweep: {len(grid)} grid point(s) x {spec.replicates} replicate(s) = "
           f"{len(grid) * spec.replicates} run(s)", file=sys.stderr)
     summary_header, model = _MODELS[spec.model]
@@ -244,7 +247,7 @@ def _sweep(spec: SweepSpec, cfg: RunConfig):
     point_errs: list[tuple[str, str]] = []
     for point in grid:
         coords = ", ".join(f"{p}={v}" for p, v in zip(paths, point))
-        raw_point = copy.deepcopy(cfg.raw)
+        raw_point = dict(cfg.raw)
         for path, value in zip(paths, point):
             _set_path(raw_point, path, value)
         errs: list[tuple[str, str]] = []

@@ -12,6 +12,7 @@ from lexsim import (
     ConfigError,
     Dispute,
     FeeRule,
+    SweepAxis,
     load_config,
 )
 from lexsim import config
@@ -244,7 +245,7 @@ class TestSweep:
     def test_valid_sweep_loads(self, tmp_path):
         cfg = load_config(write(tmp_path, self.base()), "sweep")
         assert cfg.params.model == "equilibrium"
-        assert cfg.params.axes[0] == ("equilibrium.curve.kappa", [0.5, 1.0, 2.0])
+        assert cfg.params.axes[0] == SweepAxis("equilibrium.curve.kappa", [0.5, 1.0, 2.0])
 
     def test_swept_model_block_must_exist(self, tmp_path):
         payload = self.base()

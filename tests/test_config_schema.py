@@ -1,17 +1,20 @@
 """The field-driven config reader against the hand-written block builders it replaced.
 
-`Oracle` below keeps those builders, one per model, as they read each block
-field by field. Mutated copies of the shipped configs must give the same
-accept/reject outcome, the same multiset of (path, message) errors and, when
-accepted, equal params from both. Two differences are deliberate and encoded
-here: errors now follow field declaration order, with the checks across fields
-after the field errors (so only the multisets are compared), and JSON null
-reads as a missing key for every field whose default is None
-(`NULL_MEANS_ABSENT`, dropped from the oracle's input first).
+`Oracle` below keeps those builders, one per block (the sweep block included), as
+they read each block field by field, on top of adapters that give the reader's
+value helpers their old (block, key, path, errs, default) signatures. Mutated
+copies of the shipped configs must give the same accept/reject outcome, the same
+multiset of (path, message) errors and, when accepted, equal params from both.
+Two differences are deliberate and encoded here: errors now follow field
+declaration order, with the checks across fields after the field errors (so
+only the multisets are compared), and JSON null reads as a missing key for every
+field whose default is None (`NULL_MEANS_ABSENT`, dropped from the oracle's
+input first).
 """
 
 import copy
 import json
+import math
 from collections import Counter
 from dataclasses import MISSING
 from pathlib import Path
@@ -23,8 +26,9 @@ from hypothesis import strategies as st
 from lexsim import ConfigError, load_config
 from lexsim import config
 from lexsim.composition import _FLAT_REDUCTION, AreaShare, validate_composition
-from lexsim.config import (_REQUIRED, CompositionParams, EquilibriumParams, EvolveParams,
-                           FrivolousParams, SettleParams, _check_keys, _list, _names, _num, _str)
+from lexsim.config import (_MAX_RUNS, MODELS, CompositionParams, EquilibriumParams,
+                           EvolveParams, FrivolousParams, SettleParams, SweepAxis, SweepSpec,
+                           _check_keys, _names)
 from lexsim.contracts import _TOLERANCE, AiShock, GapCurve
 from lexsim.errors import DomainError, _bounded_fields
 from lexsim.evolution import (_COST_DELTA, _PERIODS, AreaKind, FrivolousStream, LegalArea,
@@ -38,10 +42,36 @@ NULL_MEANS_ABSENT = ("frivolous.belief", "frivolous.shift", "evolve.frivolous",
                      "evolve.area.overturn_prob_ei", "evolve.area.gap_curve")
 
 
+_REQUIRED = object()
+
+
+def _num(block, key, path, errs, default=_REQUIRED, **bounds):
+    if key not in block:
+        if default is _REQUIRED:
+            errs.append((path, "required"))
+            return None
+        return default
+    return config._num(block[key], path, errs, **bounds)
+
+
+def _str(block, key, path, errs, *, choices=None):
+    if key not in block:
+        errs.append((path, "required"))
+        return None
+    return config._str(block[key], path, errs, choices=choices)
+
+
+def _list(block, key, path, errs):
+    if key not in block:
+        errs.append((path, "required"))
+        return None
+    return config._list(block[key], path, errs)
+
+
 class Oracle:
     """The per-model block builders the field-driven reader replaced; the only
-    edit is that `frivolous.shift` builds a FilingShift, not a (delta_f, delta_d)
-    tuple."""
+    edits are that `frivolous.shift` builds a FilingShift, not a (delta_f, delta_d)
+    tuple, and that a sweep axis is a SweepAxis, not a (path, values) tuple."""
 
     @staticmethod
     def _dict(block, key, path, errs, required=True):
@@ -232,12 +262,60 @@ class Oracle:
             return None
         return CompositionParams(areas=areas, flat_reduction=reduction)
 
+    @staticmethod
+    def sweep(block, errs, raw):
+        _check_keys(block, _names(SweepSpec), "sweep", errs)
+        model = _str(block, "model", "sweep.model", errs,
+                     choices=set(MODELS) - {"sweep"})
+        replicates = _num(block, "replicates", "sweep.replicates", errs,
+                          default=1, ge=1, integer=True)
+        items = _list(block, "axes", "sweep.axes", errs)
+        axes = []
+        ok = model is not None and replicates is not None and items is not None
+        if model is not None and model not in raw:
+            errs.append((model, f"missing block for swept model {model!r}"))
+            ok = False
+        if items is not None:
+            for i, item in enumerate(items):
+                path = f"sweep.axes[{i}]"
+                if not isinstance(item, dict):
+                    errs.append((path, f"must be an object, got {item!r}"))
+                    ok = False
+                    continue
+                _check_keys(item, {"path", "values"}, path, errs)
+                axis_path = _str(item, "path", f"{path}.path", errs)
+                values = _list(item, "values", f"{path}.values", errs)
+                if axis_path is None or values is None:
+                    ok = False
+                    continue
+                segments = axis_path.split(".")
+                if any(not s for s in segments) or len(segments) < 2:
+                    errs.append((f"{path}.path", f"must be a dotted path into a model block, "
+                                                 f"got {axis_path!r}"))
+                    ok = False
+                    continue
+                if model is not None and segments[0] != model:
+                    errs.append((f"{path}.path",
+                                 f"must start with the swept model {model!r}, got {axis_path!r}"))
+                    ok = False
+                    continue
+                axes.append(SweepAxis(axis_path, list(values)))
+        if not ok:
+            return None
+        runs = math.prod(len(axis.values) for axis in axes) * replicates
+        if runs > _MAX_RUNS:
+            errs.append(("sweep",
+                         f"grid points x replicates = {runs}, above the limit of {_MAX_RUNS}"))
+        return SweepSpec(model=model, axes=axes, replicates=replicates)
+
     @classmethod
     def build(cls, raw, model, errs):
         block = raw.get(model)
         if not isinstance(block, dict):
             errs.append((model, f"must be an object, got {block!r}"))
             return None
+        if model == "sweep":
+            return cls.sweep(block, errs, raw)
         return getattr(cls, model)(block, errs)
 
 
@@ -262,16 +340,20 @@ CURVE = {"b_scale": 1.0, "beta": 2.0, "k_scale": 0.5, "kappa": 1.0}
 VALUES = st.one_of(
     st.sampled_from([None, True, False, "", "x", "tort", "contract", "property", "english",
                      "american", [], {}, [1], float("nan"), float("inf"), -1, -1e-300, 0, 0.0,
-                     0.25, 0.5, 1, 1.0, 1.5, 2.0, 17.0, 18.0, 100.0, 10**5, 2**63, 10**400]),
+                     0.25, 0.5, 1, 1.0, 1.5, 2.0, 17.0, 18.0, 100.0, 10**5, 2**63, 10**400,
+                     "equilibrium", "settle", "sweep", "equilibrium.curve.beta", "curve.beta",
+                     "equilibrium.", "settle.rule"]),
     st.sampled_from([GAME, CURVE, {"delta_contracting": 0.2}, {"delta_f": 0.5, "delta_d": 20.0},
                      {"game": GAME, "filers_per_period": 3, "belief": 0.5},
                      {"p_q": 0.6, "p_g": 0.4, "j": 50.0, "c_q": 4.0, "c_g": 2},
-                     {"name": "tort", "share": 0.4, "unit_cost": 1.0, "demand_elasticity": 2.0}]),
+                     {"name": "tort", "share": 0.4, "unit_cost": 1.0, "demand_elasticity": 2.0},
+                     {"path": "equilibrium.curve.beta", "values": [1.0, 2.0]}]),
     st.floats(allow_nan=False, allow_infinity=False), st.integers(-3, 3000),
 ).map(copy.deepcopy)  # a fresh object each draw, so a later change cannot reach the pool
 KEYS = sorted({name for cls in (EquilibriumParams, SettleParams, FrivolousParams, EvolveParams,
                                 CompositionParams, GapCurve, AiShock, Dispute, FrivolousConfig,
-                                FilingShift, LegalArea, RulePopulation, FrivolousStream, AreaShare)
+                                FilingShift, LegalArea, RulePopulation, FrivolousStream, AreaShare,
+                                SweepSpec, SweepAxis)
                for name in _names(cls)} | {"stray"})
 
 
@@ -284,11 +366,11 @@ def containers(node):
 
 
 @st.composite
-def mutated(draw):
-    """A shipped config and one of its models, with one to three changes to that
+def mutated(draw, pool=SHIPPED):
+    """A config of `pool` and one of its models, with one to three changes to that
     model's block: a value set (to a wild or plausible one), a key or item dropped,
     or a key added (a field name of some block, or an unknown one)."""
-    name, model, raw = draw(st.sampled_from(SHIPPED))
+    name, model, raw = draw(st.sampled_from(pool))
     raw = copy.deepcopy(raw)
     for _ in range(draw(st.integers(1, 3))):
         if not isinstance(raw[model], (dict, list)) or draw(st.integers(0, 30)) == 0:
@@ -311,18 +393,31 @@ def mutated(draw):
     return name, model, raw
 
 
+def assert_same_as_the_oracle(raw, model):
+    errs, expected_errs = [], []
+    params = config.build_model_params(raw, model, errs)
+    expected = Oracle.build(drop_nulls(raw), model, expected_errs)
+    assert Counter(errs) == Counter(expected_errs)
+    if not errs:
+        assert params == expected
+        assert repr(params) == repr(expected)  # the same int and float types too
+
+
+SWEEP = [case for case in SHIPPED if case[1] == "sweep"]
+
+
 class TestAgainstTheOracle:
     @settings(max_examples=600, deadline=None)
     @given(case=mutated())
     def test_mutated_shipped_configs(self, case):
         _, model, raw = case
-        errs, expected_errs = [], []
-        params = config.build_model_params(raw, model, errs)
-        expected = Oracle.build(drop_nulls(raw), model, expected_errs)
-        assert Counter(errs) == Counter(expected_errs)
-        if not errs:
-            assert params == expected
-            assert repr(params) == repr(expected)  # the same int and float types too
+        assert_same_as_the_oracle(raw, model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mutated(SWEEP))
+    def test_mutated_sweep_block(self, case):
+        _, model, raw = case
+        assert_same_as_the_oracle(raw, model)
 
     @pytest.mark.parametrize("name, model, raw", SHIPPED, ids=[f"{n}:{m}" for n, m, _ in SHIPPED])
     def test_shipped_configs(self, name, model, raw):
@@ -414,3 +509,73 @@ class TestErrorOrder:
         with pytest.raises(ConfigError) as exc:
             load_config(write(tmp_path, raw), "evolve")
         assert [path for path, _ in exc.value.errors] == ["evolve.tolerance", "evolve"]
+
+    def test_sweep_field_faults_before_the_checks_across_fields(self, tmp_path):
+        raw = shipped("sweep_litigation_delta.json")
+        raw["sweep"]["model"] = "nope"
+        raw["sweep"]["replicates"] = 0
+        raw["sweep"]["axes"].append({"path": "equilibrium.curve.beta", "values": []})
+        raw["sweep"]["axes"].append({"path": "equilibrium"})
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, raw), "sweep")
+        assert [path for path, _ in exc.value.errors] == [
+            "sweep.axes[1].values", "sweep.axes[2].values", "sweep.replicates", "sweep.model"]
+
+
+DROP = object()
+TWO_LONG_AXES = [{"path": "equilibrium.curve.kappa", "values": list(range(1001))},
+                 {"path": "equilibrium.curve.beta", "values": list(range(1000))}]
+
+
+def case_id(value):
+    if value is DROP:
+        return "drop"
+    text = repr(value)
+    return text if len(text) <= 24 else f"{type(value).__name__}_{len(text)}_chars"
+
+
+class TestSweepFaults:
+    """Each sweep block with one fault gives the oracle's error list, in its order."""
+
+    @pytest.mark.parametrize("path, value", [
+        ("sweep", 5), ("sweep", []), ("sweep.stray", 1), ("sweep.model", DROP),
+        ("sweep.model", None), ("sweep.model", 5), ("sweep.model", ""),
+        ("sweep.model", "sweep"), ("sweep.model", "nope"), ("sweep.model", "settle"),
+        ("sweep.replicates", 0), ("sweep.replicates", 1.5), ("sweep.replicates", True),
+        ("sweep.replicates", None), ("sweep.replicates", "2"), ("sweep.replicates", 10**400),
+        ("sweep.replicates", 2**63), ("sweep.axes", DROP), ("sweep.axes", []),
+        ("sweep.axes", {}), ("sweep.axes", [5]), ("sweep.axes", TWO_LONG_AXES),
+        ("sweep.axes.0", None), ("sweep.axes.0", {"path": 1, "values": 2}),
+        ("sweep.axes.0.stray", 1), ("sweep.axes.0.path", DROP), ("sweep.axes.0.path", 5),
+        ("sweep.axes.0.path", "equilibrium"), ("sweep.axes.0.path", "equilibrium..kappa"),
+        ("sweep.axes.0.path", "settle.rule"), ("sweep.axes.0.values", DROP),
+        ("sweep.axes.0.values", []), ("sweep.axes.0.values", "x"),
+    ], ids=case_id)
+    def test_one_fault(self, path, value):
+        raw = shipped("sweep_litigation_delta.json")
+        *parents, last = [int(s) if s.isdigit() else s for s in path.split(".")]
+        node = raw
+        for seg in parents:
+            node = node[seg]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+        errs, expected_errs = [], []
+        config.build_model_params(raw, "sweep", errs)
+        Oracle.build(raw, "sweep", expected_errs)
+        assert errs == expected_errs != []
+
+    @pytest.mark.parametrize("key, value, cap_reported", [
+        ("model", "settle", False), ("path", "equilibrium", False),
+        ("path", "settle.rule", False), ("stray", 1, True),
+    ])
+    def test_the_run_limit_waits_for_every_other_check(self, key, value, cap_reported):
+        raw = shipped("sweep_litigation_delta.json")
+        raw["sweep"]["replicates"] = 10**6
+        (raw["sweep"] if key == "model" else raw["sweep"]["axes"][0])[key] = value
+        errs, expected_errs = [], []
+        config.build_model_params(raw, "sweep", errs)
+        Oracle.build(raw, "sweep", expected_errs)
+        assert errs == expected_errs
+        assert (errs[-1][0] == "sweep") is cap_reported

@@ -265,6 +265,26 @@ class TestSweepOutput:
         assert calls == []
         assert not out.exists()
 
+    def test_path_through_a_list_names_the_segment_not_its_value(self, tmp_path):
+        payload = shipped("settle_fixture")
+        payload["settle"]["disputes"] *= 500
+        payload["sweep"] = {"model": "settle",
+                            "axes": [{"path": "settle.disputes.j", "values": [1.0]}]}
+        with pytest.raises(ConfigError) as exc:
+            run_model("sweep", write_config(tmp_path, payload), tmp_path / "sweep.csv")
+        assert exc.value.errors == [
+            ("settle.disputes.j", "path runs through settle.disputes, a list, not an object")]
+
+    def test_points_leave_the_loaded_config_as_it_was(self, tmp_path):
+        payload = shipped("evolve_tort")
+        payload["sweep"] = {"model": "evolve", "axes": [
+            {"path": "evolve.area.stakes_j", "values": [50.0, 200.0]},
+            {"path": "evolve.area.dispute_rate", "values": [0.25, 0.75]}]}
+        cfg = load_config(write_config(tmp_path, payload), "sweep")
+        cfg.output_path = str(tmp_path / "sweep.csv")
+        run(cfg)
+        assert cfg.raw == payload
+
     def test_sweep_svg_plots_first_summary(self, tmp_path):
         out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
         run_model("sweep", f"{CONFIG_DIR}/sweep_litigation_delta.json", out, svg)
@@ -543,6 +563,42 @@ class TestCli:
         code = main(["equilibrium", "--config", "x.json"])
         assert code == 1
         capsys.readouterr()
+
+
+class TestDeepNesting:
+    """Nesting deeper than the interpreter's recursion limit is a config error."""
+
+    DEEP = "[" * 900 + "]" * 900
+
+    def run_cli(self, tmp_path, model, text):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(text)
+        argv = [sys.executable, "-m", "lexsim.cli", model, "--config", str(cfg),
+                "--out", str(tmp_path / "out.csv")]
+        env = {**os.environ, "PYTHONPATH": "src" + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        *_, err = done.stderr.splitlines()  # a sweep first says how many runs it plans
+        assert err.startswith("error: config: ")
+        assert not (tmp_path / "out.csv").exists()
+        return err
+
+    def test_json_nested_past_the_limit(self, tmp_path):
+        err = self.run_cli(tmp_path, "equilibrium", "[" * 100_000 + "]" * 100_000)
+        assert err.startswith("error: config: : invalid JSON: maximum recursion depth")
+
+    def test_deep_sweep_axis_value(self, tmp_path):
+        payload = shipped("sweep_litigation_delta")
+        payload["sweep"]["axes"][0]["values"] = ["DEEP"]
+        err = self.run_cli(tmp_path, "sweep", json.dumps(payload).replace('"DEEP"', self.DEEP))
+        assert "-> equilibrium.shock.delta_litigation: must be a number" in err
+
+    def test_deep_value_under_an_unknown_key_of_the_swept_block(self, tmp_path):
+        payload = shipped("sweep_litigation_delta")
+        payload["equilibrium"]["stray"] = "DEEP"
+        err = self.run_cli(tmp_path, "sweep", json.dumps(payload).replace('"DEEP"', self.DEEP))
+        assert "-> equilibrium.stray: unknown key" in err
 
 
 class TestOutToStdout:
