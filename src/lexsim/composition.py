@@ -15,6 +15,7 @@ volume grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, _Bounded, _check
@@ -31,11 +32,6 @@ class AreaShare(_Bounded):
     share: float = field(metadata={"ge": 0.0, "le": 1.0})
     unit_cost: float = field(metadata={"gt": 0.0})
     demand_elasticity: float = field(metadata={"gt": 0.0})
-
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise DomainError("area name must be a nonempty string")
-        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -69,11 +65,17 @@ def shift_composition(areas: list[AreaShare], flat_reduction: float) -> list[Sha
     """New docket shares after the flat cut, input order preserved, total conserved."""
     validate_composition(areas, flat_reduction)
     old_total = sum(a.share for a in areas)
-    volumes = [
-        a.share * (a.unit_cost / (a.unit_cost - flat_reduction)) ** a.demand_elasticity
-        for a in areas
-    ]
-    scale = old_total / sum(volumes)
+    volumes = []
+    for a in areas:
+        try:
+            volumes.append(
+                a.share * (a.unit_cost / (a.unit_cost - flat_reduction)) ** a.demand_elasticity)
+        except OverflowError:
+            raise DomainError(f"area {a.name!r}: its volume after the cut overflows") from None
+    total = sum(volumes)
+    if not math.isfinite(total):
+        raise DomainError("the areas' volumes after the cut sum beyond float range")
+    scale = old_total / total
     return [
         ShareShift(name=a.name, old_share=a.share, new_share=v * scale)
         for a, v in zip(areas, volumes)

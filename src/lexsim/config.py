@@ -18,16 +18,15 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, is_dataclass
 from enum import Enum
 from functools import cache
 from pathlib import Path
-from types import NoneType, UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_origin
 
 from .composition import _FLAT_REDUCTION, AreaShare, validate_composition
 from .contracts import _TOLERANCE, AiShock, GapCurve
-from .errors import ConfigError, DomainError, _finite
+from .errors import ConfigError, DomainError, _Bounded, _finite, _schema
 from .evolution import (_COST_DELTA, _PERIODS, FrivolousStream, LegalArea, RulePopulation,
                         _check_draw_size)
 from .frivolous import _BELIEF, FilingShift, FrivolousConfig
@@ -122,7 +121,7 @@ def _num(v, path, errs, *, ge=None, gt=None, le=None, lt=None, integer=False):
 
 @cache
 def _names(cls) -> frozenset[str]:
-    return frozenset(f.name for f in fields(cls))
+    return frozenset(name for name, *_ in _schema(cls))
 
 
 def _str(v, path, errs, *, choices=None):
@@ -148,34 +147,15 @@ def _check_keys(block, allowed, path, errs):
             errs.append((f"{path}.{key}" if path else key, "unknown key"))
 
 
-@cache
-def _schema(cls) -> tuple:
-    """(name, type, default, bounds) of each field of dataclass `cls`, in declaration
-    order; a `X | None` type reads as X."""
-    hints = get_type_hints(cls)
-    out = []
-    for f in fields(cls):
-        t = hints[f.name]
-        if isinstance(t, UnionType):
-            t = next(a for a in get_args(t) if a is not NoneType)
-        out.append((f.name, t, f.default, f.metadata))
-    return tuple(out)
-
-
-@cache
-def _all_numbers(cls) -> bool:
-    return all(bounds for *_, bounds in _schema(cls))
-
-
 def _plain(cls, item):
     """cls(**item) for a dict holding exactly cls's field names, each an int or a
     float, that cls accepts; else None, and nothing reported.
 
-    The quick path for a list item: where every field of `cls` is a bounded number
-    (a Dispute), `cls` checks the same declared bounds `_obj` reads, so an item
-    passes here exactly when `_obj` would report nothing for it; any other cls gets None.
+    The quick path for a list item: a `_Bounded` cls (a Dispute) checks every field
+    against the same schema `_obj` reads, so an item passes here exactly when `_obj`
+    would report nothing for it; any other cls gets None.
     """
-    if not _all_numbers(cls) or type(item) is not dict or item.keys() != _names(cls):
+    if not issubclass(cls, _Bounded) or type(item) is not dict or item.keys() != _names(cls):
         return None
     if not _NUMBER_TYPES.issuperset(map(type, item.values())):  # no bool, no str
         return None
@@ -205,7 +185,7 @@ def _obj(cls, value, path, errs, check=None, raw=None):
     _check_keys(value, _names(cls), path, errs)
     n_errs = len(errs)
     vals = {}
-    for name, t, default, bounds in _schema(cls):
+    for name, t, default, bounds, _ in _schema(cls):
         p = f"{path}.{name}"
         v = value.get(name)
         if v is None and (default is None or name not in value):
@@ -259,7 +239,7 @@ def _check_frivolous(vals, errs, raw):
     if shift.delta_f > game.f_o:
         errs.append(("frivolous.shift.delta_f",
                      f"must be <= f_o ({game.f_o!r}), got {shift.delta_f!r}"))
-    elif shift.delta_d > game.d:
+    if shift.delta_d > game.d:
         errs.append(("frivolous.shift.delta_d",
                      f"must be <= d ({game.d!r}), got {shift.delta_d!r}"))
 

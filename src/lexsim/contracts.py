@@ -91,7 +91,7 @@ def solve_completeness(curve: GapCurve, tolerance: float = 1e-9) -> Completeness
     and MC dominates near 1. Bisection runs to full float convergence (until
     the midpoint collides with an endpoint), so two curves that are exact
     rescalings of each other agree to machine precision; `tolerance` only
-    gates the final residual |MB - MC| at the returned point.
+    gates the final residual, |MB - MC| <= tolerance * max(1, level) at g*.
     """
     _check("tolerance", tolerance, _TOLERANCE)
 
@@ -119,11 +119,11 @@ def solve_completeness(curve: GapCurve, tolerance: float = 1e-9) -> Completeness
 
     r_lo, r_hi = abs(h(lo)), abs(h(hi))
     g_star, residual = (lo, r_lo) if r_lo <= r_hi else (hi, r_hi)
-    if residual > tolerance:
+    level = 0.5 * (marginal_benefit(g_star, curve) + marginal_cost(g_star, curve))
+    if residual > tolerance * max(1.0, level):
         raise ConvergenceError(
             f"bisection stalled with residual {residual:.3e} > tolerance {tolerance:.3e}"
         )
-    level = 0.5 * (marginal_benefit(g_star, curve) + marginal_cost(g_star, curve))
     return CompletenessSolution(g_star=g_star, level=level, residual=residual, iterations=iterations)
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy and the numeric bound checks shared by every model module.
+"""Exception hierarchy and the field checks shared by every model module.
 
 All failures raised by this package derive from LexsimError so callers can
 catch one type. Domain violations double as ValueError and solver failures as
@@ -6,8 +6,9 @@ RuntimeError, keeping plain-Python expectations intact.
 
 A bounded number declares its bounds once, as a dict of `ge` or `gt`, optional
 `le` or `lt`, and `integer`, in its dataclass field's metadata or beside the
-function taking it. `_check` and `_Bounded` raise DomainErrors from them,
-and the config loader words its path-tagged messages from the same dicts.
+function taking it. `_schema` reads each dataclass's fields once, by declared
+type and bounds: `_Bounded` checks every field against it, `_check` a number
+against its bounds, and the config loader reads its blocks by the same schema.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 from functools import cache
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 
 class LexsimError(Exception):
@@ -83,18 +86,31 @@ def _check(name: str, v, bounds) -> None:
 
 
 @cache
-def _bounded_fields(cls) -> tuple:
-    """(name, default, bounds, test) for each field of dataclass `cls` declaring bounds."""
-    return tuple((f.name, f.default, f.metadata, _admits(**f.metadata))
-                 for f in fields(cls) if f.metadata)
+def _schema(cls) -> tuple:
+    """(name, type, default, bounds, test) of each field of dataclass `cls`, in
+    declaration order; a `X | None` type reads as X. `test` admits a number within
+    the bounds or, for a field without any, an instance of its type other than ""."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        t = hints[f.name]
+        if isinstance(t, UnionType):
+            t = next(a for a in get_args(t) if a is not NoneType)
+        test = (_admits(**f.metadata) if f.metadata else
+                lambda v, c=get_origin(t) or t: isinstance(v, c) and v != "")
+        out.append((f.name, t, f.default, f.metadata, test))
+    return tuple(out)
 
 
 class _Bounded:
-    """Base of a dataclass whose fields may declare bounds: construction checks
-    each such field against them, a field with a None default may also be None."""
+    """Base of a parameter dataclass: construction checks every field against its
+    schema, and a field with a None default may also be None."""
 
     def __post_init__(self):
-        for name, default, bounds, admits in _bounded_fields(type(self)):
+        for name, t, default, bounds, admits in _schema(type(self)):
             v = getattr(self, name)
             if not admits(v) and not (v is None and default is None):
-                raise _bound_error(name, v, **bounds)
+                if bounds:
+                    raise _bound_error(name, v, **bounds)
+                kind = "a nonempty string" if t is str else f"an instance of {t.__name__}"
+                raise DomainError(f"{name} must be {kind}: got {v!r}")

@@ -34,10 +34,10 @@ from enum import Enum
 import numpy as np
 
 from .contracts import AiShock, GapCurve, apply_shock, solve_completeness
-from .errors import ConvergenceError, DomainError, _Bounded, _check
+from .errors import ConvergenceError, DomainError, _Bounded, _check, _finite
 from .frivolous import _BELIEF, DefendantAction, FollowUp, FrivolousConfig, PlaintiffType, play
 from .rng import fill_substreams, substream
-from .settlement import Dispute, FeeRule, _bounds
+from .settlement import FeeRule, _bounds
 
 _STREAM_RATES = 2**63  # reserved substream of the flip-rate estimator
 _MAX_CLOSURE_ITER = 10**7
@@ -80,19 +80,15 @@ class LegalArea(_Bounded):
     gap_curve: GapCurve | None = None
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise DomainError("area name must be a nonempty string")
-        if not isinstance(self.kind, AreaKind):
-            raise DomainError(f"kind must be an AreaKind: got {self.kind!r}")
         super().__post_init__()
-        if not isinstance(self.fee_rule, FeeRule):
-            raise DomainError(f"fee_rule must be a FeeRule: got {self.fee_rule!r}")
-        if self.kind is AreaKind.TORT:
-            if self.gap_curve is not None:
-                raise DomainError("tort areas cannot carry a gap_curve")
-        else:
-            if self.gap_curve is None:
-                raise DomainError(f"{self.kind.value} areas must carry a gap_curve")
+        stakes = self.stakes_j * self.stakes_multiplier  # as `simulate` takes it; exact for ints
+        if not (_finite(stakes) and math.isfinite(float(stakes) + self.cost_q + self.cost_g)):
+            raise DomainError("stakes_j x stakes_multiplier + cost_q + cost_g "
+                              "must lie within float range")
+        if self.kind is AreaKind.TORT and self.gap_curve is not None:
+            raise DomainError("tort areas cannot carry a gap_curve")
+        if self.kind is not AreaKind.TORT and self.gap_curve is None:
+            raise DomainError(f"{self.kind.value} areas must carry a gap_curve")
 
     @property
     def q_ie(self) -> float:
@@ -186,7 +182,8 @@ def _tried(area: LegalArea, u_belief: np.ndarray, stakes, c_q: float, c_g: float
     p_q = np.clip(area.belief_center + eps, 0.0, 1.0)
     p_g = np.clip(area.belief_center - eps, 0.0, 1.0)
     lower, upper = _bounds(p_q, p_g, stakes, c_q, c_g, area.fee_rule)
-    return ~(upper - lower >= 0.0)
+    with np.errstate(over="ignore"):  # a width past float range is inf, as in `decide`
+        return ~(upper - lower >= 0.0)
 
 
 def trial_fractions(
@@ -205,9 +202,7 @@ def trial_fractions(
     _check("n_samples", n_samples, {"ge": 1, "integer": True})
     u = substream(seed, _STREAM_RATES).random(n_samples)
     fractions = []
-    for stakes in (area.stakes_j * area.stakes_multiplier, area.stakes_j):
-        # decide()'s input checks; beliefs are clipped into [0, 1] and always pass
-        Dispute(p_q=area.belief_center, p_g=area.belief_center, j=stakes, c_q=c_q, c_g=c_g)
+    for stakes in (float(area.stakes_j * area.stakes_multiplier), float(area.stakes_j)):
         fractions.append(np.count_nonzero(_tried(area, u, stakes, c_q, c_g)) / n_samples)
     return fractions[0], fractions[1]
 
@@ -321,8 +316,8 @@ def simulate(
     c_q, c_g = _party_costs(area, cost_delta)
     rate = effective_dispute_rate(area, shock, tolerance)
     n_efficient = population.initial_efficient_count
-    stakes_eff = area.stakes_j
-    stakes_ineff = area.stakes_j * area.stakes_multiplier
+    stakes_eff = float(area.stakes_j)
+    stakes_ineff = float(area.stakes_j * area.stakes_multiplier)
     q_ie, q_ei = area.q_ie, area.q_ei
 
     t_col = np.arange(periods + 1, dtype=np.int64)

@@ -228,9 +228,7 @@ def _set_path(raw: dict, path: str, value) -> None:
 
 
 def _axis_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
+    if type(value) in (int, float):  # a bool falls through to json.dumps: true, false
         return _f(value)
     if isinstance(value, str):
         return value

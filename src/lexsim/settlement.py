@@ -25,6 +25,7 @@ amplifies a cost change whenever the parties are mutually optimistic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -55,6 +56,12 @@ class Dispute(_Bounded):
     c_q: float = field(metadata={"ge": 0.0})
     c_g: float = field(metadata={"ge": 0.0})
 
+    def __post_init__(self):
+        super().__post_init__()
+        # each term is a number within float range, so the float sum cannot raise
+        if not math.isfinite(float(self.j) + self.c_q + self.c_g):
+            raise DomainError("j + c_q + c_g must lie within float range")
+
 
 @dataclass(frozen=True)
 class SettlementRange:
@@ -82,9 +89,11 @@ def _bounds(p_q, p_g, j, c_q, c_g, rule: FeeRule):
     if rule is FeeRule.AMERICAN:
         lower = p_q * j - c_q
         upper = p_g * j + c_g
-    else:
+    elif rule is FeeRule.ENGLISH:
         lower = p_q * j - (1.0 - p_q) * (c_q + c_g)
         upper = p_g * (j + c_q + c_g)
+    else:
+        raise DomainError(f"rule must be an instance of FeeRule: got {rule!r}")
     return lower, upper
 
 
@@ -133,9 +142,8 @@ def settle_columns(disputes: list[Dispute], rule: FeeRule,
     reduced-cost range; settle (bool) and amount (meaningful where settle);
     ratio, NaN where `shrink_ratio` is undefined. The inputs are converted to
     float64 first, so an int beyond 2^53 is rounded before any arithmetic.
-    Overflow gives inf/NaN cells as the scalar functions do, and a NaN width is
-    a trial, as in `decide`. An over-large reduction names the first dispute
-    it exceeds.
+    Overflow gives inf cells as the scalar functions do. An over-large
+    reduction names the first dispute it exceeds.
     """
     _check("delta_c", delta_c, _REDUCTION)
     p_q, p_g, j, c_q, c_g = (

@@ -65,6 +65,16 @@ class TestValidation:
         validate_composition(DOCKET, 9.999)
 
 
+    @pytest.mark.parametrize("name, message", [
+        ("", "name must be a nonempty string: got ''"),
+        (None, "name must be a nonempty string: got None"),
+    ])
+    def test_name_is_a_nonempty_string(self, name, message):
+        with pytest.raises(DomainError) as exc:
+            AreaShare(name, 0.5, 10.0, 1.0)
+        assert str(exc.value) == message
+
+
 class TestShift:
     def test_matches_exact_rational_oracle(self):
         shifts = shift_composition(DOCKET, 5.0)
@@ -124,6 +134,22 @@ class TestShift:
         gain_flat = shift_composition(flat, 5.0)[0].new_share - 0.5
         gain_steep = shift_composition(steep, 5.0)[0].new_share - 0.5
         assert gain_steep > gain_flat > 0.0
+
+
+    def test_a_volume_past_float_range_names_its_area(self):
+        areas = [AreaShare("tort", 0.5, 10, 2000), AreaShare("civil", 0.5, 20, 1)]
+        with pytest.raises(DomainError) as exc:
+            shift_composition(areas, 5)
+        assert str(exc.value) == "area 'tort': its volume after the cut overflows"
+
+    def test_volumes_summing_past_float_range(self):
+        # each volume is just below the float limit, and the shares sum to 1 within
+        # the permitted slack
+        areas = [AreaShare("a", 0.5, 2.0, 1023.9999999999),
+                 AreaShare("b", 0.5000000005, 2.0, 1023.9999999999)]
+        with pytest.raises(DomainError) as exc:
+            shift_composition(areas, 1.0)
+        assert str(exc.value) == "the areas' volumes after the cut sum beyond float range"
 
 
 class TestRelativePrice:

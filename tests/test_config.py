@@ -188,6 +188,32 @@ class TestCrossChecks:
             load_config(write(tmp_path, payload), "frivolous")
         assert "delta_f" in str(exc.value)
 
+    def test_frivolous_shift_reports_both_deltas(self, tmp_path):
+        payload = {"frivolous": {
+            "game": {"f_o": 1.0, "f_q": 1.0, "d": 10.0, "s": 5.0, "j": 100.0, "c_p": 10.0},
+            "shift": {"delta_f": 2.0, "delta_d": 11.0},
+        }}
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, payload), "frivolous")
+        assert exc.value.errors == [("frivolous.shift.delta_f", "must be <= f_o (1.0), got 2.0"),
+                                    ("frivolous.shift.delta_d", "must be <= d (10.0), got 11.0")]
+
+    def test_stakes_and_costs_past_float_range(self, tmp_path):
+        payload = evolve_block()
+        payload["evolve"]["area"].update(stakes_j=1e200, stakes_multiplier=1e200)
+        payload["settle"] = {"rule": "english", "disputes": [
+            {"p_q": 0.5, "p_g": 0.5, "j": 1.0, "c_q": 1.0, "c_g": 1.0},
+            {"p_q": 0.0, "p_g": 0.0, "j": 6e307, "c_q": 6e307, "c_g": 6e307}]}
+        path = write(tmp_path, payload)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path, "evolve")
+        assert exc.value.errors == [("evolve.area", "stakes_j x stakes_multiplier + cost_q + "
+                                                    "cost_g must lie within float range")]
+        with pytest.raises(ConfigError) as exc:
+            load_config(path, "settle")
+        assert exc.value.errors == [("settle.disputes[1]",
+                                     "j + c_q + c_g must lie within float range")]
+
     def test_evolve_tort_rejects_gap_curve(self, tmp_path):
         payload = evolve_block()
         payload["evolve"]["area"]["gap_curve"] = {

@@ -30,7 +30,7 @@ from lexsim.config import (_MAX_RUNS, MODELS, CompositionParams, EquilibriumPara
                            EvolveParams, FrivolousParams, SettleParams, SweepAxis, SweepSpec,
                            _check_keys, _names)
 from lexsim.contracts import _TOLERANCE, AiShock, GapCurve
-from lexsim.errors import DomainError, _bounded_fields
+from lexsim.errors import DomainError, _schema
 from lexsim.evolution import (_COST_DELTA, _PERIODS, AreaKind, FrivolousStream, LegalArea,
                               RulePopulation, _check_draw_size)
 from lexsim.frivolous import _BELIEF, _DELTA, FilingShift, FrivolousConfig
@@ -43,6 +43,12 @@ NULL_MEANS_ABSENT = ("frivolous.belief", "frivolous.shift", "evolve.frivolous",
 
 
 _REQUIRED = object()
+
+
+def _bounded_fields(cls):
+    """(name, default, bounds, test) of each field of `cls` that declares bounds."""
+    return [(name, default, bounds, test) for name, _, default, bounds, test in _schema(cls)
+            if bounds]
 
 
 def _num(block, key, path, errs, default=_REQUIRED, **bounds):
@@ -129,10 +135,15 @@ class Oracle:
         vals = cls._bounded(Dispute, item, path, errs)
         if vals is None:
             return None
+        try:
+            dispute = Dispute(**vals)
+        except DomainError as e:
+            errs.append((path, str(e)))
+            return None
         if reduction is not None and reduction > min(vals["c_q"], vals["c_g"]):
             errs.append((path, f"cost_reduction {reduction!r} exceeds a party cost"))
             return None
-        return Dispute(**vals)
+        return dispute
 
     @classmethod
     def settle(cls, block, errs):
@@ -166,7 +177,7 @@ class Oracle:
                 if df > game.f_o:
                     errs.append(("frivolous.shift.delta_f",
                                  f"must be <= f_o ({game.f_o!r}), got {df!r}"))
-                elif dd > game.d:
+                if dd > game.d:
                     errs.append(("frivolous.shift.delta_d",
                                  f"must be <= d ({game.d!r}), got {dd!r}"))
                 else:

@@ -106,6 +106,21 @@ class TestSolve:
         with pytest.raises(ConvergenceError):
             solve_completeness(GapCurve(1.0, 1.0, 1.0, 1.0), tolerance=1e-30)
 
+    def test_steep_curve_near_one_solves(self):
+        # bisection reaches adjacent floats at g* = 1 - 8.4e-6, where one float step
+        # moves MC by more than 1e-9; the gate scales with the level, 344.5
+        curve = GapCurve(733.0285545714837, 0.0645970488151061, 0.002893833492050116,
+                         0.7509342157386577)
+        sol = solve_completeness(curve)
+        assert sol.g_star == pytest.approx(1.0 - 8.4e-6, abs=1e-7)
+        assert sol.level == pytest.approx(344.5, rel=1e-3)
+        assert 1e-9 < sol.residual <= 1e-9 * sol.level
+
+    def test_curve_too_extreme_to_bracket(self):
+        with pytest.raises(ConvergenceError) as exc:
+            solve_completeness(GapCurve(1e300, 0.05, 1e-300, 1.0))
+        assert str(exc.value).startswith("marginal cost never overtakes marginal benefit")
+
     def test_single_crossing_on_grid(self):
         rng = random.Random(20817)
         gs = np.arange(1, 20_000) / 20_000.0

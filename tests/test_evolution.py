@@ -28,6 +28,7 @@ from lexsim import (
     expected_path,
     flip_rates,
     gap_closure_time,
+    settlement_range,
     simulate,
     stationary_fraction,
     substream,
@@ -102,6 +103,44 @@ def contract_area(**overrides) -> LegalArea:
 
 
 class TestAreaValidation:
+    @pytest.mark.parametrize("field, value, message", [
+        ("name", "", "name must be a nonempty string: got ''"),
+        ("name", 7, "name must be a nonempty string: got 7"),
+        ("kind", "tort", "kind must be an instance of AreaKind: got 'tort'"),
+        ("fee_rule", "english", "fee_rule must be an instance of FeeRule: got 'english'"),
+        ("gap_curve", (1.0, 1.0, 1.0, 1.0),
+         "gap_curve must be an instance of GapCurve: got (1.0, 1.0, 1.0, 1.0)"),
+    ])
+    def test_every_declared_field_is_type_checked(self, field, value, message):
+        with pytest.raises(DomainError) as exc:
+            tort_area(**{field: value})
+        assert str(exc.value) == message
+
+    def test_stream_game_is_type_checked(self):
+        with pytest.raises(DomainError) as exc:
+            FrivolousStream(game={"f_o": 1.0}, filers_per_period=1)
+        assert str(exc.value) == "game must be an instance of FrivolousConfig: got {'f_o': 1.0}"
+
+    def test_stakes_and_costs_past_float_range(self):
+        # int products are exact and then compared with float range, never raising
+        # OverflowError
+        tort_area(stakes_j=10**19, stakes_multiplier=3)
+        for stakes_j, multiplier, cost in ((10**200, 10**200, 0), (1e200, 1e200, 0.0),
+                                           (1e308, 1.0, 1e308)):
+            with pytest.raises(DomainError) as exc:
+                tort_area(stakes_j=stakes_j, stakes_multiplier=multiplier, cost_q=cost)
+            assert str(exc.value) == \
+                "stakes_j x stakes_multiplier + cost_q + cost_g must lie within float range"
+
+    def test_int_stakes_simulate_as_their_floats(self):
+        ints = tort_area(stakes_j=10**19, stakes_multiplier=3, cost_q=10**18, cost_g=10**18)
+        floats = tort_area(stakes_j=1e19, stakes_multiplier=3.0, cost_q=1e18, cost_g=1e18)
+        pop = RulePopulation(n_rules=40, fraction_efficient=0.5)
+        a, b = simulate(ints, pop, periods=5, seed=3), simulate(floats, pop, periods=5, seed=3)
+        assert [a.trials.tolist(), a.fraction_efficient.tolist()] == \
+            [b.trials.tolist(), b.fraction_efficient.tolist()]
+        assert trial_fractions(ints, n_samples=50) == trial_fractions(floats, n_samples=50)
+
     def test_tort_rejects_gap_curve(self):
         with pytest.raises(DomainError):
             tort_area(gap_curve=GapCurve(1.0, 1.0, 1.0, 1.0))
@@ -232,32 +271,35 @@ class TestTrialFractions:
             area, cost_delta, n_samples, seed
         )
 
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_overflowing_costs_are_tried_like_decide(self):
-        # c_q + c_g overflows to inf, so clipped beliefs give NaN range widths;
-        # decide() tries those cases, and so must both array paths
+        # c_q + c_g lies just inside float range, so many English ranges are wider
+        # than any float: an inf width, which decide() settles; both array paths
+        # must decide every case as decide() does, and warn of nothing
         area = tort_area(
-            dispute_rate=1.0, stakes_multiplier=1.0, cost_q=1e308, cost_g=1e308,
+            dispute_rate=1.0, stakes_multiplier=1.0, cost_q=8.5e307, cost_g=8.5e307,
             belief_spread=1.0, overturn_prob=0.0, fee_rule=FeeRule.ENGLISH,
         )
         fractions = trial_fractions(area, n_samples=400, seed=4)
         assert fractions == trial_fractions_by_decide(area, 0.0, 400, 4)
         assert fractions[0] > 0.0
         trace = simulate(area, RulePopulation(50, 0.5), periods=1, seed=4)
-        tried = 0
+        tried, overflowed = 0, 0
         for i in range(50):
-            eps = 2.0 * substream(4, i).random((1, 3))[0, 1] - 1.0
+            eps = 2.0 * float(substream(4, i).random((1, 3))[0, 1]) - 1.0
             p_q, p_g = min(max(0.5 + eps, 0.0), 1.0), min(max(0.5 - eps, 0.0), 1.0)
-            d = Dispute(p_q=p_q, p_g=p_g, j=100.0, c_q=1e308, c_g=1e308)
+            d = Dispute(p_q=p_q, p_g=p_g, j=100.0, c_q=8.5e307, c_g=8.5e307)
             tried += decide(d, FeeRule.ENGLISH).kind is OutcomeKind.TRIAL
+            overflowed += settlement_range(d, FeeRule.ENGLISH).width == math.inf
         assert trace.trials[1] == tried > 0
+        assert overflowed > 0
 
     def test_overflowing_stakes_raise_decides_error(self):
-        area = tort_area(stakes_j=1e200, stakes_multiplier=1e200)
-        with pytest.raises(DomainError, match=r"^j must be finite and > 0: got inf$"):
-            trial_fractions_by_decide(area, 0.0, 10, 0)
-        with pytest.raises(DomainError, match=r"^j must be finite and > 0: got inf$"):
-            trial_fractions(area, n_samples=10)
+        # the area refuses the stakes and costs whose sum decide() would refuse
+        with pytest.raises(DomainError, match=r"^stakes_j x stakes_multiplier \+ cost_q \+ "
+                                              r"cost_g must lie within float range$"):
+            tort_area(stakes_j=1e200, stakes_multiplier=1e200)
+        with pytest.raises(DomainError, match=r"^j \+ c_q \+ c_g must lie within float range$"):
+            Dispute(p_q=0.5, p_g=0.5, j=1.7e308, c_q=18.0, c_g=1e307)
 
 
 class TestFlipRates:

@@ -182,6 +182,13 @@ class TestFilingDecision:
         assert plaintiff_files(PlaintiffType.MERITORIOUS, DefendantAction.DEFEND, game())
 
 
+    def test_no_response_is_not_an_action_to_anticipate(self):
+        with pytest.raises(DomainError) as exc:
+            plaintiff_files(PlaintiffType.FRIVOLOUS, DefendantAction.NONE, game())
+        assert str(exc.value) == \
+            "anticipated response must be a real action: got <DefendantAction.NONE: 'none'>"
+
+
 class TestRegionShift:
     def test_cheaper_filing_expands_the_region(self):
         assert filing_region_shift(game(), 0.5, 0.0) is RegionShift.MORE_FILINGS

@@ -285,6 +285,43 @@ class TestSweepOutput:
         run(cfg)
         assert cfg.raw == payload
 
+    def test_string_axis_cells(self, tmp_path):
+        payload = shipped("settle_fixture")
+        payload["sweep"] = {"model": "settle", "axes": [
+            {"path": "settle.rule", "values": ["american", "english"]}]}
+        out = tmp_path / "sweep.csv"
+        run_model("sweep", write_config(tmp_path, payload), out)
+        assert out.read_text() == (
+            "settle.rule,replicate,seed,n_disputes,n_settled,n_trials,mean_width\n"
+            "american,0,0,1,1,0,10\n"
+            "english,0,0,1,1,0,8\n")
+
+    def test_null_and_object_axis_cells_are_json(self, tmp_path):
+        payload = shipped("frivolous_nuisance")
+        payload["sweep"] = {"model": "frivolous", "axes": [
+            {"path": "frivolous.belief", "values": [None, 0.25]},
+            {"path": "frivolous.shift", "values": [{"delta_f": 0.5, "delta_d": 0.25}]}]}
+        out = tmp_path / "sweep.csv"
+        run_model("sweep", write_config(tmp_path, payload), out)
+        assert out.read_text() == (
+            "frivolous.belief,frivolous.shift,replicate,seed,frivolous_filed,"
+            "frivolous_payoff,meritorious_filed,meritorious_payoff\n"
+            'null,"{""delta_d"":0.25,""delta_f"":0.5}",0,0,true,4,true,4\n'
+            '0.25,"{""delta_d"":0.25,""delta_f"":0.5}",0,0,true,4,true,4\n')
+
+    def test_model_failure_names_the_point_and_replicate(self, tmp_path, capsys):
+        payload = shipped("equilibrium_golden")
+        payload["equilibrium"]["tolerance"] = 1e-30
+        payload["sweep"] = {"model": "equilibrium", "axes": [
+            {"path": "equilibrium.curve.kappa", "values": [1.0]}]}
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 2
+        *_, err = capsys.readouterr().err.splitlines()
+        assert err == ("error: model: sweep point (equilibrium.curve.kappa=1.0), replicate 0: "
+                       "bisection stalled with residual 1.110e-16 > tolerance 1.000e-30")
+        assert not out.exists()
+
     def test_sweep_svg_plots_first_summary(self, tmp_path):
         out, svg = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
         run_model("sweep", f"{CONFIG_DIR}/sweep_litigation_delta.json", out, svg)
@@ -555,6 +592,15 @@ class TestCli:
         assert code == 1
         capsys.readouterr()
 
+    def test_seed_that_is_not_a_number_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["evolve", "--config", f"{CONFIG_DIR}/evolve_tort.json",
+                     "--out", str(out), "--seed", "abc"])
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --seed: seed must be a base-10 integer: got 'abc'\n")
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "equilibrium" in capsys.readouterr().out
@@ -563,6 +609,60 @@ class TestCli:
         code = main(["equilibrium", "--config", "x.json"])
         assert code == 1
         capsys.readouterr()
+
+
+def run_cli_process(tmp_path, model, payload):
+    """`python -m lexsim.cli` on `payload` in a fresh process: (exit code, stderr, CSV path)."""
+    out = tmp_path / f"{model}.csv"
+    argv = [sys.executable, "-m", "lexsim.cli", model, "--config",
+            write_config(tmp_path, payload, f"{model}.json"), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": "src" + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
+    assert "Traceback" not in done.stderr
+    return done.returncode, done.stderr, out
+
+
+class TestOverflowingInputs:
+    """Inputs whose arithmetic leaves float range keep to the CLI contract."""
+
+    def test_int_stakes_past_int64_run_as_their_floats(self, tmp_path):
+        payload = shipped("evolve_tort")
+        payload["evolve"]["area"].update(stakes_j=10**19, stakes_multiplier=3)
+        code, err, ints = run_cli_process(tmp_path, "evolve", payload)
+        assert (code, err) == (0, "")
+        payload["evolve"]["area"].update(stakes_j=1e19, stakes_multiplier=3.0)
+        ints = ints.rename(tmp_path / "ints.csv")
+        code, err, floats = run_cli_process(tmp_path, "evolve", payload)
+        assert (code, err) == (0, "")
+        assert ints.read_bytes() == floats.read_bytes()
+
+    def test_stakes_past_float_range_are_a_config_error(self, tmp_path):
+        payload = shipped("evolve_tort")
+        payload["evolve"]["area"].update(stakes_j=1e200, stakes_multiplier=1e200)
+        code, err, out = run_cli_process(tmp_path, "evolve", payload)
+        assert code == 1
+        assert err == ("error: config: evolve.area: stakes_j x stakes_multiplier + cost_q + "
+                       "cost_g must lie within float range\n")
+        assert not out.exists()
+
+    def test_composition_volume_past_float_range_is_a_model_error(self, tmp_path):
+        payload = {"composition": {"flat_reduction": 5, "areas": [
+            {"name": "tort", "share": 0.5, "unit_cost": 10, "demand_elasticity": 2000},
+            {"name": "civil", "share": 0.5, "unit_cost": 20, "demand_elasticity": 1}]}}
+        code, err, out = run_cli_process(tmp_path, "composition", payload)
+        assert code == 2
+        assert err == "error: model: area 'tort': its volume after the cut overflows\n"
+        assert not out.exists()
+
+    def test_steep_curve_near_one_solves(self, tmp_path):
+        curve = {"b_scale": 733.0285545714837, "beta": 0.0645970488151061,
+                 "k_scale": 0.002893833492050116, "kappa": 0.7509342157386577}
+        payload = {"equilibrium": {"curve": curve}}
+        code, err, out = run_cli_process(tmp_path, "equilibrium", payload)
+        assert (code, err) == (0, "")
+        header, rows = read_csv(out)
+        assert float(dict(zip(header, rows[0]))["g_star_baseline"]) == \
+            pytest.approx(1.0 - 8.4e-6, abs=1e-7)
 
 
 class TestDeepNesting:
@@ -697,8 +797,10 @@ COST = st.one_of(st.floats(0.0, 1e6), st.integers(0, 10**6), st.sampled_from([0,
 
 @st.composite
 def settle_params(draw):
-    disputes = draw(st.lists(st.builds(Dispute, p_q=PROB, p_g=PROB, j=STAKE, c_q=COST,
-                                       c_g=COST), min_size=1, max_size=12))
+    # j + c_q + c_g past float range is no Dispute
+    dispute = st.tuples(PROB, PROB, STAKE, COST, COST).filter(
+        lambda v: math.isfinite(float(v[2]) + v[3] + v[4]))
+    disputes = draw(st.lists(dispute.map(lambda v: Dispute(*v)), min_size=1, max_size=12))
     top = min(min(d.c_q, d.c_g) for d in disputes)
     reduction = draw(st.one_of(
         st.sampled_from([0, 0.0, top]), st.floats(0.0, abs(float(top))),
@@ -752,9 +854,11 @@ class TestSettleArrays:
         assert settle_arrays_output(p) != settle_oracle(p)
 
     def test_overflow_cells_through_the_cli(self, tmp_path, capfd):
-        disputes = [{"p_q": 0.9, "p_g": 0.1, "j": 1.7e308, "c_q": 1.6e308, "c_g": 1.5e308},
-                    {"p_q": 0.1, "p_g": 0.9, "j": 1e308, "c_q": 1e308, "c_g": 1e308},
-                    {"p_q": 0.5, "p_g": 0.5, "j": 1.0, "c_q": 1e308, "c_g": 1.7e308}]
+        # each j + c_q + c_g lies inside float range, but English widths and their
+        # mean do not
+        disputes = [{"p_q": 0.9, "p_g": 0.1, "j": 1.5e308, "c_q": 1.2e307, "c_g": 1.2e307},
+                    {"p_q": 0.1, "p_g": 0.9, "j": 1e307, "c_q": 8e307, "c_g": 8e307},
+                    {"p_q": 0.0, "p_g": 1.0, "j": 1.0, "c_q": 1e308, "c_g": 7e307}]
         for rule in FeeRule:
             payload = {"settle": {"rule": rule.value, "disputes": disputes,
                                   "cost_reduction": 1e307}}
@@ -765,7 +869,7 @@ class TestSettleArrays:
             assert captured.err == ""
             p = load_config(write_config(tmp_path, payload), "settle").params
             assert out.read_text() == settle_oracle(p)[0]
-        assert "inf" in out.read_text() and "nan" in out.read_text()
+        assert "inf" in out.read_text()
 
 
 class TestAtomicOutputs:

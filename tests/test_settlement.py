@@ -49,6 +49,17 @@ class TestValidation:
             Dispute(p_q=0.5, p_g=0.5, j=float("inf"), c_q=0.0, c_g=0.0)
 
 
+    def test_stakes_plus_costs_past_float_range(self):
+        # an English upper end p_g * (j + c_q + c_g) of 0 * inf = NaN read as a trial,
+        # which a cost cut then turned into a settlement
+        big = 5.992310449541053e+307
+        for args in ((0.0, 0.0, big, big, big), (0.5, 0.5, 10**308, 10**308, 10**308)):
+            with pytest.raises(DomainError) as exc:
+                Dispute(*args)
+            assert str(exc.value) == "j + c_q + c_g must lie within float range"
+        Dispute(0.0, 0.0, big, big, big / 2)
+
+
 class TestTrialValues:
     def test_american_formulas(self):
         assert plaintiff_trial_value(FIXTURE, FeeRule.AMERICAN) == 0.6 * 100.0 - 10.0
@@ -135,6 +146,13 @@ class TestDecide:
         r = settlement_range(d, FeeRule.AMERICAN)
         assert r.width == 0.0
         assert decide(d, FeeRule.AMERICAN).kind is OutcomeKind.SETTLE
+
+
+    def test_rule_must_be_a_fee_rule(self):
+        for fn in (decide, settlement_range, plaintiff_trial_value):
+            with pytest.raises(DomainError) as exc:
+                fn(FIXTURE, "american")
+            assert str(exc.value) == "rule must be an instance of FeeRule: got 'american'"
 
 
 class TestCostReduction:
