@@ -1,9 +1,10 @@
 """Command-line front end: one subcommand per model, JSON config in, CSV out.
 
 Exit codes: 0 success; 1 rejected configuration or command line; 2 model or
-I/O failure at run time, running out of memory included. Errors are written to
-stderr as a single line of the form "error: <category>: <detail>". The "wrote"
-line goes to stdout, or to stderr when an output is stdout itself.
+I/O failure at run time, running out of memory included; 130 interrupted
+(Ctrl-C). Errors are written to stderr as a single line of the form
+"error: <category>: <detail>", or "error: interrupted". The "wrote" line goes
+to stdout, or to stderr when an output is stdout itself.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: model: out of memory", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     paths = [p for p in (result.csv_path, result.svg_path) if p is not None]
     print("wrote " + " and ".join(paths),
           file=sys.stderr if any(map(_is_stdout, paths)) else sys.stdout)

@@ -30,14 +30,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .contracts import AiShock, GapCurve, apply_shock, solve_completeness
 from .errors import ConvergenceError, DomainError, _Bounded, _check, _finite
 from .frivolous import _BELIEF, DefendantAction, FollowUp, FrivolousConfig, PlaintiffType, play
 from .rng import fill_substreams, substream
 from .settlement import FeeRule, _bounds
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _STREAM_RATES = 2**63  # reserved substream of the flip-rate estimator
 _MAX_CLOSURE_ITER = 10**7
@@ -178,6 +180,8 @@ def _party_costs(area: LegalArea, cost_delta: float) -> tuple[float, float]:
 
 def _tried(area: LegalArea, u_belief: np.ndarray, stakes, c_q: float, c_g: float) -> np.ndarray:
     """Trial mask for belief draws u_belief: `decide` on arrays, a NaN width a trial too."""
+    import numpy as np
+
     eps = (2.0 * u_belief - 1.0) * area.belief_spread
     p_q = np.clip(area.belief_center + eps, 0.0, 1.0)
     p_g = np.clip(area.belief_center - eps, 0.0, 1.0)
@@ -198,6 +202,8 @@ def trial_fractions(
     two estimates together and their comparison is noise-free. Each level is
     one array pass of the settle/trial kernel `simulate` uses.
     """
+    import numpy as np
+
     c_q, c_g = _party_costs(area, cost_delta)
     _check("n_samples", n_samples, {"ge": 1, "integer": True})
     u = substream(seed, _STREAM_RATES).random(n_samples)
@@ -233,6 +239,8 @@ def expected_path(x0: float, rates: FlipRates, periods: int) -> np.ndarray:
 
     Closed form x* + (x0 - x*) (1 - p_ie - p_ei)^t with path[0] = x0; flat if no rule flips.
     """
+    import numpy as np
+
     _check("x0", x0, _FRACTION)
     _check("periods", periods, {"ge": 0, "integer": True})
     if rates.p_ie + rates.p_ei == 0.0:
@@ -309,6 +317,8 @@ def simulate(
     `fill_substreams` writes for a whole block from one Philox. A block's
     draws take 24 bytes per rule-period, at most 2^32 bytes.
     """
+    import numpy as np
+
     _check("periods", periods, _PERIODS)
     periods = int(periods)  # a bool passes the check as an int
     n = population.n_rules

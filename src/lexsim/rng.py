@@ -13,9 +13,12 @@ Two consequences the simulators rely on:
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _U64_MAX = 2**64 - 1
 
@@ -34,6 +37,8 @@ def _check_ids(seed: int, stream: int) -> None:
 
 def substream(seed: int, stream: int) -> np.random.Generator:
     """Return the generator for stream `stream` under `seed` (both u64)."""
+    import numpy as np
+
     _check_ids(seed, stream)
     return np.random.Generator(np.random.Philox(key=seed, counter=stream << 192))
 
@@ -47,6 +52,8 @@ def fill_substreams(seed: int, first: int, out: np.ndarray) -> np.ndarray:
     stream is drawn straight into its slot of the C-contiguous `out`. Returns
     `out`.
     """
+    import numpy as np
+
     if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.ndim >= 1
             and out.flags.c_contiguous and out.flags.writeable):
         raise DomainError("out must be a writable C-contiguous float64 array "

@@ -24,8 +24,6 @@ import stat
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import charts
 from .composition import relative_price_change, shift_composition
 from .config import (
@@ -97,6 +95,8 @@ def _equilibrium(p: EquilibriumParams, seed: int):
 
 
 def _settle(p: SettleParams, seed: int):
+    import numpy as np
+
     a = settle_columns(p.disputes, p.rule, p.cost_reduction)
     n = len(p.disputes)
     settled = int(a["settle"].sum())

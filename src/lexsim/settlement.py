@@ -28,10 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, _Bounded, _check
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _REDUCTION = {"ge": 0.0}  # a cut in both parties' trial costs
 
@@ -112,11 +114,22 @@ def settlement_range(d: Dispute, rule: FeeRule) -> SettlementRange:
     return SettlementRange(lower=lower, upper=upper)
 
 
+def _midpoint(lower: float, upper: float) -> float:
+    # 0.5 * (lower + upper), unless two finite ends sum past float range; halving
+    # each end first everywhere would move subnormal midpoints (5e-324 twice
+    # gives 0). Int ends can sum to an int too large to convert.
+    try:
+        mid = 0.5 * (lower + upper)
+    except OverflowError:
+        mid = math.inf
+    return mid if math.isfinite(mid) else 0.5 * lower + 0.5 * upper
+
+
 def decide(d: Dispute, rule: FeeRule) -> Outcome:
     """Settle at the range midpoint when the range is nonempty, else try the case."""
     r = settlement_range(d, rule)
     if r.feasible:
-        return Outcome(OutcomeKind.SETTLE, 0.5 * (r.lower + r.upper))
+        return Outcome(OutcomeKind.SETTLE, _midpoint(r.lower, r.upper))
     return Outcome(OutcomeKind.TRIAL)
 
 
@@ -145,6 +158,8 @@ def settle_columns(disputes: list[Dispute], rule: FeeRule,
     Overflow gives inf cells as the scalar functions do. An over-large
     reduction names the first dispute it exceeds.
     """
+    import numpy as np
+
     _check("delta_c", delta_c, _REDUCTION)
     p_q, p_g, j, c_q, c_g = (
         np.array([getattr(d, name) for d in disputes], dtype=np.float64)
@@ -157,6 +172,7 @@ def settle_columns(disputes: list[Dispute], rule: FeeRule,
         lower, upper = _bounds(p_q, p_g, j, c_q - delta_c, c_g - delta_c, rule)
         width = upper - lower
         amount = 0.5 * (lower + upper)
+        amount = np.where(np.isfinite(amount), amount, 0.5 * lower + 0.5 * upper)  # `_midpoint`
     denom = 1.0 - (p_q - p_g)  # grouped as in `shrink_ratio`
     ratio = np.full_like(denom, np.nan)
     np.divide(1.0, denom, out=ratio, where=denom != 0.0)

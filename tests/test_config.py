@@ -335,12 +335,12 @@ class TestSweep:
 
 class TestEvolveDrawSize:
     def test_oversized_population_is_a_config_error(self, tmp_path, monkeypatch):
-        from lexsim import evolution
+        import numpy as np
 
         def no_empty(*args, **kwargs):
             raise AssertionError("np.empty called")
 
-        monkeypatch.setattr(evolution.np, "empty", no_empty)
+        monkeypatch.setattr(np, "empty", no_empty)
         payload = evolve_block(population={"n_rules": 10**6, "fraction_efficient": 0.5},
                                periods=10**5)
         with pytest.raises(ConfigError) as exc:

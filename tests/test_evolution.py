@@ -575,7 +575,7 @@ class TestDrawSizeGuard:
         def no_empty(*args, **kwargs):
             raise AssertionError("np.empty called")
 
-        monkeypatch.setattr(evolution.np, "empty", no_empty)
+        monkeypatch.setattr(np, "empty", no_empty)
         with pytest.raises(DomainError, match="above the limit of 2\\^32"):
             simulate(tort_area(), RulePopulation(10**6, 0.5), periods=10**5)
 

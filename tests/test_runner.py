@@ -871,6 +871,20 @@ class TestSettleArrays:
             assert out.read_text() == settle_oracle(p)[0]
         assert "inf" in out.read_text()
 
+    @pytest.mark.parametrize("rule", list(FeeRule))
+    def test_ends_summing_past_float_range_settle_finite_through_the_cli(self, rule, tmp_path,
+                                                                         capsys):
+        payload = {"settle": {"rule": rule.value, "cost_reduction": 0.0, "disputes": [
+            {"p_q": 1.0, "p_g": 1.0, "j": 1.7e308, "c_q": 0.0, "c_g": 0.0}]}}
+        out = tmp_path / "settle.csv"
+        assert main(["settle", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["outcome"], row["lower"], row["upper"], row["amount"]) == \
+            ("settle", f17(1.7e308), f17(1.7e308), f17(1.7e308))
+
 
 class TestAtomicOutputs:
     CFG = f"{CONFIG_DIR}/equilibrium_golden.json"
@@ -959,3 +973,36 @@ class TestAtomicOutputs:
         assert received == expected.read_bytes()
         assert svg.read_text().startswith("<svg ")
         assert sorted(os.listdir(tmp_path)) == ["eq.fifo", "eq.svg", "expected.csv"]
+
+
+class TestInterrupt:
+    """Ctrl-C during a run is one `error: interrupted` line and exit 130."""
+
+    CFG = f"{CONFIG_DIR}/evolve_tort.json"
+
+    @staticmethod
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    def main(self, out, svg):
+        try:
+            return main(["evolve", "--config", self.CFG, "--out", str(out), "--svg", str(svg)])
+        except KeyboardInterrupt:  # escaping, it would end the whole test session
+            pytest.fail("KeyboardInterrupt escaped main")
+
+    def test_interrupted_simulation_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "simulate", self.interrupt)
+        out, svg = tmp_path / "evolve.csv", tmp_path / "evolve.svg"
+        assert self.main(out, svg) == 130
+        assert capsys.readouterr() == ("", "error: interrupted\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_interrupted_write_keeps_existing_outputs(self, tmp_path, capsys, monkeypatch):
+        out, svg = tmp_path / "evolve.csv", tmp_path / "evolve.svg"
+        out.write_text("old")
+        svg.write_text("old")
+        monkeypatch.setattr(os, "replace", self.interrupt)
+        assert self.main(out, svg) == 130
+        assert capsys.readouterr() == ("", "error: interrupted\n")
+        assert out.read_text() == svg.read_text() == "old"
+        assert sorted(os.listdir(tmp_path)) == ["evolve.csv", "evolve.svg"]

@@ -148,6 +148,29 @@ class TestDecide:
         assert decide(d, FeeRule.AMERICAN).kind is OutcomeKind.SETTLE
 
 
+    @pytest.mark.parametrize("rule", list(FeeRule))
+    def test_finite_ends_summing_past_float_range_settle_finite(self, rule):
+        # lower = upper = 1.7e308, whose sum overflows
+        for j in (1.7e308, 17 * 10**307):
+            out = decide(Dispute(p_q=1.0, p_g=1.0, j=j, c_q=0.0, c_g=0.0), rule)
+            assert out.kind is OutcomeKind.SETTLE
+            assert out.amount == float(j)
+
+    @pytest.mark.parametrize("rule", list(FeeRule))
+    def test_subnormal_midpoints_keep_their_bits(self, rule):
+        # halving each end first would give 0.0 here
+        out = decide(Dispute(p_q=1.0, p_g=1.0, j=5e-324, c_q=0.0, c_g=0.0), rule)
+        assert out.amount == 5e-324
+
+    @pytest.mark.parametrize("rule", list(FeeRule))
+    def test_columns_settle_like_decide_past_float_range(self, rule):
+        from lexsim.settlement import settle_columns
+
+        disputes = [Dispute(p_q=1.0, p_g=1.0, j=j, c_q=0.0, c_g=0.0)
+                    for j in (1.7e308, 5e-324, 100.0)]
+        amounts = settle_columns(disputes, rule, 0.0)["amount"].tolist()
+        assert amounts == [decide(d, rule).amount for d in disputes] == [1.7e308, 5e-324, 100.0]
+
     def test_rule_must_be_a_fee_rule(self):
         for fn in (decide, settlement_range, plaintiff_trial_value):
             with pytest.raises(DomainError) as exc:
