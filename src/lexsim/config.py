@@ -10,7 +10,8 @@ A model block's schema is its parameter dataclass: `_obj` reads each field by
 its declared type, its bounds metadata and its default, so a key, a default or
 a bound is written once, on the dataclass. Each model adds one `_check_<model>`
 for the rules across its fields. The sweep block is read the same way, from
-`SweepSpec` and its `SweepAxis` items.
+`SweepSpec` and its `SweepAxis` items. A settle block's disputes, the one list
+that runs to many thousands of items, are read into float64 columns.
 """
 
 from __future__ import annotations
@@ -18,24 +19,27 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, is_dataclass
 from enum import Enum
 from functools import cache
+from itertools import chain
 from pathlib import Path
 from typing import get_args, get_origin
 
 from .composition import _FLAT_REDUCTION, AreaShare, validate_composition
 from .contracts import _TOLERANCE, AiShock, GapCurve
-from .errors import ConfigError, DomainError, _Bounded, _finite, _schema
+from .errors import ConfigError, DomainError, _admitted, _finite, _schema
 from .evolution import (_COST_DELTA, _PERIODS, FrivolousStream, LegalArea, RulePopulation,
                         _check_draw_size)
 from .frivolous import _BELIEF, FilingShift, FrivolousConfig
 from .rng import _U64_MAX
-from .settlement import _REDUCTION, Dispute, FeeRule
+from .settlement import _REDUCTION, Dispute, DisputeBatch, FeeRule
 
 _MAX_RUNS = 10**6  # per sweep, grid points x replicates; a sweep keeps every summary row
 _COMPARISONS = ((">=", operator.ge), (">", operator.gt), ("<=", operator.le), ("<", operator.lt))
 _NUMBER_TYPES = frozenset((int, float))
+_BATCHES = {Dispute: DisputeBatch}  # a list item read as a row of float64 columns: their holder
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ class EquilibriumParams:
 @dataclass(frozen=True)
 class SettleParams:
     rule: FeeRule
-    disputes: list[Dispute]
+    disputes: Sequence[Dispute]  # read from a config as a DisputeBatch
     cost_reduction: float = field(default=0.0, metadata=_REDUCTION)
 
 
@@ -147,22 +151,45 @@ def _check_keys(block, allowed, path, errs):
             errs.append((f"{path}.{key}" if path else key, "unknown key"))
 
 
-def _plain(cls, item):
-    """cls(**item) for a dict holding exactly cls's field names, each an int or a
-    float, that cls accepts; else None, and nothing reported.
+def _batch(cls, items, path, errs):
+    """The list `items` of `cls`, a `_Bounded` class of bounded numbers with an
+    `_across` rule, read into float64 columns held by `_BATCHES[cls]`.
 
-    The quick path for a list item: a `_Bounded` cls (a Dispute) checks every field
-    against the same schema `_obj` reads, so an item passes here exactly when `_obj`
-    would report nothing for it; any other cls gets None.
+    An item that is a dict of exactly cls's field names, each an int or a float, is
+    read as one row and checked there: each column against its bounds by `_admitted`,
+    the rows against `cls._across`. Every other item, and every row that fails, is
+    read by `_obj`, which reports its faults in the order a loop over the items
+    would; a faulty item's row holds NaN. No int but 0 and 1 themselves rounds to
+    0 or 1, a Dispute's bounds, so a plain item's row passes exactly when `_obj`
+    accepts the item. An int beyond 2^53 is rounded.
     """
-    if not issubclass(cls, _Bounded) or type(item) is not dict or item.keys() != _names(cls):
-        return None
-    if not _NUMBER_TYPES.issuperset(map(type, item.values())):  # no bool, no str
-        return None
+    import numpy as np
+
+    schema = _schema(cls)
+    names = [name for name, *_ in schema]
+    keys, get, nan_row = _names(cls), operator.itemgetter(*names), (math.nan,) * len(names)
+
+    def rows():
+        return (get(item) if type(item) is dict and item.keys() == keys
+                and _NUMBER_TYPES.issuperset(map(type, item.values())) else nan_row
+                for item in items)
+
+    size = len(items) * len(names)
     try:
-        return cls(**item)
-    except DomainError:
-        return None
+        table = np.fromiter(chain.from_iterable(rows()), np.float64, size)
+    except OverflowError:  # an int beyond float range: its item is read by `_obj`
+        table = np.fromiter(chain.from_iterable(
+            row if all(map(_finite, row)) else nan_row for row in rows()), np.float64, size)
+    cols = tuple(table.reshape(len(items), len(names)).T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = cls._across(*cols)
+    for col, (_, _, _, bounds, _) in zip(cols, schema):
+        ok &= _admitted(col, **bounds)
+    for i in np.flatnonzero(~ok).tolist():
+        item = _obj(cls, items[i], f"{path}[{i}]", errs)
+        for col, name in zip(cols, names):
+            col[i] = math.nan if item is None else getattr(item, name)
+    return _BATCHES[cls](*cols)
 
 
 def _obj(cls, value, path, errs, check=None, raw=None):
@@ -171,13 +198,14 @@ def _obj(cls, value, path, errs, check=None, raw=None):
 
     A field with bounds metadata is a number; a str field is a nonempty string, an
     Enum field one of its values; a dataclass field is an object read the same way;
-    a list[X] field is a nonempty list of X, and a bare list field a nonempty list of
-    any JSON values. A field with a default may be missing, and JSON null counts as
-    missing where that default is None. Unknown keys are reported but do not stop
-    the rest. Then `check(vals, errs, raw)` reports the faults across fields: `vals`
-    maps each field read without fault to its value, and a list of X to its items,
-    with None for each faulty one; `raw` is the whole config. Last, `cls` makes its
-    own checks, each reported at `path`.
+    a list[X] or Sequence[X] field is a nonempty list of X (read by `_batch` where X
+    is in `_BATCHES`), and a bare list field a nonempty list of any JSON values. A
+    field with a default may be missing, and JSON null counts as missing where that
+    default is None. Unknown keys are reported but do not stop the rest. Then
+    `check(vals, errs, raw)` reports the faults across fields: `vals` maps each field
+    read without fault to its value, and a list of X to its items, with None for
+    each faulty one (to a batch, with NaN in each faulty row); `raw` is the whole
+    config. Last, `cls` makes its own checks, each reported at `path`.
     """
     if not isinstance(value, dict):
         errs.append((path, f"must be an object, got {value!r}"))
@@ -196,12 +224,12 @@ def _obj(cls, value, path, errs, check=None, raw=None):
             continue
         if bounds:
             x = _num(v, p, errs, **bounds)
-        elif t is list or get_origin(t) is list:
+        elif t is list or get_origin(t) in (list, Sequence):
             x = _list(v, p, errs)
             if x is not None and t is not list:
                 item_cls = get_args(t)[0]
-                x = [_plain(item_cls, item) or _obj(item_cls, item, f"{p}[{i}]", errs)
-                     for i, item in enumerate(x)]
+                x = (_batch(item_cls, x, p, errs) if item_cls in _BATCHES else
+                     [_obj(item_cls, item, f"{p}[{i}]", errs) for i, item in enumerate(x)])
         elif is_dataclass(t):
             x = _obj(t, v, p, errs)
         else:  # a str, or an Enum named by its value
@@ -223,11 +251,17 @@ def _obj(cls, value, path, errs, check=None, raw=None):
 
 
 def _check_settle(vals, errs, raw):
-    reduction = vals.get("cost_reduction")
-    if reduction is None:
+    reduction, disputes = vals.get("cost_reduction"), vals.get("disputes")
+    if reduction is None or disputes is None:
         return
-    for i, d in enumerate(vals.get("disputes", ())):
-        if d is not None and reduction > min(d.c_q, d.c_g):
+    import numpy as np
+
+    # NaN, the row of a faulty item, is never exceeded. Float64 orders the two as
+    # their JSON values do except where both round to one float: there the item's
+    # own numbers decide.
+    items = raw["settle"]["disputes"]
+    for i in np.flatnonzero(float(reduction) >= np.minimum(disputes.c_q, disputes.c_g)).tolist():
+        if reduction > min(items[i]["c_q"], items[i]["c_g"]):
             errs.append((f"settle.disputes[{i}]",
                          f"cost_reduction {reduction!r} exceeds a party cost"))
 

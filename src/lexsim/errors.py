@@ -8,7 +8,8 @@ A bounded number declares its bounds once, as a dict of `ge` or `gt`, optional
 `le` or `lt`, and `integer`, in its dataclass field's metadata or beside the
 function taking it. `_schema` reads each dataclass's fields once, by declared
 type and bounds: `_Bounded` checks every field against it, `_check` a number
-against its bounds, and the config loader reads its blocks by the same schema.
+against its bounds, `_admitted` a float64 column against them, and the config
+loader reads its blocks by the same schema.
 """
 
 from __future__ import annotations
@@ -64,6 +65,21 @@ def _admits(ge=None, gt=None, le=None, lt=None, integer=False):
     hi = math.inf if hi is None else hi
     return lambda v: (isinstance(v, types) and (v > lo if lo_open else v >= lo)
                       and (v < hi if hi_open else v <= hi) and (not need_finite or _finite(v)))
+
+
+def _admitted(column, ge=None, gt=None, le=None, lt=None):
+    """`_admits` elementwise over a float64 array: True where the number is finite and
+    within the bounds. Every set of bounds has a lower end, so asking every number to
+    be finite agrees with `_admits`, where an upper end refuses inf."""
+    import numpy as np
+
+    ok = np.isfinite(column)
+    ok &= column > gt if gt is not None else column >= ge
+    if le is not None:
+        ok &= column <= le
+    if lt is not None:
+        ok &= column < lt
+    return ok
 
 
 def _bound_error(name, v, ge=None, gt=None, le=None, lt=None, integer=False) -> DomainError:

@@ -26,6 +26,7 @@ amplifies a cost change whenever the parties are mutually optimistic.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -60,9 +61,57 @@ class Dispute(_Bounded):
 
     def __post_init__(self):
         super().__post_init__()
-        # each term is a number within float range, so the float sum cannot raise
-        if not math.isfinite(float(self.j) + self.c_q + self.c_g):
+        if not self._across(self.p_q, self.p_g, self.j, self.c_q, self.c_g):
             raise DomainError("j + c_q + c_g must lie within float range")
+
+    @staticmethod
+    def _across(p_q, p_g, j, c_q, c_g):
+        """The rule across fields, for field values that each passed their bounds, or
+        elementwise for float64 columns of them: j + c_q + c_g lies within float range.
+        Each term is within float range, so the float sum cannot raise."""
+        total = 1.0 * j + c_q + c_g
+        return total - total == 0.0  # inf - inf is nan
+
+
+class DisputeBatch(Sequence):
+    """A read-only sequence of disputes held as five float64 columns, one per Dispute
+    field, in field order; an item is a Dispute of floats. `DisputeBatch.of` gathers
+    one from Disputes; the constructor takes columns whose rows are already valid
+    disputes, as the config loader checks them, and makes them read-only.
+    `settle_columns` reads the columns as they are."""
+
+    __slots__ = ("p_q", "p_g", "j", "c_q", "c_g")
+
+    def __init__(self, p_q, p_g, j, c_q, c_g):
+        self.p_q, self.p_g, self.j, self.c_q, self.c_g = p_q, p_g, j, c_q, c_g
+        for column in self.columns():
+            column.flags.writeable = False
+
+    @classmethod
+    def of(cls, disputes) -> DisputeBatch:
+        """`disputes` itself if it is a batch, else their fields as float64 columns;
+        an int beyond 2^53 is rounded."""
+        if isinstance(disputes, cls):
+            return disputes
+        import numpy as np
+
+        return cls(*(np.array([getattr(d, name) for d in disputes], dtype=np.float64)
+                     for name in cls.__slots__))
+
+    def columns(self) -> tuple:
+        return self.p_q, self.p_g, self.j, self.c_q, self.c_g
+
+    def __len__(self) -> int:
+        return len(self.p_q)
+
+    def __getitem__(self, i: int) -> Dispute:
+        return Dispute(*(float(c[i]) for c in self.columns()))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"DisputeBatch({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -147,24 +196,21 @@ def apply_cost_reduction(d: Dispute, delta_c: float) -> Dispute:
     return Dispute(p_q=d.p_q, p_g=d.p_g, j=d.j, c_q=d.c_q - delta_c, c_g=d.c_g - delta_c)
 
 
-def settle_columns(disputes: list[Dispute], rule: FeeRule,
+def settle_columns(disputes: Sequence[Dispute], rule: FeeRule,
                    delta_c: float) -> dict[str, np.ndarray]:
     """`apply_cost_reduction` -> `decide` -> `shrink_ratio` for a batch, as float64 columns.
 
     Keys: the inputs p_q, p_g, j, c_q, c_g; lower, upper and width of the
     reduced-cost range; settle (bool) and amount (meaningful where settle);
     ratio, NaN where `shrink_ratio` is undefined. The inputs are converted to
-    float64 first, so an int beyond 2^53 is rounded before any arithmetic.
-    Overflow gives inf cells as the scalar functions do. An over-large
-    reduction names the first dispute it exceeds.
+    float64 first (a DisputeBatch already holds them so), so an int beyond 2^53
+    is rounded before any arithmetic. Overflow gives inf cells as the scalar
+    functions do. An over-large reduction names the first dispute it exceeds.
     """
     import numpy as np
 
     _check("delta_c", delta_c, _REDUCTION)
-    p_q, p_g, j, c_q, c_g = (
-        np.array([getattr(d, name) for d in disputes], dtype=np.float64)
-        for name in ("p_q", "p_g", "j", "c_q", "c_g")
-    )
+    p_q, p_g, j, c_q, c_g = DisputeBatch.of(disputes).columns()
     over = delta_c > np.minimum(c_q, c_g)
     if over.any():
         raise _over_reduction(delta_c, disputes[int(over.argmax())])

@@ -40,6 +40,7 @@ from lexsim import (
     validate_composition,
 )
 from lexsim.config import build_model_params
+from lexsim.errors import _admits, _admitted
 
 HUGE = 10**400
 INT64_MAX = 2**63 - 1
@@ -308,3 +309,14 @@ def test_config_accepts_a_number_exactly_when_its_dataclass_does(field, v):
     else:
         direct_ok = True
     assert config_ok == direct_ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from([POSITIVE, NONNEGATIVE, MULTIPLIER, PROBABILITY, SHOCK, RATE]),
+       values=st.lists(st.floats(), max_size=20))
+def test_a_float_column_is_admitted_where_each_of_its_numbers_is(kind, values):
+    import numpy as np
+
+    values += [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.0, 1.0 + 2**-52]
+    assert _admitted(np.array(values), **kind.bounds).tolist() == \
+        [_admits(**kind.bounds)(v) for v in values]

@@ -426,14 +426,15 @@ VALID = {"p_q": PROB, "p_g": PROB, "j": POSITIVE, "c_q": NONNEGATIVE, "c_g": NON
 
 
 @st.composite
-def dispute_items(draw, max_size):
+def dispute_items(draw, max_size, max_changes=3):
     """Valid dispute objects, then a few changes: wild values, missing or extra keys,
     non-dict items, or a (valid) stake or cost past 2^53."""
     items = draw(st.lists(st.fixed_dictionaries(VALID), min_size=1, max_size=max_size))
     changes = st.tuples(st.integers(0, len(items) - 1),
                         st.sampled_from(["value", "drop", "extra", "item", "big"]),
                         st.sampled_from(KEYS), WILD)
-    for i, kind, key, value in draw(st.lists(changes, max_size=3)) if draw(st.booleans()) else []:
+    n = max_changes if draw(st.booleans()) else 0
+    for i, kind, key, value in draw(st.lists(changes, max_size=n)):
         if kind == "big" and isinstance(items[i], dict):
             items[i][key if key in ("j", "c_q", "c_g") else "j"] = draw(
                 st.integers(2**53 + 1, 2**70))
@@ -449,9 +450,9 @@ def dispute_items(draw, max_size):
 
 
 @st.composite
-def items_and_reduction(draw, max_size):
+def items_and_reduction(draw, max_size, max_changes=3):
     """A dispute list plus a cost_reduction that is often within its smallest cost."""
-    items = draw(dispute_items(max_size))
+    items = draw(dispute_items(max_size, max_changes))
     costs = [v for it in items if isinstance(it, dict) for k, v in it.items()
              if k in ("c_q", "c_g") and type(v) in (int, float) and 0 <= v <= 1e308]
     top = abs(min(costs, default=0.0))
@@ -473,26 +474,42 @@ def checked_loop(items, reduction, errs):
     return None if None in disputes else disputes
 
 
+def floats(d):
+    """`d` with every field converted to float, as a column read holds it."""
+    return Dispute(*(float(getattr(d, k)) for k in KEYS))
+
+
 class TestPlainDispute:
-    """`_obj`'s quick path for a list item (`_plain`) against its field-by-field read."""
+    """The column read of a dispute list (`config._batch`) against the field-by-field
+    read of each item through `_obj`."""
 
     @settings(max_examples=250, deadline=None)
     @given(items=dispute_items(max_size=5))
     def test_accepts_exactly_what_the_field_checks_accept(self, items):
-        for item in items:
-            errs = []
-            checked = config._obj(Dispute, item, "settle.disputes[0]", errs)
-            plain = config._plain(Dispute, item)
-            assert (plain is None) == bool(errs)
-            if plain is not None:
-                assert plain == checked
-                assert [type(getattr(plain, k)) for k in KEYS] == \
-                    [type(getattr(checked, k)) for k in KEYS]
+        errs, expected_errs = [], []
+        batch = config._batch(Dispute, items, "settle.disputes", errs)
+        expected = [config._obj(Dispute, item, f"settle.disputes[{i}]", expected_errs)
+                    for i, item in enumerate(items)]
+        assert errs == expected_errs
+        for i, d in enumerate(expected):  # a faulty item's row holds NaN
+            row = [float(column[i]) for column in batch.columns()]
+            if d is None:
+                assert all(math.isnan(v) for v in row)
+            else:
+                assert repr(row) == repr([float(getattr(d, k)) for k in KEYS])
 
     @settings(max_examples=100, deadline=None)
     @given(case=items_and_reduction(max_size=4))
     def test_build_settle_matches_the_checked_loop(self, case):
-        items, reduction = case
+        self.assert_as_the_checked_loop(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=items_and_reduction(max_size=60, max_changes=50))
+    def test_many_mutated_items_report_as_the_checked_loop(self, case):
+        self.assert_as_the_checked_loop(*case)
+
+    @staticmethod
+    def assert_as_the_checked_loop(items, reduction):
         block = {"rule": "english", "disputes": items, "cost_reduction": reduction}
         errs = []
         params = config.build_model_params({"settle": block}, "settle", errs)
@@ -502,10 +519,11 @@ class TestPlainDispute:
         if errs:
             assert params is None
         else:
+            expected = [floats(d) for d in expected]
             assert params == SettleParams(rule=FeeRule.ENGLISH, disputes=expected,
                                           cost_reduction=reduction)
-            assert [type(getattr(d, k)) for d in params.disputes for k in KEYS] == \
-                [type(getattr(d, k)) for d in expected for k in KEYS]
+            assert repr(list(params.disputes)) == repr(expected)  # floats, signs kept
+            assert repr(params.cost_reduction) == repr(reduction)
 
     def test_json_nan_and_infinity_reported_per_item(self, tmp_path):
         text = ('{"settle": {"rule": "american", "disputes": ['
@@ -514,3 +532,68 @@ class TestPlainDispute:
             load_config(write(tmp_path, text), "settle")
         assert exc.value.errors == [("settle.disputes[0].p_q", "must be finite, got nan"),
                                     ("settle.disputes[0].j", "must be finite, got inf")]
+
+
+def thousand_disputes():
+    return [{"p_q": 0.6, "p_g": 0.5, "j": 100.0 + i, "c_q": 10.0, "c_g": 12} for i in range(1000)]
+
+
+class TestManyDisputes:
+    """Faults among many clean disputes: only the faulty items are reported, each
+    with the messages a one-item list gives."""
+
+    @pytest.mark.parametrize("c_q, reduction, reported", [
+        (2**60 - 1, 2.0**60, True),  # the two are equal as floats, not as numbers
+        (2.0**60, 2**60 + 1, True),
+        (2**60 + 1, 2.0**60, False),
+        (2.0**60, 2.0**60, False),
+    ])
+    def test_reduction_equal_to_a_cost_as_floats(self, tmp_path, c_q, reduction, reported):
+        disputes = [{**d, "c_q": 2**61, "c_g": 2**61} for d in thousand_disputes()]
+        disputes[0]["c_q"] = c_q
+        payload = {"settle": {"rule": "american", "disputes": disputes,
+                              "cost_reduction": reduction}}
+        path = write(tmp_path, payload)
+        if reported:
+            with pytest.raises(ConfigError) as exc:
+                load_config(path, "settle")
+            assert exc.value.errors == [
+                ("settle.disputes[0]", f"cost_reduction {reduction!r} exceeds a party cost")]
+        else:
+            assert load_config(path, "settle").params.disputes[0].c_q == float(c_q)
+
+    @pytest.mark.parametrize("key, message", [("p_q", f"must be <= 1.0, got {10**400}"),
+                                              ("j", f"must be finite, got {10**400}"),
+                                              ("c_g", f"must be finite, got {10**400}")])
+    def test_an_int_past_float_range(self, tmp_path, key, message):
+        disputes = thousand_disputes()
+        disputes[700][key] = 10**400
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, {"settle": {"rule": "english", "disputes": disputes}}),
+                        "settle")
+        assert exc.value.errors == [(f"settle.disputes[700].{key}", message)]
+
+    @pytest.mark.parametrize("change, expected", [
+        ({"c_q": True}, [("c_q", "must be a number, got True")]),
+        ({"j": "100"}, [("j", "must be a number, got '100'")]),
+        ({"stray": 1.0}, [("stray", "unknown key")]),
+        ({"p_q": math.nan, "j": math.inf},  # JSON NaN and Infinity
+         [("p_q", "must be finite, got nan"), ("j", "must be finite, got inf")]),
+    ], ids=["bool", "string", "extra-key", "nan-and-infinity"])
+    def test_one_faulty_item(self, tmp_path, change, expected):
+        disputes = thousand_disputes()
+        disputes[321].update(change)
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, {"settle": {"rule": "english", "disputes": disputes}}),
+                        "settle")
+        assert exc.value.errors == [(f"settle.disputes[321].{key}", msg) for key, msg in expected]
+
+    def test_loaded_disputes_are_a_read_only_batch_of_floats(self, tmp_path):
+        disputes = thousand_disputes()
+        params = load_config(write(tmp_path, {"settle": {"rule": "english", "disputes": disputes}}),
+                             "settle").params
+        assert len(params.disputes) == 1000
+        assert params.disputes[-1] == Dispute(p_q=0.6, p_g=0.5, j=1099.0, c_q=10.0, c_g=12.0)
+        assert type(params.disputes[0].c_g) is float
+        with pytest.raises(ValueError):
+            params.disputes.c_q[0] = -1.0

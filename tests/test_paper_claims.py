@@ -7,17 +7,19 @@ relitigation, and so the drift toward efficient rules (Rubin 1977; Priest
 1977), faster; nuisance suits are filed to be settled, never tried; and a flat
 cost cut moves docket shares between areas without changing their total.
 
-Example counts are capped so the file stays a small share of the suite. The
-strategies keep amounts at or below 1e6 and elasticities at or below 10, where
-every settlement range and docket volume is a finite float. Near the float
-limit two claims break for want of range, not of economics: an English-rule
-range overflows to NaN, which `decide` calls a trial, and a docket volume
-overflows, which `shift_composition` raises as an OverflowError. A curve whose
-g* the solver cannot reach within its residual tolerance (a steep one with g*
-near 1) makes no claim either, and is rejected.
+Example counts are capped so the file stays a small share of the suite. A
+dispute's and a legal area's amounts range over every finite float: their
+construction refuses a stake plus costs past float range, and an example it
+refuses is rejected. The filing game's and the docket's amounts stay at or below
+1e6 and elasticities at or below 10, where every docket volume is a finite
+float; past that a volume can overflow, which `shift_composition` refuses, for
+want of range, not of economics. A curve whose g* the solver cannot reach within
+its residual tolerance (a steep one with g* near 1) makes no claim either, and
+is rejected.
 """
 
 import math
+import sys
 
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from lexsim import (
     AreaShare,
     ConvergenceError,
     Dispute,
+    DomainError,
     FeeRule,
     FrivolousConfig,
     FollowUp,
@@ -39,6 +42,8 @@ from lexsim import (
     completeness_response,
     decide,
     effective_dispute_rate,
+    flip_rates,
+    gap_closure_time,
     play,
     shift_composition,
     trial_fractions,
@@ -56,7 +61,16 @@ curves = st.builds(GapCurve, b_scale=log_uniform(-3, 3), beta=log_uniform(-1.3, 
 deltas = st.floats(0.0, 1.0, exclude_max=True)
 probabilities = st.floats(0.0, 1.0)
 amounts = st.floats(0.0, 1e6)
+any_amount = st.floats(0.0, sys.float_info.max)
 rules = st.sampled_from(FeeRule)
+
+
+def built(cls, **fields):
+    """cls(**fields), or a rejected example where construction refuses a sum of them."""
+    try:
+        return cls(**fields)
+    except DomainError:
+        reject()
 
 
 def response(curve, shock):
@@ -85,8 +99,8 @@ def test_a_litigation_shock_weakly_lowers_completeness(curve, delta):
 
 @st.composite
 def disputes_and_cuts(draw):
-    d = Dispute(p_q=draw(probabilities), p_g=draw(probabilities), j=draw(amounts.filter(bool)),
-                c_q=draw(amounts), c_g=draw(amounts))
+    d = built(Dispute, p_q=draw(probabilities), p_g=draw(probabilities),
+              j=draw(any_amount.filter(bool)), c_q=draw(any_amount), c_g=draw(any_amount))
     return d, draw(st.floats(0.0, min(d.c_q, d.c_g)))
 
 
@@ -107,13 +121,16 @@ def test_tort_dispute_flow_ignores_the_shock(rate, contracting, litigation):
 
 @st.composite
 def areas_and_cuts(draw):
-    """A tort area and two cost cuts, the second the larger."""
-    area = LegalArea(name="negligence", kind=AreaKind.TORT, dispute_rate=1.0,
-                     stakes_j=draw(amounts.filter(bool)),
-                     stakes_multiplier=draw(st.floats(1.0, 100.0)),
-                     cost_q=draw(amounts), cost_g=draw(amounts),
-                     belief_spread=draw(st.floats(0.0, 1.0)),
-                     belief_center=draw(probabilities), fee_rule=draw(rules))
+    """A tort area and two cost cuts, the second the larger. Overturn odds of at most
+    1/2 keep p_ie + p_ei <= 1, where more flipping means faster closure."""
+    area = built(LegalArea, name="negligence", kind=AreaKind.TORT,
+                 dispute_rate=draw(st.floats(0.0, 1.0, exclude_min=True)),
+                 stakes_j=draw(any_amount.filter(bool)),
+                 stakes_multiplier=draw(st.floats(1.0, 100.0)),
+                 cost_q=draw(any_amount), cost_g=draw(any_amount),
+                 belief_spread=draw(st.floats(0.0, 1.0)),
+                 belief_center=draw(probabilities), overturn_prob=draw(st.floats(0.0, 0.5)),
+                 fee_rule=draw(rules))
     cuts = sorted(draw(st.floats(0.0, min(area.cost_q, area.cost_g))) for _ in range(2))
     return area, cuts
 
@@ -125,6 +142,22 @@ def test_cheaper_trials_weakly_raise_both_trial_fractions(case, seed):
     before = trial_fractions(area, cost_delta=small, n_samples=200, seed=seed)
     after = trial_fractions(area, cost_delta=large, n_samples=200, seed=seed)
     assert after[0] >= before[0] and after[1] >= before[1]
+
+
+def closure_time(area, cut, seed):
+    """Periods the expected path from all-inefficient rules takes to close 90% of its
+    gap; inf where no rule ever flips, or it never closes."""
+    try:
+        return gap_closure_time(0.0, flip_rates(area, cost_delta=cut, n_samples=200, seed=seed))
+    except (DomainError, ConvergenceError):
+        return math.inf
+
+
+@CLAIMS
+@given(case=areas_and_cuts(), seed=st.integers(0, 2**64 - 1))
+def test_cheaper_trials_weakly_speed_up_gap_closure(case, seed):
+    area, (small, large) = case
+    assert closure_time(area, large, seed) <= closure_time(area, small, seed)
 
 
 games = st.builds(FrivolousConfig, f_o=amounts, f_q=amounts, d=amounts, s=amounts,
