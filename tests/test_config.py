@@ -539,8 +539,9 @@ def thousand_disputes():
 
 
 class TestManyDisputes:
-    """Faults among many clean disputes: only the faulty items are reported, each
-    with the messages a one-item list gives."""
+    """A thousand disputes through `load_config`: a fault reports only its own item,
+    with the messages a one-item list gives, and clean ones load as a read-only batch
+    of float disputes."""
 
     @pytest.mark.parametrize("c_q, reduction, reported", [
         (2**60 - 1, 2.0**60, True),  # the two are equal as floats, not as numbers
@@ -590,8 +591,8 @@ class TestManyDisputes:
 
     def test_loaded_disputes_are_a_read_only_batch_of_floats(self, tmp_path):
         disputes = thousand_disputes()
-        params = load_config(write(tmp_path, {"settle": {"rule": "english", "disputes": disputes}}),
-                             "settle").params
+        path = write(tmp_path, {"settle": {"rule": "english", "disputes": disputes}})
+        params = load_config(path, "settle").params
         assert len(params.disputes) == 1000
         assert params.disputes[-1] == Dispute(p_q=0.6, p_g=0.5, j=1099.0, c_q=10.0, c_g=12.0)
         assert type(params.disputes[0].c_g) is float
