@@ -2,7 +2,7 @@
 
 One fixed layout, byte-deterministic output: the same series always render to
 the same text, which is what the reproducibility contract of the run harness
-needs. Nothing here is configurable beyond labels and canvas size on purpose.
+needs. Nothing here is configurable beyond labels on purpose.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .errors import DomainError
 
 _PALETTE = ("#1f6feb", "#d2491f", "#2da44e", "#8250df", "#bf8700", "#57606a")
 _TICKS = 5
+_WIDTH, _HEIGHT = 720.0, 440.0  # the canvas, margins included
 _escape = partial(escape, quote=False)  # element text: only & < > need escaping
 
 
@@ -30,14 +31,8 @@ def _fmt(x: float) -> str:
     return format(x, ".2f")
 
 
-def line_chart(
-    series: list[tuple[str, list[float], list[float]]],
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    width: float = 720.0,
-    height: float = 440.0,
-) -> str:
+def line_chart(series: list[tuple[str, list[float], list[float]]], title: str = "",
+               x_label: str = "", y_label: str = "") -> str:
     """Render labeled (xs, ys) series to SVG text.
 
     Raises DomainError on empty input, mismatched lengths, or non-finite data.
@@ -58,12 +53,8 @@ def line_chart(
     x_lo, x_hi = _span(xs_all)
     y_lo, y_hi = _span(ys_all)
     left, right, top, bottom = 72.0, 24.0, 40.0 if title else 24.0, 52.0
-    plot_w = width - left - right
-    plot_h = height - top - bottom
-    if plot_w <= 0.0 or plot_h <= 0.0:
-        raise DomainError(
-            f"canvas {width}x{height} leaves no room inside the margins"
-        )
+    plot_w = _WIDTH - left - right
+    plot_h = _HEIGHT - top - bottom
 
     def px(x: float) -> float:
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -72,13 +63,13 @@ def line_chart(
         return top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_WIDTH)}" '
+        f'height="{_fmt(_HEIGHT)}" viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">',
+        f'<rect x="0" y="0" width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" fill="#ffffff"/>',
     ]
     if title:
         out.append(
-            f'<text x="{_fmt(width / 2)}" y="24" text-anchor="middle" '
+            f'<text x="{_fmt(_WIDTH / 2)}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" fill="#24292f">{_escape(title)}</text>'
         )
 
@@ -129,7 +120,7 @@ def line_chart(
 
     if x_label:
         out.append(
-            f'<text x="{_fmt(left + plot_w / 2)}" y="{_fmt(height - 12)}" text-anchor="middle" '
+            f'<text x="{_fmt(left + plot_w / 2)}" y="{_fmt(_HEIGHT - 12)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" fill="#24292f">{_escape(x_label)}</text>'
         )
     if y_label:

@@ -6,12 +6,14 @@ block per model the file can drive ("equilibrium", "settle", "frivolous",
 Validation is aggregated: every violation is collected with its field path and
 reported in one ConfigError rather than failing on the first.
 
-A model block's schema is its parameter dataclass: `_obj` reads each field by
-its declared type, its bounds metadata and its default, so a key, a default or
-a bound is written once, on the dataclass. Each model adds one `_check_<model>`
-for the rules across its fields. The sweep block is read the same way, from
-`SweepSpec` and its `SweepAxis` items. A settle block's disputes, the one list
-that runs to many thousands of items, are read into float64 columns.
+A model block's schema is its parameter dataclass, a `_Bounded` that checks
+every field when built, in code or here: `_obj` reads each field by its declared
+type, its bounds metadata and its default, so a key, a default or a bound is
+written once, on the dataclass. A model may add one `_check_<model>` for rules
+across its fields, worded and placed as a config reports them; composition's is
+the dataclass's own, reported at `composition`. The sweep block is read the same
+way, from `SweepSpec` and its `SweepAxis` items. A settle block's disputes, the
+one list that runs to many thousands of items, are read into float64 columns.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import get_args, get_origin
 
 from .composition import _FLAT_REDUCTION, AreaShare, validate_composition
 from .contracts import _TOLERANCE, AiShock, GapCurve
-from .errors import ConfigError, DomainError, _admitted, _finite, _schema
+from .errors import ConfigError, DomainError, _Bounded, _admitted, _finite, _schema
 from .evolution import (_COST_DELTA, _PERIODS, FrivolousStream, LegalArea, RulePopulation,
                         _check_draw_size)
 from .frivolous import _BELIEF, FilingShift, FrivolousConfig
@@ -43,28 +45,28 @@ _BATCHES = {Dispute: DisputeBatch}  # a list item read as a row of float64 colum
 
 
 @dataclass(frozen=True)
-class EquilibriumParams:
+class EquilibriumParams(_Bounded):
     curve: GapCurve
     shock: AiShock = AiShock()
     tolerance: float = field(default=1e-9, metadata=_TOLERANCE)
 
 
 @dataclass(frozen=True)
-class SettleParams:
+class SettleParams(_Bounded):
     rule: FeeRule
     disputes: Sequence[Dispute]  # read from a config as a DisputeBatch
     cost_reduction: float = field(default=0.0, metadata=_REDUCTION)
 
 
 @dataclass(frozen=True)
-class FrivolousParams:
+class FrivolousParams(_Bounded):
     game: FrivolousConfig
     belief: float | None = field(default=None, metadata=_BELIEF)
     shift: FilingShift | None = None
 
 
 @dataclass(frozen=True)
-class EvolveParams:
+class EvolveParams(_Bounded):
     area: LegalArea
     population: RulePopulation
     periods: int = field(metadata=_PERIODS)
@@ -75,19 +77,23 @@ class EvolveParams:
 
 
 @dataclass(frozen=True)
-class CompositionParams:
+class CompositionParams(_Bounded):
     areas: list[AreaShare]
     flat_reduction: float = field(metadata=_FLAT_REDUCTION)
 
+    def __post_init__(self):
+        super().__post_init__()
+        validate_composition(self.areas, self.flat_reduction)
+
 
 @dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(_Bounded):
     path: str  # dotted, into the swept model's block
     values: list
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Bounded):
     model: str
     axes: list[SweepAxis]
     replicates: int = field(default=1, metadata={"ge": 1, "integer": True})
@@ -290,16 +296,6 @@ def _check_evolve(vals, errs, raw):
         errs.append(("evolve.cost_delta", f"exceeds a party cost in area {area.name!r}"))
 
 
-def _check_composition(vals, errs, raw):
-    areas, reduction = vals.get("areas"), vals.get("flat_reduction")
-    if areas is None or reduction is None or any(a is None for a in areas):
-        return
-    try:
-        validate_composition(areas, reduction)
-    except DomainError as e:
-        errs.append(("composition", str(e)))
-
-
 def _check_sweep(vals, errs, raw):
     n_errs = len(errs)
     model = vals.get("model") and _str(vals["model"], "sweep.model", errs,
@@ -328,7 +324,7 @@ _PARAMS = {  # model: (its parameter dataclass, the check across its fields)
     "settle": (SettleParams, _check_settle),
     "frivolous": (FrivolousParams, _check_frivolous),
     "evolve": (EvolveParams, _check_evolve),
-    "composition": (CompositionParams, _check_composition),
+    "composition": (CompositionParams, None),
     "sweep": (SweepSpec, _check_sweep),
 }
 MODELS = tuple(_PARAMS)

@@ -9,12 +9,14 @@ A bounded number declares its bounds once, as a dict of `ge` or `gt`, optional
 function taking it. `_schema` reads each dataclass's fields once, by declared
 type and bounds: `_Bounded` checks every field against it, `_check` a number
 against its bounds, `_admitted` a float64 column against them, and the config
-loader reads its blocks by the same schema.
+loader reads its blocks by the same schema. Every parameter dataclass derives
+from `_Bounded`, so it checks itself whether code or a config built it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sized
 from dataclasses import fields
 from functools import cache
 from types import NoneType, UnionType
@@ -105,15 +107,18 @@ def _check(name: str, v, bounds) -> None:
 def _schema(cls) -> tuple:
     """(name, type, default, bounds, test) of each field of dataclass `cls`, in
     declaration order; a `X | None` type reads as X. `test` admits a number within
-    the bounds or, for a field without any, an instance of its type other than ""."""
+    the bounds or, for a field without any, an instance of its type, nonempty by
+    len() if the type is sized (comparing a DisputeBatch with "" builds each item)."""
     hints = get_type_hints(cls)
     out = []
     for f in fields(cls):
         t = hints[f.name]
         if isinstance(t, UnionType):
             t = next(a for a in get_args(t) if a is not NoneType)
+        c = get_origin(t) or t
         test = (_admits(**f.metadata) if f.metadata else
-                lambda v, c=get_origin(t) or t: isinstance(v, c) and v != "")
+                lambda v, c=c, sized=issubclass(c, Sized): isinstance(v, c) and
+                (not sized or len(v) > 0))
         out.append((f.name, t, f.default, f.metadata, test))
     return tuple(out)
 
@@ -128,5 +133,6 @@ class _Bounded:
             if not admits(v) and not (v is None and default is None):
                 if bounds:
                     raise _bound_error(name, v, **bounds)
-                kind = "a nonempty string" if t is str else f"an instance of {t.__name__}"
+                kind = ("a nonempty string" if t is str else "a nonempty list"
+                        if isinstance(v, get_origin(t) or t) else f"an instance of {t.__name__}")
                 raise DomainError(f"{name} must be {kind}: got {v!r}")

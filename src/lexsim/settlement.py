@@ -108,7 +108,13 @@ class DisputeBatch(Sequence):
         return Dispute(*(float(c[i]) for c in self.columns()))
 
     def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        if isinstance(other, DisputeBatch):  # as the items compare: loaded columns hold no NaN
+            return all((a == b).all() for a, b in zip(self.columns(), other.columns()))
+        return list(self) == list(other)
 
     def __repr__(self) -> str:
         return f"DisputeBatch({list(self)!r})"

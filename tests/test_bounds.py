@@ -5,18 +5,25 @@ checks it against, and the DomainError text the model code raises for it. The
 config message, the error list and the DomainError text are checked for values
 below, at and above each bound, for nan, inf and 10**400, and for a bool and a
 string. A property then checks that the two layers accept the same numbers.
+Every parameter dataclass checks its fields when built, a run's parameters
+included: each bounded number and each list a config reads is also built
+directly.
 """
 
 import copy
+import importlib
 import json
 import math
+import pkgutil
 import re
 from collections import namedtuple
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexsim
 from lexsim import (
     AiShock,
     AreaKind,
@@ -24,6 +31,7 @@ from lexsim import (
     ConfigError,
     Dispute,
     DomainError,
+    FeeRule,
     FlipRates,
     FrivolousConfig,
     FrivolousStream,
@@ -39,8 +47,9 @@ from lexsim import (
     trial_fractions,
     validate_composition,
 )
-from lexsim.config import build_model_params
-from lexsim.errors import _admits, _admitted
+from lexsim.config import (CompositionParams, EquilibriumParams, EvolveParams, FrivolousParams,
+                           SettleParams, SweepAxis, SweepSpec, build_model_params)
+from lexsim.errors import _Bounded, _admits, _admitted
 
 HUGE = 10**400
 INT64_MAX = 2**63 - 1
@@ -320,3 +329,58 @@ def test_a_float_column_is_admitted_where_each_of_its_numbers_is(kind, values):
     values += [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.0, 1.0 + 2**-52]
     assert _admitted(np.array(values), **kind.bounds).tolist() == \
         [_admits(**kind.bounds)(v) for v in values]
+
+
+RUN_PARAMETERS = {  # a run parameter's config path: its dataclass, built with the number
+    "equilibrium.tolerance": lambda v: EquilibriumParams(GapCurve(**CURVE), tolerance=v),
+    "settle.cost_reduction": lambda v: SettleParams(FeeRule.AMERICAN, [Dispute(**DISPUTE)], v),
+    "frivolous.belief": lambda v: FrivolousParams(FrivolousConfig(**GAME), v),
+    "evolve.periods": lambda v: EvolveParams(area(), RulePopulation(**POPULATION), v),
+    "evolve.cost_delta": lambda v: EvolveParams(area(), RulePopulation(**POPULATION), 1,
+                                                cost_delta=v),
+    "evolve.tolerance": lambda v: EvolveParams(area(), RulePopulation(**POPULATION), 1,
+                                               tolerance=v),
+    "composition.flat_reduction": lambda v: CompositionParams([AreaShare(**SHARE)], v),
+    "sweep.replicates": lambda v: SweepSpec(
+        "equilibrium", [SweepAxis("equilibrium.curve.kappa", [1.0])], v),
+}
+KINDS = {f[0]: f[1] for f in FIELDS}
+
+
+@pytest.mark.parametrize("path", RUN_PARAMETERS)
+def test_run_parameters_check_their_bounds_when_built(path):
+    kind, name, make = KINDS[path], path.rpartition(".")[2], RUN_PARAMETERS[path]
+    for v in values(kind.bounds):
+        # an integer past float range fails none of these bounds: only the config
+        # refuses it, as not finite
+        if (config_message(int(v) if isinstance(v, bool) else v, **kind.bounds) is None
+                or v == HUGE and kind.bounds.get("integer")):
+            make(v)
+        else:
+            with pytest.raises(DomainError) as exc:
+                make(v)
+            assert str(exc.value) == kind.template.format(name, v), v
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: SettleParams(FeeRule.AMERICAN, []), "disputes"),
+    (lambda: CompositionParams([], 0.0), "areas"),
+    (lambda: SweepSpec("settle", []), "axes"),
+    (lambda: SweepAxis("settle.rule", []), "values"),
+], ids=["SettleParams.disputes", "CompositionParams.areas", "SweepSpec.axes",
+        "SweepAxis.values"])
+def test_an_empty_list_is_refused_when_built(make, name):
+    with pytest.raises(DomainError) as exc:
+        make()
+    assert str(exc.value) == f"{name} must be a nonempty list: got []"
+
+
+def test_every_dataclass_with_bounds_checks_itself():
+    bounded = set()
+    for module in pkgutil.iter_modules(lexsim.__path__):
+        for obj in vars(importlib.import_module(f"lexsim.{module.name}")).values():
+            if is_dataclass(obj) and isinstance(obj, type) and any(f.metadata for f in fields(obj)):
+                bounded.add(obj)
+    assert {EquilibriumParams, SettleParams, FrivolousParams, EvolveParams, CompositionParams,
+            SweepSpec, Dispute, FlipRates} <= bounded
+    assert [cls.__name__ for cls in bounded if not issubclass(cls, _Bounded)] == []

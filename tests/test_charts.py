@@ -92,7 +92,3 @@ class TestValidation:
             line_chart([("nan", [0.0, 1.0], [0.0, math.nan])])
         with pytest.raises(DomainError):
             line_chart([("inf", [0.0, math.inf], [0.0, 1.0])])
-
-    def test_rejects_tiny_canvas(self):
-        with pytest.raises(DomainError):
-            line_chart(simple_series(), width=10, height=10)

@@ -220,3 +220,29 @@ class TestCostReduction:
             for rule in FeeRule:
                 if decide(d, rule).kind is OutcomeKind.TRIAL:
                     assert decide(reduced, rule).kind is OutcomeKind.TRIAL
+
+
+class TestDisputeBatch:
+    def test_equality_builds_no_dispute_where_the_columns_decide(self, monkeypatch):
+        import numpy as np
+
+        from lexsim.settlement import DisputeBatch
+
+        def batch(j=100.0):
+            return DisputeBatch(*(np.full(20_000, x) for x in (0.6, 0.5, j, 10.0, 10.0)))
+
+        loaded, same, other = batch(), batch(), batch(j=101.0)
+
+        def no_items(self, i):
+            raise AssertionError("a Dispute was built")
+
+        monkeypatch.setattr(DisputeBatch, "__getitem__", no_items)
+        assert loaded != ""
+        assert loaded != []
+        assert loaded != [FIXTURE]
+        assert loaded == same
+        assert not loaded != same
+        assert loaded != other
+        monkeypatch.undo()
+        assert loaded == [FIXTURE] * 20_000
+        assert loaded != [FIXTURE] * 19_999 + [Dispute(0.6, 0.5, 101.0, 10.0, 10.0)]
