@@ -33,25 +33,21 @@ def _fmt(x: float) -> str:
 
 def line_chart(series: list[tuple[str, list[float], list[float]]], title: str = "",
                x_label: str = "", y_label: str = "") -> str:
-    """Render labeled (xs, ys) series to SVG text.
+    """Render labeled (xs, ys) series, each of xs and ys any iterable of reals, to SVG text.
 
     Raises DomainError on empty input, mismatched lengths, or non-finite data.
     """
     if not series:
         raise DomainError("at least one series is required")
-    xs_all: list[float] = []
-    ys_all: list[float] = []
+    series = [(label, list(map(float, xs)), list(map(float, ys))) for label, xs, ys in series]
     for label, xs, ys in series:
         if len(xs) != len(ys) or len(xs) == 0:
             raise DomainError(f"series {label!r} needs equal, nonzero x/y lengths")
-        for v in list(xs) + list(ys):
-            if not math.isfinite(v):
-                raise DomainError(f"series {label!r} contains a non-finite value")
-        xs_all.extend(float(v) for v in xs)
-        ys_all.extend(float(v) for v in ys)
+        if not all(map(math.isfinite, xs + ys)):
+            raise DomainError(f"series {label!r} contains a non-finite value")
 
-    x_lo, x_hi = _span(xs_all)
-    y_lo, y_hi = _span(ys_all)
+    x_lo, x_hi = _span([x for _, xs, _ in series for x in xs])
+    y_lo, y_hi = _span([y for _, _, ys in series for y in ys])
     left, right, top, bottom = 72.0, 24.0, 40.0 if title else 24.0, 52.0
     plot_w = _WIDTH - left - right
     plot_h = _HEIGHT - top - bottom
@@ -102,7 +98,7 @@ def line_chart(series: list[tuple[str, list[float], list[float]]], title: str = 
 
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{_fmt(px(float(x)))},{_fmt(py(float(y)))}" for x, y in zip(xs, ys))
+        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -10,10 +10,10 @@ A model block's schema is its parameter dataclass, a `_Bounded` that checks
 every field when built, in code or here: `_obj` reads each field by its declared
 type, its bounds metadata and its default, so a key, a default or a bound is
 written once, on the dataclass. A model may add one `_check_<model>` for rules
-across its fields, worded and placed as a config reports them; composition's is
-the dataclass's own, reported at `composition`. The sweep block is read the same
-way, from `SweepSpec` and its `SweepAxis` items. A settle block's disputes, the
-one list that runs to many thousands of items, are read into float64 columns.
+across its fields, worded and placed as a config reports them; the dataclass's own
+rules (composition's docket, the sweep's run limit) are reported at the block. A
+block is built unless a field or a check is faulty: an unknown key stops nothing.
+A settle block's disputes, by far the longest list, are read into float64 columns.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .settlement import _REDUCTION, Dispute, DisputeBatch, FeeRule
 _MAX_RUNS = 10**6  # per sweep, grid points x replicates; a sweep keeps every summary row
 _COMPARISONS = ((">=", operator.ge), (">", operator.gt), ("<=", operator.le), ("<", operator.lt))
 _NUMBER_TYPES = frozenset((int, float))
-_BATCHES = {Dispute: DisputeBatch}  # a list item read as a row of float64 columns: their holder
+_UNKNOWN = "unknown key"  # the one fault that stops no block from being built
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,11 @@ class SweepSpec(_Bounded):
     model: str
     axes: list[SweepAxis]
     replicates: int = field(default=1, metadata={"ge": 1, "integer": True})
+
+    def __post_init__(self):
+        super().__post_init__()
+        if (runs := math.prod(len(a.values) for a in self.axes) * self.replicates) > _MAX_RUNS:
+            raise DomainError(f"grid points x replicates = {runs}, above the limit of {_MAX_RUNS}")
 
 
 @dataclass
@@ -154,26 +159,25 @@ def _list(v, path, errs):
 def _check_keys(block, allowed, path, errs):
     for key in block:
         if key not in allowed:
-            errs.append((f"{path}.{key}" if path else key, "unknown key"))
+            errs.append((f"{path}.{key}" if path else key, _UNKNOWN))
 
 
-def _batch(cls, items, path, errs):
-    """The list `items` of `cls`, a `_Bounded` class of bounded numbers with an
-    `_across` rule, read into float64 columns held by `_BATCHES[cls]`.
+def _batch(items, path, errs):
+    """The list `items` of disputes read into the float64 columns of a DisputeBatch.
 
-    An item that is a dict of exactly cls's field names, each an int or a float, is
-    read as one row and checked there: each column against its bounds by `_admitted`,
-    the rows against `cls._across`. Every other item, and every row that fails, is
-    read by `_obj`, which reports its faults in the order a loop over the items
-    would; a faulty item's row holds NaN. No int but 0 and 1 themselves rounds to
+    An item that is a dict of exactly Dispute's field names, each an int or a float,
+    is read as one row and checked there: each column against its bounds by
+    `_admitted`, the rows against `Dispute._across`. Every other item, and every row
+    that fails, is read by `_obj`, which reports its faults in the order a loop over
+    the items would; a faulty item's row holds NaN. No int but 0 and 1 themselves rounds to
     0 or 1, a Dispute's bounds, so a plain item's row passes exactly when `_obj`
     accepts the item. An int beyond 2^53 is rounded.
     """
     import numpy as np
 
-    schema = _schema(cls)
+    schema = _schema(Dispute)
     names = [name for name, *_ in schema]
-    keys, get, nan_row = _names(cls), operator.itemgetter(*names), (math.nan,) * len(names)
+    keys, get, nan_row = _names(Dispute), operator.itemgetter(*names), (math.nan,) * len(names)
 
     def rows():
         return (get(item) if type(item) is dict and item.keys() == keys
@@ -188,30 +192,31 @@ def _batch(cls, items, path, errs):
             row if all(map(_finite, row)) else nan_row for row in rows()), np.float64, size)
     cols = tuple(table.reshape(len(items), len(names)).T)
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = cls._across(*cols)
+        ok = Dispute._across(*cols)
     for col, (_, _, _, bounds, _) in zip(cols, schema):
         ok &= _admitted(col, **bounds)
     for i in np.flatnonzero(~ok).tolist():
-        item = _obj(cls, items[i], f"{path}[{i}]", errs)
+        item = _obj(Dispute, items[i], f"{path}[{i}]", errs)
         for col, name in zip(cols, names):
             col[i] = math.nan if item is None else getattr(item, name)
-    return _BATCHES[cls](*cols)
+    return DisputeBatch(*cols)
 
 
 def _obj(cls, value, path, errs, check=None, raw=None):
-    """Dataclass `cls` read from the JSON object `value` by its declared field types;
-    None, with each fault put in errs at its path, if a field is faulty.
+    """Dataclass `cls` read from the JSON object `value` by its declared field types,
+    each fault put in errs at its path; None if a field is faulty or a check failed.
+    An unknown key, at any depth, is reported and stops nothing.
 
     A field with bounds metadata is a number; a str field is a nonempty string, an
     Enum field one of its values; a dataclass field is an object read the same way;
-    a list[X] or Sequence[X] field is a nonempty list of X (read by `_batch` where X
-    is in `_BATCHES`), and a bare list field a nonempty list of any JSON values. A
-    field with a default may be missing, and JSON null counts as missing where that
-    default is None. Unknown keys are reported but do not stop the rest. Then
-    `check(vals, errs, raw)` reports the faults across fields: `vals` maps each field
-    read without fault to its value, and a list of X to its items, with None for
-    each faulty one (to a batch, with NaN in each faulty row); `raw` is the whole
-    config. Last, `cls` makes its own checks, each reported at `path`.
+    a list[X] or Sequence[X] field is a nonempty list of X (of disputes, read by
+    `_batch` into a DisputeBatch), and a bare list field a nonempty list of any JSON
+    values. A field with a default may be missing, and JSON null counts as missing
+    where that default is None. Then `check(vals, errs, raw)` reports the faults
+    across fields: `vals` maps each field read without fault to its value, and a list
+    of X to its items, with None for each faulty one (to a batch, with NaN in each
+    faulty row); `raw` is the whole config. Last, `cls` makes its own checks, each
+    reported at `path`.
     """
     if not isinstance(value, dict):
         errs.append((path, f"must be an object, got {value!r}"))
@@ -234,7 +239,7 @@ def _obj(cls, value, path, errs, check=None, raw=None):
             x = _list(v, p, errs)
             if x is not None and t is not list:
                 item_cls = get_args(t)[0]
-                x = (_batch(item_cls, x, p, errs) if item_cls in _BATCHES else
+                x = (_batch(x, p, errs) if item_cls is Dispute else
                      [_obj(item_cls, item, f"{p}[{i}]", errs) for i, item in enumerate(x)])
         elif is_dataclass(t):
             x = _obj(t, v, p, errs)
@@ -247,7 +252,7 @@ def _obj(cls, value, path, errs, check=None, raw=None):
             vals[name] = x
     if check is not None:
         check(vals, errs, raw)
-    if len(errs) > n_errs:
+    if any(msg != _UNKNOWN for _, msg in errs[n_errs:]):
         return None
     try:
         return cls(**vals)
@@ -297,13 +302,12 @@ def _check_evolve(vals, errs, raw):
 
 
 def _check_sweep(vals, errs, raw):
-    n_errs = len(errs)
+    """A sweep's model and axis paths, read or built in code, against the config `raw`."""
     model = vals.get("model") and _str(vals["model"], "sweep.model", errs,
                                        choices=set(MODELS) - {"sweep"})
     if model and model not in raw:
         errs.append((model, f"missing block for swept model {model!r}"))
-    axes = vals.get("axes", [None])  # a faulty list counts as one faulty axis
-    for i, axis in enumerate(axes):
+    for i, axis in enumerate(vals.get("axes", ())):
         if axis is None:
             continue
         segments, p = axis.path.split("."), f"sweep.axes[{i}].path"
@@ -311,12 +315,6 @@ def _check_sweep(vals, errs, raw):
             errs.append((p, f"must be a dotted path into a model block, got {axis.path!r}"))
         elif model and segments[0] != model:
             errs.append((p, f"must start with the swept model {model!r}, got {axis.path!r}"))
-    # the run limit only once every other check passes, unknown keys aside
-    if len(errs) == n_errs and model and "replicates" in vals and None not in axes:
-        runs = math.prod(len(axis.values) for axis in axes) * vals["replicates"]
-        if runs > _MAX_RUNS:
-            errs.append(("sweep", f"grid points x replicates = {runs}, "
-                                  f"above the limit of {_MAX_RUNS}"))
 
 
 _PARAMS = {  # model: (its parameter dataclass, the check across its fields)
@@ -331,9 +329,10 @@ MODELS = tuple(_PARAMS)
 
 
 def build_model_params(raw: dict, model: str, errs: list[tuple[str, str]]):
-    """Validate and build `model`'s parameter block out of a parsed config dict."""
-    cls, check = _PARAMS[model]
-    return _obj(cls, raw.get(model), model, errs, check, raw)
+    """`model`'s parameter block built from a parsed config dict; None if any fault."""
+    cls, check, n_errs = *_PARAMS[model], len(errs)
+    params = _obj(cls, raw.get(model), model, errs, check, raw)
+    return params if len(errs) == n_errs else None
 
 
 def load_config(path: str, model: str) -> RunConfig:

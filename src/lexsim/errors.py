@@ -107,20 +107,25 @@ def _check(name: str, v, bounds) -> None:
 def _schema(cls) -> tuple:
     """(name, type, default, bounds, test) of each field of dataclass `cls`, in
     declaration order; a `X | None` type reads as X. `test` admits a number within
-    the bounds or, for a field without any, an instance of its type, nonempty by
-    len() if the type is sized (comparing a DisputeBatch with "" builds each item)."""
+    the bounds or else an instance of the type, nonempty by len() if it is sized (a
+    DisputeBatch compared with "" builds each item), of X items if a list[X] (no str)."""
     hints = get_type_hints(cls)
     out = []
     for f in fields(cls):
         t = hints[f.name]
         if isinstance(t, UnionType):
             t = next(a for a in get_args(t) if a is not NoneType)
-        c = get_origin(t) or t
+        c, item = get_origin(t) or t, next(iter(get_args(t)), None)
         test = (_admits(**f.metadata) if f.metadata else
-                lambda v, c=c, sized=issubclass(c, Sized): isinstance(v, c) and
-                (not sized or len(v) > 0))
+                lambda v, c=c, sized=issubclass(c, Sized), item=item: isinstance(v, c) and
+                (not sized or len(v) > 0) and (item is None or _holds(v, item)))
         out.append((f.name, t, f.default, f.metadata, test))
     return tuple(out)
+
+
+def _holds(items, item) -> bool:
+    """Whether each of `items` is an `item`; a batch whose `item_type` is `item` is not read."""
+    return getattr(items, "item_type", None) is item or all(isinstance(x, item) for x in items)
 
 
 class _Bounded:
@@ -133,6 +138,7 @@ class _Bounded:
             if not admits(v) and not (v is None and default is None):
                 if bounds:
                     raise _bound_error(name, v, **bounds)
-                kind = ("a nonempty string" if t is str else "a nonempty list"
-                        if isinstance(v, get_origin(t) or t) else f"an instance of {t.__name__}")
+                kind = ("a nonempty string" if t is str else f"an instance of {t.__name__}"
+                        if not isinstance(v, get_origin(t) or t) else "a nonempty list"
+                        if len(v) == 0 else f"a list of {get_args(t)[0].__name__}")
                 raise DomainError(f"{name} must be {kind}: got {v!r}")

@@ -34,6 +34,7 @@ from .config import (
     RunConfig,
     SettleParams,
     SweepSpec,
+    _check_sweep,
     build_model_params,
 )
 from .contracts import apply_shock, marginal_benefit, marginal_cost, solve_completeness
@@ -119,7 +120,7 @@ def _settle(p: SettleParams, seed: int):
             [templates[k] % row for k, row in zip(kind, cells)]), n
 
     def chart():
-        return charts.line_chart([("range width", [float(i) for i in range(n)], widths)],
+        return charts.line_chart([("range width", range(n), widths)],
                                  title="Settlement range width by dispute",
                                  x_label="dispute index", y_label="width")
 
@@ -166,8 +167,7 @@ def _evolve(p: EvolveParams, seed: int):
                              for t, x, *rest in zip(*columns)])
 
     def chart():
-        return charts.line_chart([("fraction efficient", [float(t) for t in trace.t],
-                                   [float(v) for v in trace.fraction_efficient])],
+        return charts.line_chart([("fraction efficient", trace.t, trace.fraction_efficient)],
                                  title=f"Efficient rules over time ({trace.area_name})",
                                  x_label="period", y_label="fraction efficient")
 
@@ -189,7 +189,7 @@ def _composition(p: CompositionParams, seed: int):
         ] for area, shift in zip(p.areas, shifts)])
 
     def chart():
-        xs = [float(i) for i in range(len(shifts))]
+        xs = range(len(shifts))
         return charts.line_chart(
             [("old share", xs, [s.old_share for s in shifts]),
              ("new share", xs, [s.new_share for s in shifts])],
@@ -236,6 +236,10 @@ def _axis_cell(value) -> str:
 
 
 def _sweep(spec: SweepSpec, cfg: RunConfig):
+    errs: list[tuple[str, str]] = []
+    _check_sweep(vars(spec), errs, cfg.raw)  # one built in code meets a config's rules too
+    if errs:
+        raise ConfigError(errs)
     paths = [axis.path for axis in spec.axes]
     grid = list(itertools.product(*(axis.values for axis in spec.axes)))
     print(f"sweep: {len(grid)} grid point(s) x {spec.replicates} replicate(s) = "
@@ -248,7 +252,7 @@ def _sweep(spec: SweepSpec, cfg: RunConfig):
         raw_point = dict(cfg.raw)
         for path, value in zip(paths, point):
             _set_path(raw_point, path, value)
-        errs: list[tuple[str, str]] = []
+        errs = []
         params = build_model_params(raw_point, spec.model, errs)
         point_errs.extend((f"sweep point ({coords}) -> {p}", m) for p, m in errs)
         points.append((point, coords, params))
@@ -267,7 +271,7 @@ def _sweep(spec: SweepSpec, cfg: RunConfig):
     def chart():
         # a boolean cell (frivolous_filed) plots as 1.0 or 0.0
         ys = [float({"true": 1, "false": 0}.get(c, c)) for c in (r[len(paths) + 2] for r in rows)]
-        return charts.line_chart([(summary_header[0], list(range(len(rows))), ys)],
+        return charts.line_chart([(summary_header[0], range(len(rows)), ys)],
                                  title=f"Sweep of {spec.model}: {summary_header[0]}",
                                  x_label="run index", y_label=summary_header[0])
 

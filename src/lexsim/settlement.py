@@ -81,6 +81,7 @@ class DisputeBatch(Sequence):
     `settle_columns` reads the columns as they are."""
 
     __slots__ = ("p_q", "p_g", "j", "c_q", "c_g")
+    item_type = Dispute  # so a field of Disputes admits a batch without building one
 
     def __init__(self, p_q, p_g, j, c_q, c_g):
         self.p_q, self.p_g, self.j, self.c_q, self.c_g = p_q, p_g, j, c_q, c_g

@@ -351,6 +351,11 @@ KINDS = {f[0]: f[1] for f in FIELDS}
 def test_run_parameters_check_their_bounds_when_built(path):
     kind, name, make = KINDS[path], path.rpartition(".")[2], RUN_PARAMETERS[path]
     for v in values(kind.bounds):
+        if path == "sweep.replicates" and v == HUGE:  # the run limit refuses it when built
+            with pytest.raises(DomainError, match=r"^grid points x replicates = 10{400}, "
+                                                  r"above the limit of 1000000$"):
+                make(v)
+            continue
         # an integer past float range fails none of these bounds: only the config
         # refuses it, as not finite
         if (config_message(int(v) if isinstance(v, bool) else v, **kind.bounds) is None
@@ -373,6 +378,35 @@ def test_an_empty_list_is_refused_when_built(make, name):
     with pytest.raises(DomainError) as exc:
         make()
     assert str(exc.value) == f"{name} must be a nonempty list: got []"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CompositionParams([1], 0.0), "areas must be a list of AreaShare: got [1]"),
+    (lambda: SettleParams(FeeRule.AMERICAN, [1]), "disputes must be a list of Dispute: got [1]"),
+    (lambda: SettleParams(FeeRule.AMERICAN, "abc"),
+     "disputes must be a list of Dispute: got 'abc'"),
+    (lambda: SettleParams(FeeRule.AMERICAN, (Dispute(**DISPUTE), None)),
+     f"disputes must be a list of Dispute: got ({Dispute(**DISPUTE)!r}, None)"),
+    (lambda: SweepSpec("settle", [1]), "axes must be a list of SweepAxis: got [1]"),
+], ids=["CompositionParams.areas", "SettleParams.disputes", "SettleParams.disputes-str",
+        "SettleParams.disputes-tuple", "SweepSpec.axes"])
+def test_list_items_are_checked_when_built(make, message):
+    with pytest.raises(DomainError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_a_dispute_batch_is_admitted_without_building_a_dispute(monkeypatch):
+    import numpy as np
+
+    from lexsim.settlement import DisputeBatch
+
+    def no_items(self, i):
+        raise AssertionError("a Dispute was built")
+
+    batch = DisputeBatch(*(np.full(20_000, x) for x in (0.6, 0.5, 100.0, 10.0, 10.0)))
+    monkeypatch.setattr(DisputeBatch, "__getitem__", no_items)
+    assert SettleParams(FeeRule.AMERICAN, batch).disputes is batch
 
 
 def test_every_dataclass_with_bounds_checks_itself():

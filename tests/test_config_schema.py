@@ -78,7 +78,8 @@ def _list(block, key, path, errs):
 class Oracle:
     """The per-model block builders the field-driven reader replaced; the only
     edits are that `frivolous.shift` builds a FilingShift, not a (delta_f, delta_d)
-    tuple, and that a sweep axis is a SweepAxis, not a (path, values) tuple."""
+    tuple, that a sweep axis is a SweepAxis, not a (path, values) tuple, and that a
+    sweep past the run limit gives None, since SweepSpec itself refuses it."""
 
     @staticmethod
     def _dict(block, key, path, errs, required=True):
@@ -318,6 +319,7 @@ class Oracle:
         if runs > _MAX_RUNS:
             errs.append(("sweep",
                          f"grid points x replicates = {runs}, above the limit of {_MAX_RUNS}"))
+            return None
         return SweepSpec(model=model, axes=axes, replicates=replicates)
 
     @classmethod
@@ -600,3 +602,29 @@ class TestSweepFaults:
         Oracle.build(raw, "sweep", expected_errs)
         assert errs == expected_errs
         assert (errs[-1][0] == "sweep") is cap_reported
+
+
+class TestUnknownKeysHideNothing:
+    """A block with an unknown key, at any depth, is still built, so the checks its
+    dataclass makes when built report beside the key, as the oracle reports them."""
+
+    @pytest.mark.parametrize("name, model, change, expected", [
+        ("composition_docket.json", "composition",
+         lambda block: (block["areas"][0].update(stray=1),
+                        block.update(flat_reduction=1e9)),
+         [("composition.areas[0].stray", "unknown key"),
+          ("composition", "flat_reduction=1000000000.0 wipes out the cheapest area's cost "
+                          "(10.0)")]),
+        ("evolve_tort.json", "evolve",
+         lambda block: block["area"].update(gap_curve={**CURVE, "stray": 1}),
+         [("evolve.area.gap_curve.stray", "unknown key"),
+          ("evolve.area", "tort areas cannot carry a gap_curve")]),
+    ], ids=["composition-docket", "tort-gap-curve"])
+    def test_a_nested_unknown_key_beside_a_construction_error(self, name, model, change,
+                                                              expected):
+        raw = shipped(name)
+        change(raw[model])
+        errs, expected_errs = [], []
+        assert config.build_model_params(raw, model, errs) is None
+        Oracle.build(raw, model, expected_errs)
+        assert errs == expected_errs == expected

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,9 @@ from lexsim import (
 )
 from lexsim import config, evolution, runner
 from lexsim.cli import main
-from lexsim.config import SettleParams
+from lexsim.config import RunConfig, SettleParams, SweepAxis, SweepSpec
+from lexsim.settlement import DisputeBatch
+from test_golden_outputs import DIGESTS, sha256
 
 GOLDEN_G = (3.0 - math.sqrt(5.0)) / 2.0
 CONFIG_DIR = "configs"
@@ -339,6 +342,67 @@ class TestSweepOutput:
         assert code == 0, err
         assert "Traceback" not in err and "error:" not in err
         assert "<polyline" in svg.read_text()
+
+
+class TestSweepSpecBuiltInCode:
+    """A SweepSpec built in code meets the rules a config's sweep block meets: the
+    run limit when it is built, the model and the axis paths before the run starts."""
+
+    @pytest.mark.parametrize("spec, errors", [
+        (SweepSpec("bogus", [SweepAxis("bogus.x", [1])]),
+         [("sweep.model", "must be one of ['composition', 'equilibrium', 'evolve', "
+                          "'frivolous', 'settle'], got 'bogus'")]),
+        (SweepSpec("equilibrium", [SweepAxis("settle.rule", ["american", "english"])]),
+         [("sweep.axes[0].path",
+           "must start with the swept model 'equilibrium', got 'settle.rule'")]),
+        (SweepSpec("equilibrium", [SweepAxis("equilibrium", [1.0])]),
+         [("sweep.axes[0].path", "must be a dotted path into a model block, "
+                                 "got 'equilibrium'")]),
+        (SweepSpec("settle", [SweepAxis("settle.rule", ["english"])]),
+         [("settle", "missing block for swept model 'settle'")]),
+    ], ids=["unknown-model", "axis-into-another-block", "undotted-axis", "missing-block"])
+    def test_is_checked_before_the_run_starts(self, tmp_path, capsys, spec, errors):
+        out = tmp_path / "sweep.csv"
+        cfg = RunConfig("sweep", spec, 0, str(out), None, shipped("equilibrium_golden"))
+        with pytest.raises(ConfigError) as exc:
+            run(cfg)
+        assert exc.value.errors == errors
+        assert capsys.readouterr().err == ""  # not even the run count
+        assert not out.exists()
+
+    def test_past_the_run_limit_is_refused_when_built(self, tmp_path, monkeypatch):
+        def no_run(params, seed):
+            raise AssertionError("a sweep past the run limit started")
+
+        header, _ = runner._MODELS["equilibrium"]
+        monkeypatch.setitem(runner._MODELS, "equilibrium", (header, no_run))
+        with pytest.raises(DomainError) as exc:
+            run(RunConfig("sweep", SweepSpec("equilibrium", [
+                SweepAxis("equilibrium.curve.kappa", [1.0])], replicates=2 * 10**6),
+                0, str(tmp_path / "sweep.csv"), None, shipped("equilibrium_golden")))
+        assert str(exc.value) == "grid points x replicates = 2000000, above the limit of 1000000"
+
+
+def rebuilt(value):
+    """`value` built again in code: each dataclass by its constructor from its fields,
+    each list (a loaded DisputeBatch too) as a list of its items rebuilt."""
+    if is_dataclass(value):
+        return type(value)(**{f.name: rebuilt(getattr(value, f.name)) for f in fields(value)})
+    if isinstance(value, (list, DisputeBatch)):
+        return [rebuilt(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_shipped_configs_replay_through_params_built_in_code(name, tmp_path):
+    """No check a dataclass makes when built refuses a shipped config or changes its
+    bytes: its loaded params, rebuilt from their fields, give the golden digests."""
+    cfg = load_config(f"{CONFIG_DIR}/{name}.json", name.split("_")[0])
+    params = rebuilt(cfg.params)
+    assert params == cfg.params and params is not cfg.params
+    out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    run(RunConfig(cfg.model, params, cfg.seed, str(out), str(svg), cfg.raw))
+    assert (sha256(out), sha256(svg)) == DIGESTS[name]
 
 
 def one_point_sweep(tmp_path, payload, model, path, value, seed):
