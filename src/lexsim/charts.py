@@ -51,12 +51,13 @@ def line_chart(series: list[tuple[str, list[float], list[float]]], title: str = 
     left, right, top, bottom = 72.0, 24.0, 40.0 if title else 24.0, 52.0
     plot_w = _WIDTH - left - right
     plot_h = _HEIGHT - top - bottom
+    x_span, y_span, base = x_hi - x_lo, y_hi - y_lo, top + plot_h
 
     def px(x: float) -> float:
-        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return left + (x - x_lo) / x_span * plot_w
 
     def py(y: float) -> float:
-        return top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return base - (y - y_lo) / y_span * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_WIDTH)}" '
@@ -71,19 +72,19 @@ def line_chart(series: list[tuple[str, list[float], list[float]]], title: str = 
 
     for k in range(_TICKS):
         frac = k / (_TICKS - 1)
-        gx = x_lo + frac * (x_hi - x_lo)
-        gy = y_lo + frac * (y_hi - y_lo)
+        gx = x_lo + frac * x_span
+        gy = y_lo + frac * y_span
         xp, yp = px(gx), py(gy)
         out.append(
             f'<line x1="{_fmt(xp)}" y1="{_fmt(top)}" x2="{_fmt(xp)}" '
-            f'y2="{_fmt(top + plot_h)}" stroke="#d0d7de" stroke-width="0.5"/>'
+            f'y2="{_fmt(base)}" stroke="#d0d7de" stroke-width="0.5"/>'
         )
         out.append(
             f'<line x1="{_fmt(left)}" y1="{_fmt(yp)}" x2="{_fmt(left + plot_w)}" '
             f'y2="{_fmt(yp)}" stroke="#d0d7de" stroke-width="0.5"/>'
         )
         out.append(
-            f'<text x="{_fmt(xp)}" y="{_fmt(top + plot_h + 18)}" text-anchor="middle" '
+            f'<text x="{_fmt(xp)}" y="{_fmt(base + 18)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11" fill="#57606a">{format(gx, ".6g")}</text>'
         )
         out.append(
@@ -98,7 +99,10 @@ def line_chart(series: list[tuple[str, list[float], list[float]]], title: str = 
 
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+        # px and py inlined: the polyline holds every point of the series
+        points = " ".join(["%.2f,%.2f" % (left + (x - x_lo) / x_span * plot_w,
+                                          base - (y - y_lo) / y_span * plot_h)
+                           for x, y in zip(xs, ys)])
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import functools
 import io
 import itertools
 import json
@@ -34,6 +35,7 @@ from .config import (
     RunConfig,
     SettleParams,
     SweepSpec,
+    _PARAMS,
     _check_sweep,
     build_model_params,
 )
@@ -64,6 +66,123 @@ def _csv(header: list[str], rows: list[list[str]]) -> tuple[str, int]:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue(), len(rows)
+
+
+_BLOCK = 4096  # settle rows laid out at a time
+
+
+@functools.cache
+def _digit_tables():
+    """The four-digit groups "0000".."9999" as uint32 words of ASCII, then the same
+    groups with trailing zeros as NUL ("1200" -> "12"); and 10^0..10^22, each exact."""
+    import numpy as np
+
+    q = np.arange(10_000)
+    quads = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + 48
+    bare = quads.copy()
+    for c in (3, 2, 1, 0):
+        bare[:, c] *= bare[:, c:].max(axis=1) > 48
+    quads = np.concatenate([quads, bare]).astype(np.uint8).view(np.uint32).ravel()
+    return quads, np.array([float(10**k) for k in range(23)])
+
+
+def _two_product(a, b):
+    """(hi, lo) with hi = fl(a * b) and hi + lo == a * b exactly (Dekker, Veltkamp splits)."""
+    hi = a * b
+    c = a * 134217729.0  # 2^27 + 1
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = b * 134217729.0
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _f_cells(x):
+    """`_f` of each number in the float64 column `x`, as the ASCII rows of an (n, w)
+    uint8 array: each cell left-aligned and NUL-padded to the array's width, w <= 24.
+
+    A value with 1e-4 <= |v| < 1e15 is laid out from its 17 significant digits,
+    which %.17g writes positionally: N = |v| * 10^k rounded to an integer, ties to
+    even as Python's correctly rounded formatting does, k chosen so that N lies in
+    [10^16, 10^17), and the decimal exponent is e = 16 - k. k = 16 - floor(log10|v|)
+    may be one decade off near a power of ten; it is stepped until the exact product
+    lies in [10^16, 10^17), so k stays in 1..21 and 10^k is exact (it is for k <= 22).
+    `_two_product` gives that product exactly as hi + lo with |lo| <= ulp(hi) / 2. As
+    hi >= 10^16 > 2^53, hi is an even integer, so hi + rint(lo) is the nearest integer
+    to hi + lo with ties to even: N exactly. N never rounds up to 10^17: no double in
+    the range lies within half a unit of the 17th digit below a power of ten.
+    Rows are grouped by sign and e, and each group is laid out by slice copies: sign,
+    "0." and leading zeros or the integer digits and point, then the fraction digits
+    with trailing zeros dropped. Every other value (0, -0.0, subnormals and other
+    magnitudes below 1e-4, 1e15 and above, inf and nan) is formatted by `_f`.
+    """
+    import numpy as np
+
+    quads, pow10 = _digit_tables()
+    n = len(x)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e15)
+    a[~fast] = 1.0
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    while True:
+        hi, lo = _two_product(a, pow10[k])
+        step = ((hi < 1e16) | (hi == 1e16) & (lo < 0)).view(np.int8) - \
+            ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).view(np.int8)
+        if not step.any():
+            break
+        k += step
+    m = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    key = (20 - k + 20 * (np.signbit(x) & fast)).astype(np.int8)  # 20 * sign + e + 4
+    order = np.argsort(key, kind="stable")
+    key, (lead, m) = key[order], divmod(m[order], 10**16)
+    q = np.empty((n, 4), np.intp)  # the 16 digits after the lead as four groups
+    q[:, 0], q[:, 1] = divmod(m // 10**8, 10**4)
+    q[:, 2], q[:, 3] = divmod(m % 10**8, 10**4)
+    strip = np.empty((n, 4), np.intp)  # 10^4, the bare half of quads, past the last digit
+    strip[:, 3] = 10**4
+    for c in (2, 1, 0):
+        strip[:, c] = strip[:, c + 1] * (q[:, c + 1] == 0)
+    d = np.empty((n, 2, 17), np.uint8)  # the digits; then with trailing zeros as NUL
+    d[:, :, 0] = (lead + 48)[:, None]
+    d[:, 0, 1:] = quads[q].view(np.uint8).reshape(n, 16)
+    d[:, 1, 1:] = quads[q + strip].view(np.uint8).reshape(n, 16)
+    cells = np.zeros((n, 24), np.uint8)
+    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+    width = 0
+    for s, t in zip(starts, starts[1:] + [n]):
+        neg, e = divmod(int(key[s]), 20)
+        e -= 4
+        g, i = cells[s:t], neg
+        if neg:
+            g[:, 0] = 45  # "-"
+        if e >= 0:
+            g[:, i:i + e + 1] = d[s:t, 0, :e + 1]
+            g[:, i + e + 1] = np.where(d[s:t, 1, e + 1] > 0, 46, 0)  # "." before a fraction
+            g[:, i + e + 2:i + 18] = d[s:t, 1, e + 1:]
+        else:
+            g[:, i:i + 1 - e] = np.frombuffer(b"0.000"[:1 - e], np.uint8)
+            g[:, i + 1 - e:i + 18 - e] = d[s:t, 1]
+        width = max(width, i + 18 - min(e, 0))
+    out = np.empty_like(cells)
+    out.view("S24")[order, 0] = cells.view("S24")[:, 0]
+    slow = np.flatnonzero(~fast).tolist()
+    if slow:
+        text = [_f(v).encode() for v in x[slow].tolist()]
+        out.view("S24")[slow, 0] = text
+        width = max(width, *map(len, text))
+    return out[:, :width]
+
+
+def _rows(*parts) -> str:
+    """Rows of text from parts laid side by side: (m, w) uint8 arrays of ASCII and
+    NUL, and strs common to every row. The NULs are dropped."""
+    import numpy as np
+
+    m = next(len(p) for p in parts if not isinstance(p, str))
+    grid = np.concatenate([np.broadcast_to(np.frombuffer(p.encode(), np.uint8), (m, len(p)))
+                           if isinstance(p, str) else p for p in parts], axis=1)
+    return grid.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _equilibrium(p: EquilibriumParams, seed: int):
@@ -107,17 +226,22 @@ def _settle(p: SettleParams, seed: int):
         header = ["index", "rule", "p_q", "p_g", "j", "c_q", "c_g", "cost_reduction",
                   "lower", "upper", "width", "outcome", "amount", "shrink_ratio"]
         # every cell is a number, a fixed enum word or empty, so no cell needs CSV
-        # quoting and rows are formatted directly. "%.17g" % x == _f(x) for every
-        # double; "%.0s" consumes an amount or ratio cell that is left empty.
-        head = f"%d,{p.rule.value},%.17g,%.17g,%.17g,%.17g,%.17g,{_f(p.cost_reduction)}," \
-               "%.17g,%.17g,%.17g,"
-        templates = [head + tail for tail in ("trial,%.0s,%.0s\n", "trial,%.0s,%.17g\n",
-                                              "settle,%.17g,%.0s\n", "settle,%.17g,%.17g\n")]
-        kind = (2 * a["settle"] + ~np.isnan(a["ratio"])).tolist()
-        cells = zip(range(n), *(a[k].tolist() for k in (
-            "p_q", "p_g", "j", "c_q", "c_g", "lower", "upper", "width", "amount", "ratio")))
-        return ",".join(header) + "\n" + "".join(
-            [templates[k] % row for k, row in zip(kind, cells)]), n
+        # quoting; rows are laid out in blocks, which bounds the memory they hold
+        outcomes = np.frombuffer(b",trial,\0,settle,", np.uint8).reshape(2, 8)
+        names = ["p_q", "p_g", "j", "c_q", "c_g", "lower", "upper", "width", "amount", "ratio"]
+        cols = [np.arange(n, dtype=np.float64)] + [a[k] for k in names]
+        text = [",".join(header) + "\n"]
+        for r0 in range(0, n, _BLOCK):
+            rows = slice(r0, r0 + _BLOCK)
+            index, p_q, p_g, j, c_q, c_g, lower, upper, width, amount, ratio = (
+                _f_cells(c[rows]) for c in cols)
+            settle = a["settle"][rows]
+            amount[~settle] = 0  # NUL cells: a trial's amount, an undefined ratio
+            ratio[np.isnan(a["ratio"][rows])] = 0
+            text.append(_rows(index, f",{p.rule.value},", p_q, ",", p_g, ",", j, ",", c_q, ",",
+                              c_g, f",{_f(p.cost_reduction)},", lower, ",", upper, ",", width,
+                              outcomes[settle.view(np.uint8)], amount, ",", ratio, "\n"))
+        return "".join(text), n
 
     def chart():
         return charts.line_chart([("range width", range(n), widths)],
@@ -280,6 +404,12 @@ def _sweep(spec: SweepSpec, cfg: RunConfig):
 
 def run(cfg: RunConfig) -> RunResult:
     """Execute the configured model and write outputs; returns what was written."""
+    if cfg.model not in _PARAMS:
+        raise DomainError(f"unknown model {cfg.model!r}; expected one of {list(_PARAMS)}")
+    cls = _PARAMS[cfg.model][0]
+    if not isinstance(cfg.params, cls):  # the loader always pairs them; code may not
+        raise DomainError(f"model {cfg.model!r} runs on {cls.__name__}, "
+                          f"got {type(cfg.params).__name__}")
     if cfg.output_path is None:
         raise DomainError("run configuration has no output path")
     if cfg.svg_path is not None and (

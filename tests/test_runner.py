@@ -10,8 +10,10 @@ import subprocess
 import sys
 import warnings
 from dataclasses import fields, is_dataclass
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +33,8 @@ from lexsim import (
 )
 from lexsim import config, evolution, runner
 from lexsim.cli import main
-from lexsim.config import RunConfig, SettleParams, SweepAxis, SweepSpec
+from lexsim.config import EquilibriumParams, RunConfig, SettleParams, SweepAxis, SweepSpec
+from lexsim.contracts import GapCurve
 from lexsim.settlement import DisputeBatch
 from test_golden_outputs import DIGESTS, sha256
 
@@ -524,6 +527,27 @@ class TestRunGuards:
         with pytest.raises(DomainError):
             run(cfg)
 
+    @pytest.mark.parametrize("model, message", [
+        ("settle", "model 'settle' runs on SettleParams, got EquilibriumParams"),
+        ("sweep", "model 'sweep' runs on SweepSpec, got EquilibriumParams"),
+        ("bogus", "unknown model 'bogus'; expected one of ['equilibrium', 'settle', "
+                  "'frivolous', 'evolve', 'composition', 'sweep']"),
+    ])
+    def test_params_of_another_model_are_refused_before_any_work(self, tmp_path, monkeypatch,
+                                                                 model, message):
+        def no_run(*args):
+            raise AssertionError("a model ran on params that are not its own")
+
+        for name, (header, _) in list(runner._MODELS.items()):
+            monkeypatch.setitem(runner._MODELS, name, (header, no_run))
+        monkeypatch.setattr(runner, "_sweep", no_run)
+        out = tmp_path / "x.csv"
+        params = EquilibriumParams(GapCurve(1.0, 2.0, 0.5, 1.0))
+        with pytest.raises(DomainError) as exc:
+            run(RunConfig(model, params, 0, str(out), None, {}))
+        assert str(exc.value) == message
+        assert not out.exists()
+
 
 class TestCli:
     def test_success_writes_and_reports(self, tmp_path, capsys):
@@ -811,6 +835,73 @@ class TestFloatFormatting:
         text = row["g_star_baseline"]
         assert float(text) == float(format(float(text), ".17g"))
         assert os.linesep not in ("\n",) or "\r" not in out.read_text()
+
+
+def f17_cells(values):
+    """`runner._f_cells` of a float64 column, as one str per cell."""
+    cells = runner._f_cells(np.asarray(values, dtype=np.float64))
+    assert cells.dtype == np.uint8 and cells.shape[0] == len(values) and cells.shape[1] <= 24
+    return [bytes(row).rstrip(b"\0").decode("ascii") for row in cells]
+
+
+def power_of_ten_neighbours():
+    """10^k for k in -5..16, 1e-4 and 1e15 (the array path's bounds), each with its
+    two nextafter neighbours, both signs."""
+    centres = [10.0**k for k in range(-5, 17)] + [float(10**k) for k in range(17)] + \
+        [1e-4, 1e15]
+    values = [v for c in centres for v in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))]
+    return values + [-v for v in values]
+
+
+class TestFloatCells:
+    """`runner._f_cells`, the column form of `_f`, byte for byte against format(x, ".17g")."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats(self, values):  # subnormals, -0.0, inf and nan included
+        assert f17_cells(values) == [f17(v) for v in values]
+
+    @pytest.mark.parametrize("kind", ["bit patterns", "magnitudes"])
+    def test_half_a_million_random_values(self, kind):
+        rng = np.random.default_rng(15)
+        for _ in range(2):  # two calls of 250k values keep the arrays they make small
+            if kind == "bit patterns":
+                values = rng.integers(0, 2**64, 250_000, dtype=np.uint64).view(np.float64)
+            else:
+                values = 10.0 ** rng.uniform(-8.0, 18.0, 250_000) * rng.choice([-1.0, 1.0],
+                                                                               250_000)
+            cells = np.ascontiguousarray(runner._f_cells(values))
+            got = cells.view(f"S{cells.shape[1]}")[:, 0]
+            expected = np.fromiter((f17(v).encode() for v in values.tolist()), "S24",
+                                   len(values))
+            wrong = np.flatnonzero(got != expected)
+            assert [(values[i], got[i], expected[i]) for i in wrong[:5]] == []
+
+    def test_no_value_rounds_up_to_the_next_decade(self):
+        # the largest double below 10^j, for every decade the array path covers, is
+        # more than half a unit of its 17th digit below it, so 17 digits never carry
+        for j in range(-3, 16):
+            below = math.nextafter(float(Fraction(10)**j), 0.0)
+            if Fraction(math.nextafter(below, math.inf)) < Fraction(10)**j:
+                below = math.nextafter(below, math.inf)
+            assert Fraction(below) * Fraction(10)**(17 - j) < 10**17 - Fraction(1, 2)
+
+    def test_neighbours_of_powers_of_ten(self):
+        values = power_of_ten_neighbours()
+        assert f17_cells(values) == [f17(v) for v in values]
+
+    @pytest.mark.parametrize("value, text", [
+        (123456789012345.125, "123456789012345.12"),  # exact ties of the 17th digit,
+        (123456789012345.375, "123456789012345.38"),  # rounded half to even
+        (-123456789012345.625, "-123456789012345.62"),
+        (0.5, "0.5"), (2.5, "2.5"), (1e-4, "0.0001"),
+        (0.1, "0.10000000000000001"), (-0.0001234, "-0.00012339999999999999"),
+        (999999999999999.875, "999999999999999.88"), (1e15, "1000000000000000"),
+        (0.0, "0"), (-0.0, "-0"), (5e-324, "4.9406564584124654e-324"),
+    ])
+    def test_fixed_cells(self, value, text):
+        assert f17(value) == text
+        assert f17_cells([value, value]) == [text, text]
 
 
 def settle_oracle(p):
