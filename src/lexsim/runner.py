@@ -139,7 +139,7 @@ def _f_cells(x):
     q = np.empty((n, 4), np.intp)  # the 16 digits after the lead as four groups
     q[:, 0], q[:, 1] = divmod(m // 10**8, 10**4)
     q[:, 2], q[:, 3] = divmod(m % 10**8, 10**4)
-    strip = np.empty((n, 4), np.intp)  # 10^4, the bare half of quads, past the last digit
+    strip = np.empty((n, 4), np.intp)  # 10^4 (quads' bare half) where no digit after is nonzero
     strip[:, 3] = 10**4
     for c in (2, 1, 0):
         strip[:, c] = strip[:, c + 1] * (q[:, c + 1] == 0)

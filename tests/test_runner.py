@@ -844,15 +844,6 @@ def f17_cells(values):
     return [bytes(row).rstrip(b"\0").decode("ascii") for row in cells]
 
 
-def power_of_ten_neighbours():
-    """10^k for k in -5..16, 1e-4 and 1e15 (the array path's bounds), each with its
-    two nextafter neighbours, both signs."""
-    centres = [10.0**k for k in range(-5, 17)] + [float(10**k) for k in range(17)] + \
-        [1e-4, 1e15]
-    values = [v for c in centres for v in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))]
-    return values + [-v for v in values]
-
-
 class TestFloatCells:
     """`runner._f_cells`, the column form of `_f`, byte for byte against format(x, ".17g")."""
 
@@ -887,7 +878,12 @@ class TestFloatCells:
             assert Fraction(below) * Fraction(10)**(17 - j) < 10**17 - Fraction(1, 2)
 
     def test_neighbours_of_powers_of_ten(self):
-        values = power_of_ten_neighbours()
+        # the double nearest 10^k for k in -5..16 (1e-4 and 1e15 bound the array path)
+        # and its two nextafter neighbours, both signs
+        centres = [float(Fraction(10)**k) for k in range(-5, 17)]
+        values = [v for c in centres
+                  for v in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))]
+        values += [-v for v in values]
         assert f17_cells(values) == [f17(v) for v in values]
 
     @pytest.mark.parametrize("value, text", [
