@@ -10,9 +10,10 @@ Four analytic engines plus a run harness:
 
 The `lexsim` CLI drives any of them from a JSON config; see README.
 
-Every submodule is imported here, but numpy is not: each function that
-builds an array imports it when it first runs, so the closed-form models
-never load it.
+Nothing is imported here: a public name, or a submodule such as
+`lexsim.config`, is imported when it is first looked up (PEP 562), so a run
+loads only the models it uses. numpy, too, is imported by each function that
+builds an array when it first runs, so the closed-form models never load it.
 """
 
 import importlib
@@ -22,29 +23,32 @@ __version__ = "0.1.0"
 # submodule -> the public names it exports, the one list of this package's API
 _EXPORTS = {
     "charts": "line_chart",
-    "composition": "AreaShare ShareShift relative_price_change shift_composition "
-                   "validate_composition",
-    "config": "MODELS CompositionParams EquilibriumParams EvolveParams FrivolousParams "
-              "RunConfig SettleParams SweepAxis SweepSpec load_config",
-    "contracts": "AiShock CompletenessSolution GapCurve apply_shock completeness_response "
-                 "marginal_benefit marginal_cost solve_completeness",
+    "composition": "AreaShare CompositionParams ShareShift relative_price_change "
+                   "shift_composition validate_composition",
+    "config": "MODELS RunConfig SweepAxis SweepSpec load_config",
+    "contracts": "AiShock CompletenessSolution EquilibriumParams GapCurve apply_shock "
+                 "completeness_response marginal_benefit marginal_cost solve_completeness",
     "errors": "ConfigError ConvergenceError DomainError LexsimError",
-    "evolution": "AreaKind EvolutionTrace FlipRates FrivolousStream LegalArea RulePopulation "
-                 "effective_dispute_rate expected_path flip_rates gap_closure_time simulate "
-                 "stationary_fraction trial_fractions",
-    "frivolous": "DefendantAction FilingShift FollowUp FrivolousConfig GameOutcome "
-                 "PlaintiffType RegionShift defendant_best_response filing_region_shift "
-                 "plaintiff_files plaintiff_followup play",
+    "evolution": "AreaKind EvolutionTrace EvolveParams FlipRates FrivolousStream LegalArea "
+                 "RulePopulation effective_dispute_rate expected_path flip_rates "
+                 "gap_closure_time simulate stationary_fraction trial_fractions",
+    "frivolous": "DefendantAction FilingShift FollowUp FrivolousConfig FrivolousParams "
+                 "GameOutcome PlaintiffType RegionShift defendant_best_response "
+                 "filing_region_shift plaintiff_files plaintiff_followup play",
     "rng": "substream",
     "runner": "RunResult run",
-    "settlement": "Dispute FeeRule Outcome OutcomeKind SettlementRange apply_cost_reduction "
-                  "decide defendant_trial_cost plaintiff_trial_value settlement_range "
-                  "shrink_ratio",
+    "settlement": "Dispute FeeRule Outcome OutcomeKind SettleParams SettlementRange "
+                  "apply_cost_reduction decide defendant_trial_cost plaintiff_trial_value "
+                  "settlement_range shrink_ratio",
 }
+_OWNERS = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_OWNERS)
 
-__all__ = []
-for _module, _names in _EXPORTS.items():
-    _mod = importlib.import_module(f"{__name__}.{_module}")
-    globals().update({name: getattr(_mod, name) for name in _names.split()})
-    __all__ += _names.split()
-del _module, _names, _mod
+
+def __getattr__(name: str):
+    """A public name, or a submodule in `_EXPORTS`, imported on its first lookup."""
+    module = _OWNERS.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    return value if module == name else getattr(value, name)

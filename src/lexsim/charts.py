@@ -19,11 +19,13 @@ _WIDTH, _HEIGHT = 720.0, 440.0  # the canvas, margins included
 _escape = partial(escape, quote=False)  # element text: only & < > need escaping
 
 
-def _span(values: list[float]) -> tuple[float, float]:
+def _span(values: list[float], axis: str) -> tuple[float, float]:
     lo, hi = min(values), max(values)
     if lo == hi:
-        pad = 0.5 if lo == 0.0 else abs(lo) * 0.05
-        return lo - pad, hi + pad
+        pad = abs(lo) * 0.05 or 0.5  # 0.5 also where 5% of a subnormal rounds to 0
+        lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"the {axis} values span more than the float range")
     return lo, hi
 
 
@@ -35,7 +37,7 @@ def line_chart(series: list[tuple[str, list[float], list[float]]], title: str = 
                x_label: str = "", y_label: str = "") -> str:
     """Render labeled (xs, ys) series, each of xs and ys any iterable of reals, to SVG text.
 
-    Raises DomainError on empty input, mismatched lengths, or non-finite data.
+    Raises DomainError on empty input, mismatched lengths, or a non-finite value or span.
     """
     if not series:
         raise DomainError("at least one series is required")
@@ -46,8 +48,8 @@ def line_chart(series: list[tuple[str, list[float], list[float]]], title: str = 
         if not all(map(math.isfinite, xs + ys)):
             raise DomainError(f"series {label!r} contains a non-finite value")
 
-    x_lo, x_hi = _span([x for _, xs, _ in series for x in xs])
-    y_lo, y_hi = _span([y for _, _, ys in series for y in ys])
+    x_lo, x_hi = _span([x for _, xs, _ in series for x in xs], "x")
+    y_lo, y_hi = _span([y for _, _, ys in series for y in ys], "y")
     left, right, top, bottom = 72.0, 24.0, 40.0 if title else 24.0, 52.0
     plot_w = _WIDTH - left - right
     plot_h = _HEIGHT - top - bottom

@@ -41,6 +41,16 @@ class ShareShift:
     new_share: float
 
 
+@dataclass(frozen=True)
+class CompositionParams(_Bounded):  # a composition run: a config's "composition" block
+    areas: list[AreaShare]
+    flat_reduction: float = field(metadata=_FLAT_REDUCTION)
+
+    def __post_init__(self):
+        super().__post_init__()
+        validate_composition(self.areas, self.flat_reduction)
+
+
 def validate_composition(areas: list[AreaShare], flat_reduction: float) -> None:
     """Raise DomainError unless the docket and the cut are mutually admissible."""
     if not areas:

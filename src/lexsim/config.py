@@ -6,18 +6,20 @@ block per model the file can drive ("equilibrium", "settle", "frivolous",
 Validation is aggregated: every violation is collected with its field path and
 reported in one ConfigError rather than failing on the first.
 
-A model block's schema is its parameter dataclass, a `_Bounded` that checks
-every field when built, in code or here: `_obj` reads each field by its declared
-type, its bounds metadata and its default, so a key, a default or a bound is
-written once, on the dataclass. A model may add one `_check_<model>` for rules
-across its fields, worded and placed as a config reports them; the dataclass's own
-rules (composition's docket, the sweep's run limit) are reported at the block. A
-block is built unless a field or a check is faulty: an unknown key stops nothing.
+A model block's schema is its parameter dataclass, a `_Bounded` in its model's
+module, imported only when `_PARAMS` needs it, that checks every field when built,
+in code or here: `_obj` reads each field by its declared type, its bounds metadata
+and its default, so a key, a default or a bound is written once, on the dataclass. A
+model may add one `_check_<model>` for rules across its fields, worded and placed as
+a config reports them; the dataclass's own rules (composition's docket, the sweep's
+run limit) are reported at the block. A block is built unless a field or a check is
+faulty: an unknown key stops nothing.
 A settle block's disputes, by far the longest list, are read into float64 columns.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import operator
@@ -29,61 +31,13 @@ from itertools import chain
 from pathlib import Path
 from typing import get_args, get_origin
 
-from .composition import _FLAT_REDUCTION, AreaShare, validate_composition
-from .contracts import _TOLERANCE, AiShock, GapCurve
 from .errors import ConfigError, DomainError, _Bounded, _admitted, _finite, _schema
-from .evolution import (_COST_DELTA, _PERIODS, FrivolousStream, LegalArea, RulePopulation,
-                        _check_draw_size)
-from .frivolous import _BELIEF, FilingShift, FrivolousConfig
 from .rng import _U64_MAX
-from .settlement import _REDUCTION, Dispute, DisputeBatch, FeeRule
 
 _MAX_RUNS = 10**6  # per sweep, grid points x replicates; a sweep keeps every summary row
 _COMPARISONS = ((">=", operator.ge), (">", operator.gt), ("<=", operator.le), ("<", operator.lt))
 _NUMBER_TYPES = frozenset((int, float))
 _UNKNOWN = "unknown key"  # the one fault that stops no block from being built
-
-
-@dataclass(frozen=True)
-class EquilibriumParams(_Bounded):
-    curve: GapCurve
-    shock: AiShock = AiShock()
-    tolerance: float = field(default=1e-9, metadata=_TOLERANCE)
-
-
-@dataclass(frozen=True)
-class SettleParams(_Bounded):
-    rule: FeeRule
-    disputes: Sequence[Dispute]  # read from a config as a DisputeBatch
-    cost_reduction: float = field(default=0.0, metadata=_REDUCTION)
-
-
-@dataclass(frozen=True)
-class FrivolousParams(_Bounded):
-    game: FrivolousConfig
-    belief: float | None = field(default=None, metadata=_BELIEF)
-    shift: FilingShift | None = None
-
-
-@dataclass(frozen=True)
-class EvolveParams(_Bounded):
-    area: LegalArea
-    population: RulePopulation
-    periods: int = field(metadata=_PERIODS)
-    shock: AiShock = AiShock()
-    cost_delta: float = field(default=0.0, metadata=_COST_DELTA)
-    frivolous: FrivolousStream | None = None
-    tolerance: float = field(default=1e-9, metadata=_TOLERANCE)
-
-
-@dataclass(frozen=True)
-class CompositionParams(_Bounded):
-    areas: list[AreaShare]
-    flat_reduction: float = field(metadata=_FLAT_REDUCTION)
-
-    def __post_init__(self):
-        super().__post_init__()
-        validate_composition(self.areas, self.flat_reduction)
 
 
 @dataclass(frozen=True)
@@ -162,12 +116,12 @@ def _check_keys(block, allowed, path, errs):
             errs.append((f"{path}.{key}" if path else key, _UNKNOWN))
 
 
-def _batch(items, path, errs):
-    """The list `items` of disputes read into the float64 columns of a DisputeBatch.
+def _batch(item_cls, items, path, errs):
+    """The list `items` of `item_cls` read into the float64 columns of `item_cls._batch`.
 
-    An item that is a dict of exactly Dispute's field names, each an int or a float,
+    An item that is a dict of exactly the item's field names, each an int or a float,
     is read as one row and checked there: each column against its bounds by
-    `_admitted`, the rows against `Dispute._across`. Every other item, and every row
+    `_admitted`, the rows against `item_cls._across`. Every other item, and every row
     that fails, is read by `_obj`, which reports its faults in the order a loop over
     the items would; a faulty item's row holds NaN. No int but 0 and 1 themselves rounds to
     0 or 1, a Dispute's bounds, so a plain item's row passes exactly when `_obj`
@@ -175,9 +129,9 @@ def _batch(items, path, errs):
     """
     import numpy as np
 
-    schema = _schema(Dispute)
+    schema = _schema(item_cls)
     names = [name for name, *_ in schema]
-    keys, get, nan_row = _names(Dispute), operator.itemgetter(*names), (math.nan,) * len(names)
+    keys, get, nan_row = _names(item_cls), operator.itemgetter(*names), (math.nan,) * len(names)
 
     def rows():
         return (get(item) if type(item) is dict and item.keys() == keys
@@ -192,14 +146,14 @@ def _batch(items, path, errs):
             row if all(map(_finite, row)) else nan_row for row in rows()), np.float64, size)
     cols = tuple(table.reshape(len(items), len(names)).T)
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = Dispute._across(*cols)
+        ok = item_cls._across(*cols)
     for col, (_, _, _, bounds, _) in zip(cols, schema):
         ok &= _admitted(col, **bounds)
     for i in np.flatnonzero(~ok).tolist():
-        item = _obj(Dispute, items[i], f"{path}[{i}]", errs)
+        item = _obj(item_cls, items[i], f"{path}[{i}]", errs)
         for col, name in zip(cols, names):
             col[i] = math.nan if item is None else getattr(item, name)
-    return DisputeBatch(*cols)
+    return item_cls._batch(*cols)
 
 
 def _obj(cls, value, path, errs, check=None, raw=None):
@@ -209,14 +163,13 @@ def _obj(cls, value, path, errs, check=None, raw=None):
 
     A field with bounds metadata is a number; a str field is a nonempty string, an
     Enum field one of its values; a dataclass field is an object read the same way;
-    a list[X] or Sequence[X] field is a nonempty list of X (of disputes, read by
-    `_batch` into a DisputeBatch), and a bare list field a nonempty list of any JSON
-    values. A field with a default may be missing, and JSON null counts as missing
-    where that default is None. Then `check(vals, errs, raw)` reports the faults
-    across fields: `vals` maps each field read without fault to its value, and a list
-    of X to its items, with None for each faulty one (to a batch, with NaN in each
-    faulty row); `raw` is the whole config. Last, `cls` makes its own checks, each
-    reported at `path`.
+    a list[X] or Sequence[X] field is a nonempty list of X (into X's `_batch` if it has
+    one, as Dispute), and a bare list field a nonempty list of any JSON values. A field
+    with a default may be missing, and JSON null counts as missing where that default is
+    None. Then `check(vals, errs, raw)` reports the faults across fields: `vals` maps
+    each field read without fault to its value, and a list of X to its items, with None
+    for each faulty one (to a batch, with NaN in each faulty row); `raw` is the whole
+    config. Last, `cls` makes its own checks, each reported at `path`.
     """
     if not isinstance(value, dict):
         errs.append((path, f"must be an object, got {value!r}"))
@@ -239,7 +192,7 @@ def _obj(cls, value, path, errs, check=None, raw=None):
             x = _list(v, p, errs)
             if x is not None and t is not list:
                 item_cls = get_args(t)[0]
-                x = (_batch(x, p, errs) if item_cls is Dispute else
+                x = (_batch(item_cls, x, p, errs) if hasattr(item_cls, "_batch") else
                      [_obj(item_cls, item, f"{p}[{i}]", errs) for i, item in enumerate(x)])
         elif is_dataclass(t):
             x = _obj(t, v, p, errs)
@@ -292,6 +245,8 @@ def _check_frivolous(vals, errs, raw):
 def _check_evolve(vals, errs, raw):
     population, periods = vals.get("population"), vals.get("periods")
     if population is not None and periods is not None:
+        from .evolution import _check_draw_size
+
         try:
             _check_draw_size(population.n_rules, periods)
         except DomainError as e:
@@ -317,21 +272,27 @@ def _check_sweep(vals, errs, raw):
             errs.append((p, f"must start with the swept model {model!r}, got {axis.path!r}"))
 
 
-_PARAMS = {  # model: (its parameter dataclass, the check across its fields)
-    "equilibrium": (EquilibriumParams, None),
-    "settle": (SettleParams, _check_settle),
-    "frivolous": (FrivolousParams, _check_frivolous),
-    "evolve": (EvolveParams, _check_evolve),
-    "composition": (CompositionParams, None),
-    "sweep": (SweepSpec, _check_sweep),
+_PARAMS = {  # model: (the module and name of its parameter dataclass, its check across fields)
+    "equilibrium": ("contracts", "EquilibriumParams", None),
+    "settle": ("settlement", "SettleParams", _check_settle),
+    "frivolous": ("frivolous", "FrivolousParams", _check_frivolous),
+    "evolve": ("evolution", "EvolveParams", _check_evolve),
+    "composition": ("composition", "CompositionParams", None),
+    "sweep": ("config", "SweepSpec", _check_sweep),
 }
 MODELS = tuple(_PARAMS)
 
 
+def _params_class(model: str) -> type:
+    """`model`'s parameter dataclass; its module is imported here, on a run's first need."""
+    module, name, _ = _PARAMS[model]
+    return getattr(importlib.import_module(f".{module}", __package__), name)
+
+
 def build_model_params(raw: dict, model: str, errs: list[tuple[str, str]]):
     """`model`'s parameter block built from a parsed config dict; None if any fault."""
-    cls, check, n_errs = *_PARAMS[model], len(errs)
-    params = _obj(cls, raw.get(model), model, errs, check, raw)
+    n_errs = len(errs)
+    params = _obj(_params_class(model), raw.get(model), model, errs, _PARAMS[model][2], raw)
     return params if len(errs) == n_errs else None
 
 

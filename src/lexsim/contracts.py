@@ -51,6 +51,13 @@ class AiShock(_Bounded):
 
 
 @dataclass(frozen=True)
+class EquilibriumParams(_Bounded):  # an equilibrium run: a config's "equilibrium" block
+    curve: GapCurve
+    shock: AiShock = AiShock()
+    tolerance: float = field(default=1e-9, metadata=_TOLERANCE)
+
+
+@dataclass(frozen=True)
 class CompletenessSolution:
     """Solved crossing: g*, the common MB=MC level there, and solver diagnostics."""
 

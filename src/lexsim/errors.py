@@ -124,8 +124,8 @@ def _schema(cls) -> tuple:
 
 
 def _holds(items, item) -> bool:
-    """Whether each of `items` is an `item`; a batch whose `item_type` is `item` is not read."""
-    return getattr(items, "item_type", None) is item or all(isinstance(x, item) for x in items)
+    """Whether each of `items` is an `item`; a batch of them, `item._batch`, is not read."""
+    return type(items) is getattr(item, "_batch", None) or all(isinstance(x, item) for x in items)
 
 
 class _Bounded:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .contracts import AiShock, GapCurve, apply_shock, solve_completeness
+from .contracts import _TOLERANCE, AiShock, GapCurve, apply_shock, solve_completeness
 from .errors import ConvergenceError, DomainError, _Bounded, _check, _finite
 from .frivolous import _BELIEF, DefendantAction, FollowUp, FrivolousConfig, PlaintiffType, play
 from .rng import fill_substreams, substream
@@ -134,6 +134,17 @@ class FrivolousStream(_Bounded):
     game: FrivolousConfig
     filers_per_period: int = field(metadata={"ge": 0, "le": _INT64_MAX, "integer": True})
     belief: float | None = field(default=None, metadata=_BELIEF)
+
+
+@dataclass(frozen=True)
+class EvolveParams(_Bounded):  # an evolve run: a config's "evolve" block
+    area: LegalArea
+    population: RulePopulation
+    periods: int = field(metadata=_PERIODS)
+    shock: AiShock = AiShock()
+    cost_delta: float = field(default=0.0, metadata=_COST_DELTA)
+    frivolous: FrivolousStream | None = None
+    tolerance: float = field(default=1e-9, metadata=_TOLERANCE)
 
 
 @dataclass

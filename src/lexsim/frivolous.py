@@ -83,6 +83,13 @@ class FilingShift(_Bounded):
 
 
 @dataclass(frozen=True)
+class FrivolousParams(_Bounded):  # a frivolous run: a config's "frivolous" block
+    game: FrivolousConfig
+    belief: float | None = field(default=None, metadata=_BELIEF)
+    shift: FilingShift | None = None
+
+
+@dataclass(frozen=True)
 class GameOutcome:
     plaintiff_type: PlaintiffType
     filed: bool

@@ -7,7 +7,8 @@ computed before anything is written, and outputs replace their targets only
 once every one is written, so a failed run leaves existing files as they were
 and no partial outputs behind.
 
-Each model's `_<model>(params, seed)` solves it once and returns (summary
+Each model's `_<model>(params, seed)`, given that model's parameter dataclass,
+imports the model's module when it runs, solves it once and returns (summary
 cells, table, chart): its sweep row and builders of its CSV and SVG over that
 same result. A sweep calls neither builder, so its rows agree with the CSV.
 """
@@ -26,24 +27,9 @@ import sys
 from dataclasses import dataclass
 
 from . import charts
-from .composition import relative_price_change, shift_composition
-from .config import (
-    CompositionParams,
-    EquilibriumParams,
-    EvolveParams,
-    FrivolousParams,
-    RunConfig,
-    SettleParams,
-    SweepSpec,
-    _PARAMS,
-    _check_sweep,
-    build_model_params,
-)
-from .contracts import apply_shock, marginal_benefit, marginal_cost, solve_completeness
+from .config import MODELS, RunConfig, SweepSpec, _check_sweep, _params_class, build_model_params
 from .errors import ConfigError, DomainError, LexsimError
-from .evolution import simulate
-from .frivolous import PlaintiffType, filing_region_shift, play
-from .settlement import settle_columns
+from .rng import _check_ids
 
 _SEED_MOD = 2**64
 
@@ -185,7 +171,9 @@ def _rows(*parts) -> str:
     return grid.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _equilibrium(p: EquilibriumParams, seed: int):
+def _equilibrium(p, seed: int):
+    from .contracts import apply_shock, marginal_benefit, marginal_cost, solve_completeness
+
     base = solve_completeness(p.curve, p.tolerance)
     shocked_curve = apply_shock(p.curve, p.shock)
     shocked = solve_completeness(shocked_curve, p.tolerance)
@@ -214,8 +202,10 @@ def _equilibrium(p: EquilibriumParams, seed: int):
     return [_f(shocked.g_star), _f(shocked.g_star - base.g_star)], table, chart
 
 
-def _settle(p: SettleParams, seed: int):
+def _settle(p, seed: int):
     import numpy as np
+
+    from .settlement import settle_columns
 
     a = settle_columns(p.disputes, p.rule, p.cost_reduction)
     n = len(p.disputes)
@@ -253,7 +243,9 @@ def _settle(p: SettleParams, seed: int):
     return [str(n), str(settled), str(n - settled), _f(sum(widths) / n)], table, chart
 
 
-def _frivolous(p: FrivolousParams, seed: int):
+def _frivolous(p, seed: int):
+    from .frivolous import PlaintiffType, filing_region_shift, play
+
     outcomes = [play(ptype, p.game, p.belief) for ptype in PlaintiffType]
     filed = ["true" if o.filed else "false" for o in outcomes]
 
@@ -277,7 +269,9 @@ def _frivolous(p: FrivolousParams, seed: int):
     return [c for o, f in zip(outcomes, filed) for c in (f, _f(o.plaintiff_payoff))], table, chart
 
 
-def _evolve(p: EvolveParams, seed: int):
+def _evolve(p, seed: int):
+    from .evolution import simulate
+
     trace = simulate(p.area, p.population, p.periods, shock=p.shock, cost_delta=p.cost_delta,
                      seed=seed, frivolous=p.frivolous, tolerance=p.tolerance)
     counts = [trace.disputes, trace.settlements, trace.trials, trace.frivolous_filings,
@@ -299,7 +293,9 @@ def _evolve(p: EvolveParams, seed: int):
     return cells, table, chart
 
 
-def _composition(p: CompositionParams, seed: int):
+def _composition(p, seed: int):
+    from .composition import relative_price_change, shift_composition
+
     shifts = shift_composition(p.areas, p.flat_reduction)
 
     def table():
@@ -404,12 +400,13 @@ def _sweep(spec: SweepSpec, cfg: RunConfig):
 
 def run(cfg: RunConfig) -> RunResult:
     """Execute the configured model and write outputs; returns what was written."""
-    if cfg.model not in _PARAMS:
-        raise DomainError(f"unknown model {cfg.model!r}; expected one of {list(_PARAMS)}")
-    cls = _PARAMS[cfg.model][0]
+    if cfg.model not in MODELS:
+        raise DomainError(f"unknown model {cfg.model!r}; expected one of {list(MODELS)}")
+    cls = _params_class(cfg.model)
     if not isinstance(cfg.params, cls):  # the loader always pairs them; code may not
         raise DomainError(f"model {cfg.model!r} runs on {cls.__name__}, "
                           f"got {type(cfg.params).__name__}")
+    _check_ids(cfg.seed, 0)  # the seed of a config built in code, as rng checks it
     if cfg.output_path is None:
         raise DomainError("run configuration has no output path")
     if cfg.svg_path is not None and (

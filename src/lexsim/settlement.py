@@ -81,7 +81,6 @@ class DisputeBatch(Sequence):
     `settle_columns` reads the columns as they are."""
 
     __slots__ = ("p_q", "p_g", "j", "c_q", "c_g")
-    item_type = Dispute  # so a field of Disputes admits a batch without building one
 
     def __init__(self, p_q, p_g, j, c_q, c_g):
         self.p_q, self.p_g, self.j, self.c_q, self.c_g = p_q, p_g, j, c_q, c_g
@@ -119,6 +118,16 @@ class DisputeBatch(Sequence):
 
     def __repr__(self) -> str:
         return f"DisputeBatch({list(self)!r})"
+
+
+Dispute._batch = DisputeBatch  # a field of Disputes admits a batch without building one
+
+
+@dataclass(frozen=True)
+class SettleParams(_Bounded):  # a settle run: a config's "settle" block
+    rule: FeeRule
+    disputes: Sequence[Dispute]  # read from a config as a DisputeBatch
+    cost_reduction: float = field(default=0.0, metadata=_REDUCTION)
 
 
 @dataclass(frozen=True)

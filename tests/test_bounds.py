@@ -47,8 +47,9 @@ from lexsim import (
     trial_fractions,
     validate_composition,
 )
-from lexsim.config import (CompositionParams, EquilibriumParams, EvolveParams, FrivolousParams,
-                           SettleParams, SweepAxis, SweepSpec, build_model_params)
+from lexsim import (CompositionParams, EquilibriumParams, EvolveParams, FrivolousParams,
+                    SettleParams)
+from lexsim.config import SweepAxis, SweepSpec, build_model_params
 from lexsim.errors import _Bounded, _admits, _admitted
 
 HUGE = 10**400

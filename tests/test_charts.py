@@ -1,6 +1,7 @@
 """SVG line charts: deterministic text output with no drawing dependency."""
 
 import math
+import re
 
 import pytest
 
@@ -73,6 +74,20 @@ class TestDegenerateData:
         svg = line_chart([("zero", [0.0, 1.0], [0.0, 0.0])])
         assert "NaN" not in svg and "Infinity" not in svg
 
+    def test_constant_subnormal_series_gets_the_zero_pad(self):
+        # 5% of the smallest subnormal rounds to 0, so the pad is 0.5, as around 0
+        tiny = line_chart([("tiny", [5e-324], [5e-324])])
+        assert tiny == line_chart([("tiny", [0.0], [0.0])])
+        assert "nan" not in tiny and "inf" not in tiny
+        assert ">-0.5<" in tiny and ">0.5<" in tiny
+
+    def test_a_nonzero_pad_is_five_percent(self):
+        ticks = re.findall(r">([^<]+)</text>", line_chart([("dot", [1e-320], [-4.0])]))
+        pad = 1e-320 * 0.05  # a subnormal, not 0
+        assert ticks[1::2] == ["-4.2", "-4.1", "-4", "-3.9", "-3.8"]
+        assert ticks[0::2][0] == format(1e-320 - pad, ".6g") == "9.50088e-321"
+        assert ticks[0::2][-1] == format(1e-320 + pad, ".6g") == "1.04989e-320"
+
 
 class TestValidation:
     def test_rejects_empty_series_list(self):
@@ -92,3 +107,20 @@ class TestValidation:
             line_chart([("nan", [0.0, 1.0], [0.0, math.nan])])
         with pytest.raises(DomainError):
             line_chart([("inf", [0.0, math.inf], [0.0, 1.0])])
+
+    @pytest.mark.parametrize("axis, values", [
+        ("y", [1.75e308]),  # padded by 5%, past the largest float
+        ("y", [-1.75e308]),
+        ("y", [-1.7e308, 1.7e308]),  # finite values whose difference overflows
+        ("x", [1.7e308, -1.7e308]),
+    ])
+    def test_rejects_a_span_past_float_range(self, axis, values):
+        other = [float(i) for i in range(len(values))]
+        xs, ys = (values, other) if axis == "x" else (other, values)
+        with pytest.raises(DomainError) as exc:
+            line_chart([("huge", xs, ys)])
+        assert str(exc.value) == f"the {axis} values span more than the float range"
+
+    def test_the_largest_finite_span_renders(self):
+        svg = line_chart([("wide", [0.0, 1.0], [-8.9e307, 8.9e307])])
+        assert "nan" not in svg and "inf" not in svg

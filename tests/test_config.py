@@ -12,11 +12,11 @@ from lexsim import (
     ConfigError,
     Dispute,
     FeeRule,
+    SettleParams,
     SweepAxis,
     load_config,
 )
 from lexsim import config
-from lexsim.config import SettleParams
 
 CONFIG_DIR = "configs"
 
@@ -487,7 +487,7 @@ class TestPlainDispute:
     @given(items=dispute_items(max_size=5))
     def test_accepts_exactly_what_the_field_checks_accept(self, items):
         errs, expected_errs = [], []
-        batch = config._batch(items, "settle.disputes", errs)
+        batch = config._batch(Dispute, items, "settle.disputes", errs)
         expected = [config._obj(Dispute, item, f"settle.disputes[{i}]", expected_errs)
                     for i, item in enumerate(items)]
         assert errs == expected_errs

@@ -27,9 +27,9 @@ from hypothesis import strategies as st
 from lexsim import ConfigError, load_config
 from lexsim import config
 from lexsim.composition import _FLAT_REDUCTION, AreaShare, validate_composition
-from lexsim.config import (_MAX_RUNS, MODELS, CompositionParams, EquilibriumParams,
-                           EvolveParams, FrivolousParams, SettleParams, SweepAxis, SweepSpec,
-                           _check_keys, _names)
+from lexsim import (CompositionParams, EquilibriumParams, EvolveParams, FrivolousParams,
+                    SettleParams)
+from lexsim.config import _MAX_RUNS, MODELS, SweepAxis, SweepSpec, _check_keys, _names
 from lexsim.contracts import _TOLERANCE, AiShock, GapCurve
 from lexsim.errors import DomainError, _schema
 from lexsim.evolution import (_COST_DELTA, _PERIODS, AreaKind, FrivolousStream, LegalArea,

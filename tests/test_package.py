@@ -1,4 +1,5 @@
-"""The package surface: one export table, and numpy loaded only by array code."""
+"""The package surface: one export table, resolved on first lookup, and numpy and each
+model module loaded only by the runs that use them."""
 
 import json
 import os
@@ -14,6 +15,12 @@ CONFIG_DIR = "configs"
 ANALYTIC = {"equilibrium_golden": "equilibrium", "equilibrium_shock": "equilibrium",
             "frivolous_nuisance": "frivolous", "composition_docket": "composition",
             "sweep_litigation_delta": "sweep"}
+MODEL_MODULES = {"contracts", "settlement", "frivolous", "evolution", "composition"}
+# the model modules each shipped config's run uses; evolution imports three others
+USES = {"equilibrium_golden": {"contracts"}, "equilibrium_shock": {"contracts"},
+        "frivolous_nuisance": {"frivolous"}, "composition_docket": {"composition"},
+        "sweep_litigation_delta": {"contracts"}, "settle_fixture": {"settlement"},
+        "evolve_tort": MODEL_MODULES - {"composition"}}
 
 
 def fresh_python(code: str) -> subprocess.CompletedProcess:
@@ -42,6 +49,47 @@ class TestExports:
 
     def test_version(self):
         assert lexsim.__version__ == "0.1.0"
+
+    def test_every_class_and_function_is_defined_by_its_owner(self):
+        data = []
+        for module, names in lexsim._EXPORTS.items():
+            for name in names.split():
+                value = getattr(lexsim, name)
+                if callable(value):
+                    assert value.__module__ == f"lexsim.{module}", name
+                else:
+                    data.append(name)
+        assert data == ["MODELS"]
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'lexsim' has no attribute 'nope'"):
+            lexsim.nope
+
+
+class TestModelsOnFirstUse:
+    """A run imports only the model modules it runs: config and runner name each model's
+    module, and the package resolves its names, on first use."""
+
+    def test_a_bare_import_loads_no_submodule(self):
+        done = fresh_python("import sys, lexsim\n"
+                            "print(sorted(m for m in sys.modules if m.startswith('lexsim')))")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "['lexsim']\n", "")
+
+    @pytest.mark.parametrize("name", sorted(USES))
+    def test_a_cli_run_loads_only_the_models_it_uses(self, name, tmp_path):
+        model = ANALYTIC.get(name) or name.split("_")[0]
+        argv = [model, "--config", f"{CONFIG_DIR}/{name}.json", "--out",
+                str(tmp_path / "out.csv"), "--svg", str(tmp_path / "out.svg")]
+        done = fresh_python(
+            "import json, sys\nfrom lexsim.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(json.dumps([code, [m for m in sys.modules if m.startswith('lexsim.')]]), "
+            "file=sys.stderr)\n")
+        code, loaded = json.loads(done.stderr.splitlines()[-1])
+        assert (code, done.returncode) == (0, 0), done.stderr
+        loaded = {m.removeprefix("lexsim.") for m in loaded}
+        assert loaded & MODEL_MODULES == USES[name]
+        assert loaded - MODEL_MODULES == {"charts", "cli", "config", "errors", "rng", "runner"}
 
 
 class TestNumpyOnFirstArrayUse:

@@ -31,9 +31,10 @@ from lexsim import (
     settlement_range,
     shrink_ratio,
 )
-from lexsim import config, evolution, runner
+from lexsim import config, contracts, evolution, runner
 from lexsim.cli import main
-from lexsim.config import EquilibriumParams, RunConfig, SettleParams, SweepAxis, SweepSpec
+from lexsim import EquilibriumParams, SettleParams
+from lexsim.config import RunConfig, SweepAxis, SweepSpec
 from lexsim.contracts import GapCurve
 from lexsim.settlement import DisputeBatch
 from test_golden_outputs import DIGESTS, sha256
@@ -492,14 +493,14 @@ class TestSweepMatchesCsv:
 class TestComputeOnce:
     """Each run or sweep replicate solves its model once; a chart is drawn only for --svg."""
 
-    def spy(self, monkeypatch, name):
+    def spy(self, monkeypatch, module, name):
         calls = []
-        real = getattr(runner, name)
-        monkeypatch.setattr(runner, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
         return calls
 
     def test_equilibrium_solves_twice_per_run(self, tmp_path, monkeypatch):
-        solves = self.spy(monkeypatch, "solve_completeness")
+        solves = self.spy(monkeypatch, contracts, "solve_completeness")
         monkeypatch.setattr(runner, "charts", None)  # drawing a chart would raise
         run_model("equilibrium", f"{CONFIG_DIR}/equilibrium_shock.json", tmp_path / "eq.csv")
         assert len(solves) == 2
@@ -508,7 +509,7 @@ class TestComputeOnce:
         assert len(solves) == 2 * 6
 
     def test_evolve_simulates_once_per_run_and_replicate(self, tmp_path, monkeypatch):
-        sims = self.spy(monkeypatch, "simulate")
+        sims = self.spy(monkeypatch, evolution, "simulate")
         run_model("evolve", f"{CONFIG_DIR}/evolve_tort.json", tmp_path / "ev.csv",
                   tmp_path / "ev.svg")
         assert len(sims) == 1
@@ -547,6 +548,31 @@ class TestRunGuards:
             run(RunConfig(model, params, 0, str(out), None, {}))
         assert str(exc.value) == message
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "1", None])
+    @pytest.mark.parametrize("model", ["equilibrium", "sweep"])
+    def test_a_seed_outside_u64_is_refused_before_any_work(self, tmp_path, monkeypatch, model,
+                                                          seed):
+        def no_run(*args):
+            raise AssertionError("a model ran on a seed outside [0, 2^64)")
+
+        for name, (header, _) in list(runner._MODELS.items()):
+            monkeypatch.setitem(runner._MODELS, name, (header, no_run))
+        monkeypatch.setattr(runner, "_sweep", no_run)
+        cfg = load_config(f"{CONFIG_DIR}/sweep_litigation_delta.json", model)
+        cfg.seed, cfg.output_path = seed, str(tmp_path / "x.csv")
+        with pytest.raises(DomainError) as exc:
+            run(cfg)
+        assert str(exc.value) == f"seed must be an integer in [0, 2^64): got {seed!r}"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_the_ends_of_u64_run(self, tmp_path, seed):
+        cfg = load_config(f"{CONFIG_DIR}/sweep_litigation_delta.json", "sweep")
+        cfg.seed, cfg.output_path = seed, str(tmp_path / "x.csv")
+        run(cfg)
+        assert {row[2] for row in read_csv(tmp_path / "x.csv")[1]} == {str(seed)}
 
 
 class TestCli:
@@ -699,11 +725,12 @@ class TestCli:
         capsys.readouterr()
 
 
-def run_cli_process(tmp_path, model, payload):
-    """`python -m lexsim.cli` on `payload` in a fresh process: (exit code, stderr, CSV path)."""
+def run_cli_process(tmp_path, model, payload, *args):
+    """`python -m lexsim.cli` on `payload`, and `args` after it, in a fresh process:
+    (exit code, stderr, CSV path)."""
     out = tmp_path / f"{model}.csv"
     argv = [sys.executable, "-m", "lexsim.cli", model, "--config",
-            write_config(tmp_path, payload, f"{model}.json"), "--out", str(out)]
+            write_config(tmp_path, payload, f"{model}.json"), "--out", str(out), *args]
     env = {**os.environ, "PYTHONPATH": "src" + os.pathsep + os.environ.get("PYTHONPATH", "")}
     done = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
     assert "Traceback" not in done.stderr
@@ -751,6 +778,34 @@ class TestOverflowingInputs:
         header, rows = read_csv(out)
         assert float(dict(zip(header, rows[0]))["g_star_baseline"]) == \
             pytest.approx(1.0 - 8.4e-6, abs=1e-7)
+
+
+def one_dispute(**fields):
+    return {"settle": {"rule": "american", "disputes": [fields]}}
+
+
+class TestChartSpans:
+    """A chart whose data span leaves float range, padded or not, keeps to the CLI contract."""
+
+    def test_a_constant_subnormal_width_charts(self, tmp_path):
+        payload = one_dispute(p_q=0, p_g=0, j=1, c_q=5e-324, c_g=0)  # width 5e-324
+        svg = tmp_path / "settle.svg"
+        code, err, out = run_cli_process(tmp_path, "settle", payload, "--svg", str(svg))
+        assert (code, err) == (0, "")
+        assert read_csv(out)[1][0][10] == "4.9406564584124654e-324"
+        assert "nan" not in svg.read_text() and ">0.5</text>" in svg.read_text()
+
+    @pytest.mark.parametrize("disputes", [
+        [{"p_q": 0, "p_g": 1, "j": 1.75e308, "c_q": 0, "c_g": 0}],  # padded past the range
+        [{"p_q": 0, "p_g": 1, "j": 1.7e308, "c_q": 0, "c_g": 0},  # widths +-1.7e308
+         {"p_q": 1, "p_g": 0, "j": 1.7e308, "c_q": 0, "c_g": 0}],
+    ])
+    def test_a_width_span_past_float_range_is_a_model_error(self, tmp_path, disputes):
+        payload = {"settle": {"rule": "american", "disputes": disputes}}
+        svg = tmp_path / "settle.svg"
+        code, err, out = run_cli_process(tmp_path, "settle", payload, "--svg", str(svg))
+        assert (code, err) == (2, "error: model: the y values span more than the float range\n")
+        assert not out.exists() and not svg.exists()
 
 
 class TestDeepNesting:
@@ -1142,7 +1197,7 @@ class TestInterrupt:
             pytest.fail("KeyboardInterrupt escaped main")
 
     def test_interrupted_simulation_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(runner, "simulate", self.interrupt)
+        monkeypatch.setattr(evolution, "simulate", self.interrupt)
         out, svg = tmp_path / "evolve.csv", tmp_path / "evolve.svg"
         assert self.main(out, svg) == 130
         assert capsys.readouterr() == ("", "error: interrupted\n")
