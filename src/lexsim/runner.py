@@ -7,10 +7,10 @@ computed before anything is written, and outputs replace their targets only
 once every one is written, so a failed run leaves existing files as they were
 and no partial outputs behind.
 
-Each model's `_<model>(params, seed)`, given that model's parameter dataclass,
-imports the model's module when it runs, solves it once and returns (summary
-cells, table, chart): its sweep row and builders of its CSV and SVG over that
-same result. A sweep calls neither builder, so its rows agree with the CSV.
+Each model's `_<model>(params, seed)` imports its model's module when it runs,
+solves it once and returns (summary cells, table, chart): its sweep row and
+builders of its CSV and SVG over that same result. A sweep calls neither
+builder, so its rows agree with the CSV.
 """
 
 from __future__ import annotations
@@ -25,11 +25,15 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import charts
 from .config import MODELS, RunConfig, SweepSpec, _check_sweep, _params_class, build_model_params
 from .errors import ConfigError, DomainError, LexsimError
 from .rng import _check_ids
+
+if TYPE_CHECKING:  # each model's module is imported by its function, when it runs
+    from . import composition, contracts, evolution, frivolous, settlement
 
 _SEED_MOD = 2**64
 
@@ -171,7 +175,7 @@ def _rows(*parts) -> str:
     return grid.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _equilibrium(p, seed: int):
+def _equilibrium(p: contracts.EquilibriumParams, seed: int):
     from .contracts import apply_shock, marginal_benefit, marginal_cost, solve_completeness
 
     base = solve_completeness(p.curve, p.tolerance)
@@ -202,7 +206,7 @@ def _equilibrium(p, seed: int):
     return [_f(shocked.g_star), _f(shocked.g_star - base.g_star)], table, chart
 
 
-def _settle(p, seed: int):
+def _settle(p: settlement.SettleParams, seed: int):
     import numpy as np
 
     from .settlement import settle_columns
@@ -243,7 +247,7 @@ def _settle(p, seed: int):
     return [str(n), str(settled), str(n - settled), _f(sum(widths) / n)], table, chart
 
 
-def _frivolous(p, seed: int):
+def _frivolous(p: frivolous.FrivolousParams, seed: int):
     from .frivolous import PlaintiffType, filing_region_shift, play
 
     outcomes = [play(ptype, p.game, p.belief) for ptype in PlaintiffType]
@@ -269,7 +273,7 @@ def _frivolous(p, seed: int):
     return [c for o, f in zip(outcomes, filed) for c in (f, _f(o.plaintiff_payoff))], table, chart
 
 
-def _evolve(p, seed: int):
+def _evolve(p: evolution.EvolveParams, seed: int):
     from .evolution import simulate
 
     trace = simulate(p.area, p.population, p.periods, shock=p.shock, cost_delta=p.cost_delta,
@@ -293,7 +297,7 @@ def _evolve(p, seed: int):
     return cells, table, chart
 
 
-def _composition(p, seed: int):
+def _composition(p: composition.CompositionParams, seed: int):
     from .composition import relative_price_change, shift_composition
 
     shifts = shift_composition(p.areas, p.flat_reduction)

@@ -49,30 +49,6 @@ class OutcomeKind(Enum):
     TRIAL = "trial"
 
 
-@dataclass(frozen=True)
-class Dispute(_Bounded):
-    """One filed case: subjective win odds, stakes, and per-side trial costs."""
-
-    p_q: float = field(metadata={"ge": 0.0, "le": 1.0})
-    p_g: float = field(metadata={"ge": 0.0, "le": 1.0})
-    j: float = field(metadata={"gt": 0.0})
-    c_q: float = field(metadata={"ge": 0.0})
-    c_g: float = field(metadata={"ge": 0.0})
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self._across(self.p_q, self.p_g, self.j, self.c_q, self.c_g):
-            raise DomainError("j + c_q + c_g must lie within float range")
-
-    @staticmethod
-    def _across(p_q, p_g, j, c_q, c_g):
-        """The rule across fields, for field values that each passed their bounds, or
-        elementwise for float64 columns of them: j + c_q + c_g lies within float range.
-        Each term is within float range, so the float sum cannot raise."""
-        total = 1.0 * j + c_q + c_g
-        return total - total == 0.0  # inf - inf is nan
-
-
 class DisputeBatch(Sequence):
     """A read-only sequence of disputes held as five float64 columns, one per Dispute
     field, in field order; an item is a Dispute of floats. `DisputeBatch.of` gathers
@@ -120,7 +96,29 @@ class DisputeBatch(Sequence):
         return f"DisputeBatch({list(self)!r})"
 
 
-Dispute._batch = DisputeBatch  # a field of Disputes admits a batch without building one
+@dataclass(frozen=True)
+class Dispute(_Bounded):
+    """One filed case: subjective win odds, stakes, and per-side trial costs."""
+
+    _batch = DisputeBatch  # Disputes as columns; a field of Disputes admits one unread
+    p_q: float = field(metadata={"ge": 0.0, "le": 1.0})
+    p_g: float = field(metadata={"ge": 0.0, "le": 1.0})
+    j: float = field(metadata={"gt": 0.0})
+    c_q: float = field(metadata={"ge": 0.0})
+    c_g: float = field(metadata={"ge": 0.0})
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self._across(self.p_q, self.p_g, self.j, self.c_q, self.c_g):
+            raise DomainError("j + c_q + c_g must lie within float range")
+
+    @staticmethod
+    def _across(p_q, p_g, j, c_q, c_g):
+        """The rule across fields, for field values that each passed their bounds, or
+        elementwise for float64 columns of them: j + c_q + c_g lies within float range.
+        Each term is within float range, so the float sum cannot raise."""
+        total = 1.0 * j + c_q + c_g
+        return total - total == 0.0  # inf - inf is nan
 
 
 @dataclass(frozen=True)
