@@ -549,7 +549,6 @@ class TestRunGuards:
         assert str(exc.value) == message
         assert not out.exists()
 
-
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "1", None])
     @pytest.mark.parametrize("model", ["equilibrium", "sweep"])
     def test_a_seed_outside_u64_is_refused_before_any_work(self, tmp_path, monkeypatch, model,
@@ -780,15 +779,12 @@ class TestOverflowingInputs:
             pytest.approx(1.0 - 8.4e-6, abs=1e-7)
 
 
-def one_dispute(**fields):
-    return {"settle": {"rule": "american", "disputes": [fields]}}
-
-
 class TestChartSpans:
     """A chart whose data span leaves float range, padded or not, keeps to the CLI contract."""
 
     def test_a_constant_subnormal_width_charts(self, tmp_path):
-        payload = one_dispute(p_q=0, p_g=0, j=1, c_q=5e-324, c_g=0)  # width 5e-324
+        dispute = {"p_q": 0, "p_g": 0, "j": 1, "c_q": 5e-324, "c_g": 0}  # width 5e-324
+        payload = {"settle": {"rule": "american", "disputes": [dispute]}}
         svg = tmp_path / "settle.svg"
         code, err, out = run_cli_process(tmp_path, "settle", payload, "--svg", str(svg))
         assert (code, err) == (0, "")
