@@ -12,8 +12,9 @@ The `lexsim` CLI drives any of them from a JSON config; see README.
 
 Nothing is imported here: a public name, or a submodule such as
 `lexsim.config`, is imported when it is first looked up (PEP 562), so a run
-loads only the models it uses. numpy, too, is imported by each function that
-builds an array when it first runs, so the closed-form models never load it.
+loads only the models it uses; `dir(lexsim)` lists them without importing
+any. numpy, too, is imported by each function that builds an array when it
+first runs, so the closed-form models never load it.
 """
 
 import importlib
@@ -52,3 +53,8 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = importlib.import_module(f"{__name__}.{module}")
     return value if module == name else getattr(value, name)
+
+
+def __dir__() -> list[str]:
+    """The public names and exported submodules, listed before any is imported."""
+    return sorted(__all__ + list(_EXPORTS))

@@ -17,6 +17,10 @@ Per period, each rule independently:
   3. settles or tries the case under the area's fee rule at the rule's stakes;
   4. on a trial, flips state with the overturn probability for its direction.
 
+Step 3 is monotone in the belief draw, so `simulate` decides it by one exact
+threshold per stakes level and compares a block's draws with it a chunk of
+periods at a time; `trial_fractions` runs the settle/trial kernel itself.
+
 Randomness. Rule i draws from Philox substream i of the run seed, three
 uniforms per period in a fixed order (dispute, belief, flip), so a trace is
 bit-reproducible and growing the population never reshuffles existing rules'
@@ -44,6 +48,7 @@ if TYPE_CHECKING:
 _STREAM_RATES = 2**63  # reserved substream of the flip-rate estimator
 _MAX_CLOSURE_ITER = 10**7
 _RULE_BLOCK = 2048  # rules simulate steps together, each block on its own draw array
+_PERIOD_CHUNK = 25  # periods whose dispute, trial and flip masks simulate builds at once
 _MAX_DRAW_BYTES = 2**32  # cap on one block's draw array, 24 B per rule-period
 _INT64_MAX = 2**63 - 1  # the trace's count columns are int64
 _COST_DELTA = {"ge": 0.0}  # a cut in both parties' trial costs
@@ -201,6 +206,33 @@ def _tried(area: LegalArea, u_belief: np.ndarray, stakes, c_q: float, c_g: float
         return ~(upper - lower >= 0.0)
 
 
+def _trial_threshold(area: LegalArea, stakes: float, c_q: float, c_g: float) -> float:
+    """Least belief draw that `_tried` marks as a trial at these stakes; 1.0 if none is.
+
+    A draw u is k * 2^-53 for an integer k in [0, 2^53), so a 53-step
+    bisection over k finds the threshold, each probe a 1-element `_tried`.
+    It is exact because `_tried` is monotone in u: every step from u to
+    `upper - lower` is an IEEE operation monotone in its operand, and
+    rounding keeps that order. eps = (2u - 1) * spread never falls as u
+    rises, so the clipped p_q never falls and p_g never rises; under both fee
+    rules `lower` never falls as p_q rises and `upper` never rises as p_g
+    falls, so the width never rises. `LegalArea` keeps stakes plus costs in
+    float range, so both ends are finite and the width is never NaN (it may
+    overflow to -inf or inf, which keep the order). A case is tried when the
+    width is below 0, so u is tried exactly when u >= the threshold.
+    """
+    import numpy as np
+
+    lo, hi = 0, 2**53  # hi is tried, or the sentinel 2^53 that no draw reaches
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _tried(area, np.array([math.ldexp(mid, -53)]), stakes, c_q, c_g)[0]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return math.ldexp(hi, -53)
+
+
 def trial_fractions(
     area: LegalArea,
     cost_delta: float = 0.0,
@@ -327,6 +359,14 @@ def simulate(
     three uniforms per period in the order dispute / belief / flip, which
     `fill_substreams` writes for a whole block from one Philox. A block's
     draws take 24 bytes per rule-period, at most 2^32 bytes.
+
+    A disputed case is tried when its belief draw is at least
+    `_trial_threshold` at the rule's stakes, found once per stakes level, so
+    no period calls the settle/trial kernel. A block is compared with its
+    rate, thresholds and overturn odds _PERIOD_CHUNK periods at a time, as
+    (periods, rules) bool masks; the efficient state then steps as
+    e ^= where(e, flips_if_efficient, flips_if_inefficient), and each
+    period's counts are taken from the masks.
     """
     import numpy as np
 
@@ -347,18 +387,32 @@ def simulate(
     efficient_count = np.zeros(periods + 1, dtype=np.int64)
     efficient_count[0] = n_efficient
 
+    u_eff = _trial_threshold(area, stakes_eff, c_q, c_g)
+    u_ineff = _trial_threshold(area, stakes_ineff, c_q, c_g)
     draws = np.empty((min(n, _RULE_BLOCK), periods, 3))
+    # row k: each rule's state before the chunk's k-th period; row 0 carries over
+    states = np.empty((min(periods, _PERIOD_CHUNK) + 1, min(n, _RULE_BLOCK)), dtype=bool)
     for first in range(0, n, _RULE_BLOCK):
         block = fill_substreams(seed, first, draws[: n - first])
-        efficient = np.arange(first, first + len(block)) < n_efficient
-        for t in range(1, periods + 1):
-            disputed = block[:, t - 1, 0] < rate
-            stakes = np.where(efficient, stakes_eff, stakes_ineff)
-            trial = disputed & _tried(area, block[:, t - 1, 1], stakes, c_q, c_g)
-            efficient ^= trial & (block[:, t - 1, 2] < np.where(efficient, q_ei, q_ie))
-            disputes[t] += np.count_nonzero(disputed)
-            trials[t] += np.count_nonzero(trial)
-            efficient_count[t] += np.count_nonzero(efficient)
+        efficient = states[:, : len(block)]
+        efficient[0] = np.arange(first, first + len(block)) < n_efficient
+        u_dispute, u_belief, u_flip = block.transpose(2, 1, 0)  # each (periods, rules)
+        for start in range(0, periods, _PERIOD_CHUNK):
+            chunk = slice(start, start + _PERIOD_CHUNK)
+            disputed = u_dispute[chunk] < rate
+            tried_e = disputed & (u_belief[chunk] >= u_eff)
+            tried_i = disputed & (u_belief[chunk] >= u_ineff)
+            flips_e = tried_e & (u_flip[chunk] < q_ei)
+            flips_i = tried_i & (u_flip[chunk] < q_ie)
+            m = len(disputed)
+            for k in range(m):
+                flips = np.where(efficient[k], flips_e[k], flips_i[k])
+                np.not_equal(efficient[k], flips, out=efficient[k + 1])
+            rows = slice(start + 1, start + 1 + m)
+            disputes[rows] += np.count_nonzero(disputed, axis=1)
+            trials[rows] += np.count_nonzero(np.where(efficient[:m], tried_e, tried_i), axis=1)
+            efficient_count[rows] += np.count_nonzero(efficient[1 : m + 1], axis=1)
+            efficient[0] = efficient[m]
 
     filed, settled, dropped = (np.where(t_col > 0, np.int64(c), np.int64(0))
                                for c in _frivolous_period_counts(frivolous))

@@ -102,6 +102,53 @@ def contract_area(**overrides) -> LegalArea:
     return LegalArea(**base)
 
 
+def replay_by_decide(area, population, periods, seed, cost_delta=0.0):
+    """Reference: step each rule alone from its substream, `decide` on Python floats.
+
+    Returns the (disputes, trials, efficient count) columns of rows 1..periods.
+    """
+    c_q, c_g = area.cost_q - cost_delta, area.cost_g - cost_delta
+    disputes, trials, efficient_count = [0] * periods, [0] * periods, [0] * periods
+    for i in range(population.n_rules):
+        efficient = i < population.initial_efficient_count
+        for t, (u_dispute, u_belief, u_flip) in enumerate(
+                substream(seed, i).random((periods, 3)).tolist()):
+            disputed = u_dispute < effective_dispute_rate(area)
+            eps = (2.0 * u_belief - 1.0) * area.belief_spread
+            p_q = min(max(area.belief_center + eps, 0.0), 1.0)
+            p_g = min(max(area.belief_center - eps, 0.0), 1.0)
+            stakes = float(area.stakes_j) if efficient else \
+                float(area.stakes_j * area.stakes_multiplier)
+            d = Dispute(p_q=p_q, p_g=p_g, j=stakes, c_q=c_q, c_g=c_g)
+            trial = disputed and decide(d, area.fee_rule).kind is OutcomeKind.TRIAL
+            if trial and u_flip < (area.q_ei if efficient else area.q_ie):
+                efficient = not efficient
+            disputes[t] += disputed
+            trials[t] += trial
+            efficient_count[t] += efficient
+    return disputes, trials, efficient_count
+
+
+@st.composite
+def tort_areas(draw):
+    """Tort areas over both fee rules, beliefs from a point to far past [0, 1], and
+    stakes and costs up to ~1e300 (an English width may overflow to inf)."""
+    return tort_area(
+        fee_rule=draw(st.sampled_from(FeeRule)),
+        dispute_rate=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        stakes_j=draw(st.floats(1e-3, 1e300)),
+        stakes_multiplier=draw(st.floats(1.0, 1e4)),
+        cost_q=draw(st.floats(0.0, 8e307)),
+        cost_g=draw(st.floats(0.0, 8e307)),
+        belief_spread=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.5), st.floats(0.0, 1e3),
+                                     st.floats(0.0, 1e300))),
+        belief_center=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        overturn_prob=draw(st.floats(0.0, 1.0)),
+        overturn_prob_ie=draw(st.none() | st.floats(0.0, 1.0)),
+        overturn_prob_ei=draw(st.none() | st.floats(0.0, 1.0)),
+    )
+
+
 class TestAreaValidation:
     @pytest.mark.parametrize("field, value, message", [
         ("name", "", "name must be a nonempty string: got ''"),
@@ -302,6 +349,52 @@ class TestTrialFractions:
             Dispute(p_q=0.5, p_g=0.5, j=1.7e308, c_q=18.0, c_g=1e307)
 
 
+class TestTrialThreshold:
+    """`simulate` tries a disputed case when its belief draw is at least `_trial_threshold`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), area=tort_areas(), inefficient=st.booleans(),
+           seed=st.integers(0, 2**64 - 1))
+    def test_threshold_decides_as_the_kernel(self, data, area, inefficient, seed):
+        cost_delta = data.draw(st.floats(0.0, min(area.cost_q, area.cost_g)), label="cost_delta")
+        c_q, c_g = area.cost_q - cost_delta, area.cost_g - cost_delta
+        stakes = float(area.stakes_j * area.stakes_multiplier) if inefficient else \
+            float(area.stakes_j)
+        threshold = evolution._trial_threshold(area, stakes, c_q, c_g)
+        k = int(threshold * 2**53)
+        assert 0 <= k <= 2**53 and math.ldexp(k, -53) == threshold
+        edge = [math.ldexp(j, -53) for j in (k - 1, k) if 0 <= j < 2**53]
+        u = np.concatenate([substream(seed, 0).random(64), edge])
+        assert ((u >= threshold) == evolution._tried(area, u, stakes, c_q, c_g)).all()
+
+    @pytest.mark.parametrize("fee_rule", list(FeeRule))
+    def test_simulate_decides_draws_on_the_threshold(self, monkeypatch, fee_rule):
+        # belief draws exactly at each stakes level's threshold and one step below it
+        area = tort_area(fee_rule=fee_rule, dispute_rate=1.0, overturn_prob=0.0)
+        c_q, c_g = area.cost_q, area.cost_g
+        levels = (float(area.stakes_j), float(area.stakes_j * area.stakes_multiplier))
+        edges = []
+        for stakes in levels:
+            k = int(evolution._trial_threshold(area, stakes, c_q, c_g) * 2**53)
+            assert 0 < k < 2**53
+            edges += [math.ldexp(k - 1, -53), math.ldexp(k, -53)]
+        beliefs = np.array(edges)
+
+        def fill(seed, first, out):
+            out[:] = 0.0  # every period disputed, no flip drawn
+            out[:, :, 1] = np.resize(beliefs, out.shape[:2])
+            return out
+
+        monkeypatch.setattr(evolution, "fill_substreams", fill)
+        periods = 7
+        trace = simulate(area, RulePopulation(3, 2 / 3), periods=periods)
+        u = np.resize(beliefs, (3, periods))
+        want = sum(evolution._tried(area, u[i], levels[i >= 2], c_q, c_g).astype(int)
+                   for i in range(3))
+        assert trace.trials[1:].tolist() == want.tolist()
+        assert trace.fraction_efficient.tolist() == [2 / 3] * (periods + 1)
+
+
 class TestFlipRates:
     def test_composition_of_factors(self):
         area = tort_area(overturn_prob_ie=0.6, overturn_prob_ei=0.2)
@@ -449,24 +542,35 @@ class TestSimulate:
             dispute_rate=0.7, cost_q=10.0, cost_g=10.0, belief_spread=0.4,
             overturn_prob_ie=0.6, overturn_prob_ei=0.3, fee_rule=FeeRule.ENGLISH,
         )
-        seed, periods = 11, 60
-        trace = simulate(area, RulePopulation(1, 1.0), periods=periods, seed=seed)
-        draws = substream(seed, 0).random((periods, 3))
-        efficient = True
-        for t in range(periods):
-            u_dispute, u_belief, u_flip = draws[t]
-            disputed = u_dispute < 0.7
-            eps = (2.0 * u_belief - 1.0) * 0.4
-            p_q = min(max(0.5 + eps, 0.0), 1.0)
-            p_g = min(max(0.5 - eps, 0.0), 1.0)
-            stakes = 100.0 if efficient else 200.0
-            d = Dispute(p_q=p_q, p_g=p_g, j=stakes, c_q=10.0, c_g=10.0)
-            trial = disputed and decide(d, FeeRule.ENGLISH).kind is OutcomeKind.TRIAL
-            if trial and u_flip < (0.3 if efficient else 0.6):
-                efficient = not efficient
-            assert trace.disputes[t + 1] == int(disputed)
-            assert trace.trials[t + 1] == int(trial)
-            assert trace.fraction_efficient[t + 1] == float(efficient)
+        population = RulePopulation(1, 1.0)
+        trace = simulate(area, population, periods=60, seed=11)
+        disputes, trials, efficient = replay_by_decide(area, population, 60, 11)
+        assert trace.disputes[1:].tolist() == disputes
+        assert trace.trials[1:].tolist() == trials
+        assert trace.fraction_efficient[1:].tolist() == [float(e) for e in efficient]
+        assert 0 < sum(trials) < 60 and 0 < sum(efficient) < 60
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        area=tort_areas(),
+        n_rules=st.integers(1, 4),
+        fraction_efficient=st.floats(0.0, 1.0),
+        periods=st.one_of(st.sampled_from([49, 50, 51, 99, 100, 101]), st.integers(1, 160)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_population_lockstep_with_scalar_replay(
+        self, data, area, n_rules, fraction_efficient, periods, seed,
+    ):
+        # every rule replayed alone with `decide`; the periods cross the mask chunks' edges
+        cost_delta = data.draw(st.floats(0.0, min(area.cost_q, area.cost_g)), label="cost_delta")
+        population = RulePopulation(n_rules, fraction_efficient)
+        trace = simulate(area, population, periods=periods, seed=seed, cost_delta=cost_delta)
+        disputes, trials, efficient = replay_by_decide(area, population, periods, seed,
+                                                       cost_delta)
+        assert trace.disputes[1:].tolist() == disputes
+        assert trace.trials[1:].tolist() == trials
+        assert trace.fraction_efficient[1:].tolist() == [e / n_rules for e in efficient]
 
     def test_growing_population_preserves_early_streams(self):
         # stream i is keyed by rule index, so adding rules must not move rule 0's draws
@@ -509,6 +613,13 @@ class TestRuleBlocks:
         default = self.run(130, 40)
         monkeypatch.setattr(evolution, "_RULE_BLOCK", block)
         assert_same_trace(self.run(130, 40), default)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_small_period_chunks_match_the_default(self, monkeypatch, chunk):
+        # 130 periods cross the default chunk's edges at 50 and 100
+        default = self.run(130, 130)
+        monkeypatch.setattr(evolution, "_PERIOD_CHUNK", chunk)
+        assert_same_trace(self.run(130, 130), default)
 
     def test_default_blocks_match_one_block_for_all_rules(self, monkeypatch):
         n = 2 * evolution._RULE_BLOCK + 3

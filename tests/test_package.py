@@ -61,6 +61,18 @@ class TestExports:
                     data.append(name)
         assert data == ["MODELS"]
 
+    def test_dir_lists_every_public_name_and_submodule(self):
+        listed = dir(lexsim)
+        assert set(lexsim.__all__) <= set(listed)
+        assert set(lexsim._EXPORTS) <= set(listed)
+        assert listed == sorted(listed)
+
+    def test_dir_imports_no_submodule(self):
+        done = fresh_python("import sys, lexsim\nnames = dir(lexsim)\n"
+                            "print(len(names), sorted(m for m in sys.modules "
+                            "if m.startswith('lexsim')))")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "77 ['lexsim']\n", "")
+
     def test_an_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="module 'lexsim' has no attribute 'nope'"):
             lexsim.nope

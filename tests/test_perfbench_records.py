@@ -1,7 +1,8 @@
 """The benchmark's recorded outputs, replayed in the test suite.
 
-Four variants of settle_batch (the CSV and SVG of 20,000 disputes each), one of
-evolve_large, and the three ops of selection_sweep run through
+Four variants of settle_batch (the CSV and SVG of 20,000 disputes each), two of
+evolve_large (variant 0 under the American fee rule, variant 3 under the English),
+and the three ops of selection_sweep run through
 perfbench/workloads.py as the benchmark runs them and are compared with
 perfbench/records.json by the benchmark's own check. An output that drifts fails
 here before the benchmark reports it as incorrect.
@@ -25,7 +26,8 @@ RECORDS = json.loads((PERFBENCH / "records.json").read_text())
 @pytest.mark.parametrize("workload, seed", [
     pytest.param(w, seed, id=w if seed == 0 else f"{w}-{seed}")
     for w, seed in [("settle_batch", 0), ("settle_batch", 1), ("settle_batch", 2),
-                    ("settle_batch", 3), ("evolve_large", 0), ("selection_sweep", 0)]])
+                    ("settle_batch", 3), ("evolve_large", 0), ("evolve_large", 3),
+                    ("selection_sweep", 0)]])
 def test_outputs_match_the_records(tmp_path, workload, seed):
     root = str(PERFBENCH.parent)
     w = workloads.make(workload, seed, str(tmp_path), root, workloads.worker_env(root), lexsim)
