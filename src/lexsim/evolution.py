@@ -243,7 +243,8 @@ def trial_fractions(
 
     Both stakes levels reuse the same belief draws, so a cost cut moves the
     two estimates together and their comparison is noise-free. Each level is
-    one array pass of the settle/trial kernel `simulate` uses.
+    one array pass of the settle/trial kernel `_tried`, whose thresholds
+    `simulate` compares its draws with.
     """
     import numpy as np
 

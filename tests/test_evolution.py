@@ -107,13 +107,13 @@ def replay_by_decide(area, population, periods, seed, cost_delta=0.0):
 
     Returns the (disputes, trials, efficient count) columns of rows 1..periods.
     """
-    c_q, c_g = area.cost_q - cost_delta, area.cost_g - cost_delta
+    rate, c_q, c_g = effective_dispute_rate(area), area.cost_q - cost_delta, area.cost_g - cost_delta
     disputes, trials, efficient_count = [0] * periods, [0] * periods, [0] * periods
     for i in range(population.n_rules):
         efficient = i < population.initial_efficient_count
         for t, (u_dispute, u_belief, u_flip) in enumerate(
                 substream(seed, i).random((periods, 3)).tolist()):
-            disputed = u_dispute < effective_dispute_rate(area)
+            disputed = u_dispute < rate
             eps = (2.0 * u_belief - 1.0) * area.belief_spread
             p_q = min(max(area.belief_center + eps, 0.0), 1.0)
             p_g = min(max(area.belief_center - eps, 0.0), 1.0)
