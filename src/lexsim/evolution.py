@@ -48,7 +48,7 @@ if TYPE_CHECKING:
 _STREAM_RATES = 2**63  # reserved substream of the flip-rate estimator
 _MAX_CLOSURE_ITER = 10**7
 _RULE_BLOCK = 2048  # rules simulate steps together, each block on its own draw array
-_PERIOD_CHUNK = 25  # periods whose dispute, trial and flip masks simulate builds at once
+_PERIOD_CHUNK = 16  # periods whose dispute, trial and flip masks simulate builds at once
 _MAX_DRAW_BYTES = 2**32  # cap on one block's draw array, 24 B per rule-period
 _INT64_MAX = 2**63 - 1  # the trace's count columns are int64
 _COST_DELTA = {"ge": 0.0}  # a cut in both parties' trial costs
@@ -401,17 +401,22 @@ def simulate(
         for start in range(0, periods, _PERIOD_CHUNK):
             chunk = slice(start, start + _PERIOD_CHUNK)
             disputed = u_dispute[chunk] < rate
-            tried_e = disputed & (u_belief[chunk] >= u_eff)
-            tried_i = disputed & (u_belief[chunk] >= u_ineff)
-            flips_e = tried_e & (u_flip[chunk] < q_ei)
-            flips_i = tried_i & (u_flip[chunk] < q_ie)
+            tried_e = u_belief[chunk] >= u_eff
+            tried_i = u_belief[chunk] >= u_ineff
+            flips_e = u_flip[chunk] < q_ei
+            flips_i = u_flip[chunk] < q_ie
+            tried_e &= disputed  # in place: no temporary chunk-sized mask
+            tried_i &= disputed
+            flips_e &= tried_e
+            flips_i &= tried_i
             m = len(disputed)
             for k in range(m):
                 flips = np.where(efficient[k], flips_e[k], flips_i[k])
                 np.not_equal(efficient[k], flips, out=efficient[k + 1])
             rows = slice(start + 1, start + 1 + m)
             disputes[rows] += np.count_nonzero(disputed, axis=1)
-            trials[rows] += np.count_nonzero(np.where(efficient[:m], tried_e, tried_i), axis=1)
+            np.copyto(tried_i, tried_e, where=efficient[:m])  # now marks the cases tried
+            trials[rows] += np.count_nonzero(tried_i, axis=1)
             efficient_count[rows] += np.count_nonzero(efficient[1 : m + 1], axis=1)
             efficient[0] = efficient[m]
 

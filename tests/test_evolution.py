@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexsim import (
@@ -552,18 +552,25 @@ class TestSimulate:
 
     @settings(max_examples=120, deadline=None)
     @given(
-        data=st.data(),
         area=tort_areas(),
         n_rules=st.integers(1, 4),
         fraction_efficient=st.floats(0.0, 1.0),
-        periods=st.one_of(st.sampled_from([49, 50, 51, 99, 100, 101]), st.integers(1, 160)),
+        periods=st.one_of(st.sampled_from([k * evolution._PERIOD_CHUNK + d for k in (1, 3)
+                                           for d in (-1, 0, 1)]), st.integers(1, 160)),
         seed=st.integers(0, 2**64 - 1),
+        cost_cut=st.floats(0.0, 1.0),
     )
+    # many rules flip in a period whose belief draw lies between the two thresholds,
+    # where a trial depends on the state the period started in
+    @example(area=tort_area(dispute_rate=0.9, stakes_multiplier=3.0, cost_q=20.0, cost_g=20.0,
+                            belief_spread=0.5, overturn_prob_ie=0.9, overturn_prob_ei=0.5),
+             n_rules=40, fraction_efficient=0.5, periods=3 * evolution._PERIOD_CHUNK + 1,
+             seed=5, cost_cut=0.5)
     def test_population_lockstep_with_scalar_replay(
-        self, data, area, n_rules, fraction_efficient, periods, seed,
+        self, area, n_rules, fraction_efficient, periods, seed, cost_cut,
     ):
         # every rule replayed alone with `decide`; the periods cross the mask chunks' edges
-        cost_delta = data.draw(st.floats(0.0, min(area.cost_q, area.cost_g)), label="cost_delta")
+        cost_delta = cost_cut * min(area.cost_q, area.cost_g)
         population = RulePopulation(n_rules, fraction_efficient)
         trace = simulate(area, population, periods=periods, seed=seed, cost_delta=cost_delta)
         disputes, trials, efficient = replay_by_decide(area, population, periods, seed,
@@ -616,7 +623,7 @@ class TestRuleBlocks:
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     def test_small_period_chunks_match_the_default(self, monkeypatch, chunk):
-        # 130 periods cross the default chunk's edges at 50 and 100
+        # 130 periods cross several of the default chunk's edges
         default = self.run(130, 130)
         monkeypatch.setattr(evolution, "_PERIOD_CHUNK", chunk)
         assert_same_trace(self.run(130, 130), default)
