@@ -8,6 +8,7 @@ needs. Nothing here is configurable beyond labels on purpose.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 from html import escape
 
@@ -23,7 +24,7 @@ def _span(values: list[float], axis: str) -> tuple[float, float]:
     lo, hi = min(values), max(values)
     if lo == hi:
         pad = abs(lo) * 0.05 or 0.5  # 0.5 also where 5% of a subnormal rounds to 0
-        lo, hi = lo - pad, hi + pad
+        lo, hi = max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
     if not math.isfinite(hi - lo):
         raise DomainError(f"the {axis} values span more than the float range")
     return lo, hi

@@ -10,6 +10,7 @@ to stdout, or to stderr when an output is stdout itself.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import MODELS, load_config
@@ -86,8 +87,13 @@ def main(argv: list[str] | None = None) -> int:
         print("error: interrupted", file=sys.stderr)
         return 130
     paths = [p for p in (result.csv_path, result.svg_path) if p is not None]
-    print("wrote " + " and ".join(paths),
-          file=sys.stderr if any(map(_is_stdout, paths)) else sys.stdout)
+    stream = sys.stderr if any(map(_is_stdout, paths)) else sys.stdout
+    try:
+        print("wrote " + " and ".join(paths), file=stream, flush=True)
+    except OSError as e:  # a closed pipe, say; the outputs are already in place
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())  # no retry at exit
+        print(f"error: io: {_one_line(e)}", file=sys.stderr)
+        return 2
     return 0
 
 

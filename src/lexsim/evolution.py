@@ -18,8 +18,8 @@ Per period, each rule independently:
   4. on a trial, flips state with the overturn probability for its direction.
 
 Step 3 is monotone in the belief draw, so `simulate` decides it by one exact
-threshold per stakes level and compares a block's draws with it a chunk of
-periods at a time; `trial_fractions` runs the settle/trial kernel itself.
+threshold per stakes level and compares each period's draws with it;
+`trial_fractions` runs the settle/trial kernel itself.
 
 Randomness. Rule i draws from Philox substream i of the run seed, three
 uniforms per period in a fixed order (dispute, belief, flip), so a trace is
@@ -48,7 +48,6 @@ if TYPE_CHECKING:
 _STREAM_RATES = 2**63  # reserved substream of the flip-rate estimator
 _MAX_CLOSURE_ITER = 10**7
 _RULE_BLOCK = 2048  # rules simulate steps together, each block on its own draw array
-_PERIOD_CHUNK = 16  # periods whose dispute, trial and flip masks simulate builds at once
 _MAX_DRAW_BYTES = 2**32  # cap on one block's draw array, 24 B per rule-period
 _INT64_MAX = 2**63 - 1  # the trace's count columns are int64
 _COST_DELTA = {"ge": 0.0}  # a cut in both parties' trial costs
@@ -363,11 +362,11 @@ def simulate(
 
     A disputed case is tried when its belief draw is at least
     `_trial_threshold` at the rule's stakes, found once per stakes level, so
-    no period calls the settle/trial kernel. A block is compared with its
-    rate, thresholds and overturn odds _PERIOD_CHUNK periods at a time, as
-    (periods, rules) bool masks; the efficient state then steps as
-    e ^= where(e, flips_if_efficient, flips_if_inefficient), and each
-    period's counts are taken from the masks.
+    no period calls the settle/trial kernel. Each block steps one period at
+    a time: the period's draws are compared with the rate, the threshold and
+    the overturn odds at each rule's current state, a tried rule flips, and
+    the period's disputes, trials and efficient rules are counted. Besides
+    the draws, a period holds only a few 1-byte-per-rule masks.
     """
     import numpy as np
 
@@ -391,34 +390,17 @@ def simulate(
     u_eff = _trial_threshold(area, stakes_eff, c_q, c_g)
     u_ineff = _trial_threshold(area, stakes_ineff, c_q, c_g)
     draws = np.empty((min(n, _RULE_BLOCK), periods, 3))
-    # row k: each rule's state before the chunk's k-th period; row 0 carries over
-    states = np.empty((min(periods, _PERIOD_CHUNK) + 1, min(n, _RULE_BLOCK)), dtype=bool)
     for first in range(0, n, _RULE_BLOCK):
         block = fill_substreams(seed, first, draws[: n - first])
-        efficient = states[:, : len(block)]
-        efficient[0] = np.arange(first, first + len(block)) < n_efficient
-        u_dispute, u_belief, u_flip = block.transpose(2, 1, 0)  # each (periods, rules)
-        for start in range(0, periods, _PERIOD_CHUNK):
-            chunk = slice(start, start + _PERIOD_CHUNK)
-            disputed = u_dispute[chunk] < rate
-            tried_e = u_belief[chunk] >= u_eff
-            tried_i = u_belief[chunk] >= u_ineff
-            flips_e = u_flip[chunk] < q_ei
-            flips_i = u_flip[chunk] < q_ie
-            tried_e &= disputed  # in place: no temporary chunk-sized mask
-            tried_i &= disputed
-            flips_e &= tried_e
-            flips_i &= tried_i
-            m = len(disputed)
-            for k in range(m):
-                flips = np.where(efficient[k], flips_e[k], flips_i[k])
-                np.not_equal(efficient[k], flips, out=efficient[k + 1])
-            rows = slice(start + 1, start + 1 + m)
-            disputes[rows] += np.count_nonzero(disputed, axis=1)
-            np.copyto(tried_i, tried_e, where=efficient[:m])  # now marks the cases tried
-            trials[rows] += np.count_nonzero(tried_i, axis=1)
-            efficient_count[rows] += np.count_nonzero(efficient[1 : m + 1], axis=1)
-            efficient[0] = efficient[m]
+        efficient = np.arange(first, first + len(block)) < n_efficient
+        for t in range(periods):
+            u_dispute, u_belief, u_flip = block[:, t].T
+            disputed = u_dispute < rate
+            tried = disputed & (u_belief >= np.where(efficient, u_eff, u_ineff))
+            efficient ^= tried & (u_flip < np.where(efficient, q_ei, q_ie))
+            disputes[t + 1] += np.count_nonzero(disputed)
+            trials[t + 1] += np.count_nonzero(tried)
+            efficient_count[t + 1] += np.count_nonzero(efficient)
 
     filed, settled, dropped = (np.where(t_col > 0, np.int64(c), np.int64(0))
                                for c in _frivolous_period_counts(frivolous))

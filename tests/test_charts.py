@@ -1,11 +1,14 @@
 """SVG line charts: deterministic text output with no drawing dependency."""
 
+import json
 import math
 import re
+import sys
 
 import pytest
 
 from lexsim import DomainError, line_chart
+from lexsim.cli import main
 
 
 def simple_series(n=2):
@@ -109,9 +112,9 @@ class TestValidation:
             line_chart([("inf", [0.0, math.inf], [0.0, 1.0])])
 
     @pytest.mark.parametrize("axis, values", [
-        ("y", [1.75e308]),  # padded by 5%, past the largest float
-        ("y", [-1.75e308]),
-        ("y", [-1.7e308, 1.7e308]),  # finite values whose difference overflows
+        ("y", [1.75e308, -1e308]),  # finite values whose difference overflows
+        ("y", [-1.75e308, 1e308]),
+        ("y", [-1.7e308, 1.7e308]),
         ("x", [1.7e308, -1.7e308]),
     ])
     def test_rejects_a_span_past_float_range(self, axis, values):
@@ -120,6 +123,23 @@ class TestValidation:
         with pytest.raises(DomainError) as exc:
             line_chart([("huge", xs, ys)])
         assert str(exc.value) == f"the {axis} values span more than the float range"
+
+    @pytest.mark.parametrize("value", [1.75e308, -1.75e308, sys.float_info.max])
+    def test_a_huge_constant_series_renders(self, value):
+        # the 5% pad leaves float range, so the padded end stops at the largest float
+        svg = line_chart([("huge", [0.0], [value])])
+        assert "nan" not in svg and "inf" not in svg
+        ticks = re.findall(r">([^<]+)</text>", svg)[1::2]
+        assert format(math.copysign(sys.float_info.max, value), ".6g") in ticks
+
+    def test_a_huge_constant_width_charts_from_the_cli(self, tmp_path, capsys):
+        dispute = {"p_q": 0, "p_g": 1, "j": 1.75e308, "c_q": 0, "c_g": 0}  # width 1.75e308
+        cfg = tmp_path / "settle.json"
+        cfg.write_text(json.dumps({"settle": {"rule": "american", "disputes": [dispute]}}))
+        out, svg = tmp_path / "settle.csv", tmp_path / "settle.svg"
+        code = main(["settle", "--config", str(cfg), "--out", str(out), "--svg", str(svg)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert out.exists() and "inf" not in svg.read_text()
 
     def test_the_largest_finite_span_renders(self):
         svg = line_chart([("wide", [0.0, 1.0], [-8.9e307, 8.9e307])])

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -555,8 +556,7 @@ class TestSimulate:
         area=tort_areas(),
         n_rules=st.integers(1, 4),
         fraction_efficient=st.floats(0.0, 1.0),
-        periods=st.one_of(st.sampled_from([k * evolution._PERIOD_CHUNK + d for k in (1, 3)
-                                           for d in (-1, 0, 1)]), st.integers(1, 160)),
+        periods=st.one_of(st.sampled_from([15, 16, 17, 47, 48, 49]), st.integers(1, 160)),
         seed=st.integers(0, 2**64 - 1),
         cost_cut=st.floats(0.0, 1.0),
     )
@@ -564,12 +564,12 @@ class TestSimulate:
     # where a trial depends on the state the period started in
     @example(area=tort_area(dispute_rate=0.9, stakes_multiplier=3.0, cost_q=20.0, cost_g=20.0,
                             belief_spread=0.5, overturn_prob_ie=0.9, overturn_prob_ei=0.5),
-             n_rules=40, fraction_efficient=0.5, periods=3 * evolution._PERIOD_CHUNK + 1,
+             n_rules=40, fraction_efficient=0.5, periods=49,
              seed=5, cost_cut=0.5)
     def test_population_lockstep_with_scalar_replay(
         self, area, n_rules, fraction_efficient, periods, seed, cost_cut,
     ):
-        # every rule replayed alone with `decide`; the periods cross the mask chunks' edges
+        # every rule replayed alone with `decide`
         cost_delta = cost_cut * min(area.cost_q, area.cost_g)
         population = RulePopulation(n_rules, fraction_efficient)
         trace = simulate(area, population, periods=periods, seed=seed, cost_delta=cost_delta)
@@ -621,18 +621,24 @@ class TestRuleBlocks:
         monkeypatch.setattr(evolution, "_RULE_BLOCK", block)
         assert_same_trace(self.run(130, 40), default)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
-    def test_small_period_chunks_match_the_default(self, monkeypatch, chunk):
-        # 130 periods cross several of the default chunk's edges
-        default = self.run(130, 130)
-        monkeypatch.setattr(evolution, "_PERIOD_CHUNK", chunk)
-        assert_same_trace(self.run(130, 130), default)
-
     def test_default_blocks_match_one_block_for_all_rules(self, monkeypatch):
         n = 2 * evolution._RULE_BLOCK + 3
         blocked = self.run(n, 12)
         monkeypatch.setattr(evolution, "_RULE_BLOCK", n)
         assert_same_trace(blocked, self.run(n, 12))
+
+    @pytest.mark.parametrize("n, periods", [(4099, 130), (2000, 200)])
+    def test_peak_memory_is_one_block_of_draws(self, n, periods):
+        # besides one block's draws, simulate holds only arrays of one value per rule;
+        # an array with a periods axis beside them would take 2048 x 130 bytes or more
+        self.run(n, periods)  # warm-up: first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            self.run(n, periods)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 24 * min(n, evolution._RULE_BLOCK) * periods < 2**16
 
 
 class TestFrivolousRider:

@@ -792,7 +792,8 @@ class TestChartSpans:
         assert "nan" not in svg.read_text() and ">0.5</text>" in svg.read_text()
 
     @pytest.mark.parametrize("disputes", [
-        [{"p_q": 0, "p_g": 1, "j": 1.75e308, "c_q": 0, "c_g": 0}],  # padded past the range
+        [{"p_q": 0, "p_g": 1, "j": 1.75e308, "c_q": 0, "c_g": 0},  # widths 1.75e308, -1e308
+         {"p_q": 1, "p_g": 0, "j": 1e308, "c_q": 0, "c_g": 0}],
         [{"p_q": 0, "p_g": 1, "j": 1.7e308, "c_q": 0, "c_g": 0},  # widths +-1.7e308
          {"p_q": 1, "p_g": 0, "j": 1.7e308, "c_q": 0, "c_g": 0}],
     ])
@@ -875,6 +876,25 @@ class TestOutToStdout:
         assert done.returncode == 0
         assert done.stderr == b"wrote /dev/stdout\n"
         assert done.stdout == expected
+
+
+class TestClosedStdout:
+    """A `wrote` line into a pipe whose reader has gone is an io error, not a traceback."""
+
+    def test_the_wrote_line_into_a_closed_pipe(self, tmp_path):
+        out = tmp_path / "eq.csv"
+        argv = [sys.executable, "-m", "lexsim.cli", "equilibrium", "--config",
+                f"{CONFIG_DIR}/equilibrium_golden.json", "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": "src" + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, check=False)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (2, "error: io: [Errno 32] Broken pipe\n")
+        assert sha256(out) == DIGESTS["equilibrium_golden"][0]
 
 
 class TestFloatFormatting:
