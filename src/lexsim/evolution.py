@@ -366,7 +366,7 @@ def simulate(
     a time: the period's draws are compared with the rate, the threshold and
     the overturn odds at each rule's current state, a tried rule flips, and
     the period's disputes, trials and efficient rules are counted. Besides
-    the draws, a period holds only a few 1-byte-per-rule masks.
+    the draws, a period holds only a few arrays of one value per rule.
     """
     import numpy as np
 

@@ -630,7 +630,7 @@ class TestRuleBlocks:
     @pytest.mark.parametrize("n, periods", [(4099, 130), (2000, 200)])
     def test_peak_memory_is_one_block_of_draws(self, n, periods):
         # besides one block's draws, simulate holds only arrays of one value per rule;
-        # an array with a periods axis beside them would take 2048 x 130 bytes or more
+        # an array with a periods axis beside them would take at least 2000 x 130 bytes
         self.run(n, periods)  # warm-up: first-call allocations are not the kernel's
         tracemalloc.start()
         try:
