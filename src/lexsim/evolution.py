@@ -17,9 +17,9 @@ Per period, each rule independently:
   3. settles or tries the case under the area's fee rule at the rule's stakes;
   4. on a trial, flips state with the overturn probability for its direction.
 
-Step 3 is monotone in the belief draw, so `simulate` decides it by one exact
-threshold per stakes level and compares each period's draws with it;
-`trial_fractions` runs the settle/trial kernel itself.
+Step 3 is monotone in the belief draw, so it is decided by one exact
+threshold per stakes level: `simulate` compares each period's draws with it,
+and `trial_fractions` counts the estimator's draws at or above it.
 
 Randomness. Rule i draws from Philox substream i of the run seed, three
 uniforms per period in a fixed order (dispute, belief, flip), so a trace is
@@ -87,7 +87,7 @@ class LegalArea(_Bounded):
 
     def __post_init__(self):
         super().__post_init__()
-        stakes = self.stakes_j * self.stakes_multiplier  # as `simulate` takes it; exact for ints
+        stakes = self.stakes_j * self.stakes_multiplier  # as `_thresholds` takes it; exact for ints
         if not (_finite(stakes) and math.isfinite(float(stakes) + self.cost_q + self.cost_g)):
             raise DomainError("stakes_j x stakes_multiplier + cost_q + cost_g "
                               "must lie within float range")
@@ -193,23 +193,20 @@ def _party_costs(area: LegalArea, cost_delta: float) -> tuple[float, float]:
     return area.cost_q - cost_delta, area.cost_g - cost_delta
 
 
-def _tried(area: LegalArea, u_belief: np.ndarray, stakes, c_q: float, c_g: float) -> np.ndarray:
-    """Trial mask for belief draws u_belief: `decide` on arrays, a NaN width a trial too."""
-    import numpy as np
-
+def _tried(area: LegalArea, u_belief: float, stakes: float, c_q: float, c_g: float) -> bool:
+    """Whether `decide` tries the case of belief draw u_belief; a NaN width is a trial too."""
     eps = (2.0 * u_belief - 1.0) * area.belief_spread
-    p_q = np.clip(area.belief_center + eps, 0.0, 1.0)
-    p_g = np.clip(area.belief_center - eps, 0.0, 1.0)
+    p_q = min(max(area.belief_center + eps, 0.0), 1.0)
+    p_g = min(max(area.belief_center - eps, 0.0), 1.0)
     lower, upper = _bounds(p_q, p_g, stakes, c_q, c_g, area.fee_rule)
-    with np.errstate(over="ignore"):  # a width past float range is inf, as in `decide`
-        return ~(upper - lower >= 0.0)
+    return not upper - lower >= 0.0  # a float past float range is inf, as in `decide`
 
 
 def _trial_threshold(area: LegalArea, stakes: float, c_q: float, c_g: float) -> float:
     """Least belief draw that `_tried` marks as a trial at these stakes; 1.0 if none is.
 
     A draw u is k * 2^-53 for an integer k in [0, 2^53), so a 53-step
-    bisection over k finds the threshold, each probe a 1-element `_tried`.
+    bisection over k finds the threshold, each probe one `_tried` call.
     It is exact because `_tried` is monotone in u: every step from u to
     `upper - lower` is an IEEE operation monotone in its operand, and
     rounding keeps that order. eps = (2u - 1) * spread never falls as u
@@ -220,16 +217,21 @@ def _trial_threshold(area: LegalArea, stakes: float, c_q: float, c_g: float) -> 
     overflow to -inf or inf, which keep the order). A case is tried when the
     width is below 0, so u is tried exactly when u >= the threshold.
     """
-    import numpy as np
-
     lo, hi = 0, 2**53  # hi is tried, or the sentinel 2^53 that no draw reaches
     while lo < hi:
         mid = (lo + hi) // 2
-        if _tried(area, np.array([math.ldexp(mid, -53)]), stakes, c_q, c_g)[0]:
+        if _tried(area, math.ldexp(mid, -53), stakes, c_q, c_g):
             hi = mid
         else:
             lo = mid + 1
     return math.ldexp(hi, -53)
+
+
+def _thresholds(area: LegalArea, cost_delta: float) -> tuple[float, float]:
+    """(u_ineff, u_eff): the trial thresholds at inefficient and efficient stakes."""
+    c_q, c_g = _party_costs(area, cost_delta)
+    return tuple(_trial_threshold(area, float(stakes), c_q, c_g)
+                 for stakes in (area.stakes_j * area.stakes_multiplier, area.stakes_j))
 
 
 def trial_fractions(
@@ -241,19 +243,16 @@ def trial_fractions(
     """Monte Carlo Pr[trial | dispute] at (inefficient, efficient) stakes.
 
     Both stakes levels reuse the same belief draws, so a cost cut moves the
-    two estimates together and their comparison is noise-free. Each level is
-    one array pass of the settle/trial kernel `_tried`, whose thresholds
-    `simulate` compares its draws with.
+    two estimates together and their comparison is noise-free. Each level
+    counts the draws at or above its threshold, as `simulate` decides them.
     """
     import numpy as np
 
-    c_q, c_g = _party_costs(area, cost_delta)
+    thresholds = _thresholds(area, cost_delta)
     _check("n_samples", n_samples, {"ge": 1, "integer": True})
+    n_samples = int(n_samples)  # a bool passes the check as an int
     u = substream(seed, _STREAM_RATES).random(n_samples)
-    fractions = []
-    for stakes in (float(area.stakes_j * area.stakes_multiplier), float(area.stakes_j)):
-        fractions.append(np.count_nonzero(_tried(area, u, stakes, c_q, c_g)) / n_samples)
-    return fractions[0], fractions[1]
+    return tuple(np.count_nonzero(u >= x) / n_samples for x in thresholds)
 
 
 def flip_rates(
@@ -374,11 +373,9 @@ def simulate(
     periods = int(periods)  # a bool passes the check as an int
     n = population.n_rules
     _check_draw_size(n, periods)
-    c_q, c_g = _party_costs(area, cost_delta)
+    u_ineff, u_eff = _thresholds(area, cost_delta)
     rate = effective_dispute_rate(area, shock, tolerance)
     n_efficient = population.initial_efficient_count
-    stakes_eff = float(area.stakes_j)
-    stakes_ineff = float(area.stakes_j * area.stakes_multiplier)
     q_ie, q_ei = area.q_ie, area.q_ei
 
     t_col = np.arange(periods + 1, dtype=np.int64)
@@ -387,8 +384,6 @@ def simulate(
     efficient_count = np.zeros(periods + 1, dtype=np.int64)
     efficient_count[0] = n_efficient
 
-    u_eff = _trial_threshold(area, stakes_eff, c_q, c_g)
-    u_ineff = _trial_threshold(area, stakes_ineff, c_q, c_g)
     draws = np.empty((min(n, _RULE_BLOCK), periods, 3))
     for first in range(0, n, _RULE_BLOCK):
         block = fill_substreams(seed, first, draws[: n - first])

@@ -80,7 +80,9 @@ class DisputeBatch(Sequence):
     def __len__(self) -> int:
         return len(self.p_q)
 
-    def __getitem__(self, i: int) -> Dispute:
+    def __getitem__(self, i):  # a slice is a batch of the sliced column views
+        if isinstance(i, slice):
+            return DisputeBatch(*(c[i] for c in self.columns()))
         return Dispute(*(float(c[i]) for c in self.columns()))
 
     def __eq__(self, other):
@@ -149,8 +151,8 @@ class Outcome:
 
 
 def _bounds(p_q, p_g, j, c_q, c_g, rule: FeeRule):
-    # shared with the evolution simulator, which calls it on arrays; keep the
-    # operation order identical for scalars and vectors
+    # `settle_columns` calls it on arrays and evolution's trial probe on floats;
+    # keep the operation order identical for scalars and vectors
     if rule is FeeRule.AMERICAN:
         lower = p_q * j - c_q
         upper = p_g * j + c_g

@@ -41,23 +41,21 @@ from lexsim.evolution import _MAX_CLOSURE_ITER, _STREAM_RATES, EvolutionTrace
 GOLDEN_G = (3.0 - math.sqrt(5.0)) / 2.0
 
 
+def tried_by_decide(area, u_belief, stakes, c_q, c_g):
+    """Reference: whether `decide` tries the case of one belief draw, on Python floats."""
+    eps = (2.0 * u_belief - 1.0) * area.belief_spread
+    p_q = min(max(area.belief_center + eps, 0.0), 1.0)
+    p_g = min(max(area.belief_center - eps, 0.0), 1.0)
+    d = Dispute(p_q=p_q, p_g=p_g, j=stakes, c_q=c_q, c_g=c_g)
+    return decide(d, area.fee_rule).kind is OutcomeKind.TRIAL
+
+
 def trial_fractions_by_decide(area, cost_delta, n_samples, seed):
     """Reference: one decide() call per belief sample, on the estimator's draws."""
-    u = substream(seed, _STREAM_RATES).random(n_samples)
-    eps = (2.0 * u - 1.0) * area.belief_spread
-    p_q = np.clip(area.belief_center + eps, 0.0, 1.0)
-    p_g = np.clip(area.belief_center - eps, 0.0, 1.0)
-    c_q = area.cost_q - cost_delta
-    c_g = area.cost_g - cost_delta
-    fractions = []
-    for stakes in (area.stakes_j * area.stakes_multiplier, area.stakes_j):
-        trials = 0
-        for k in range(n_samples):
-            d = Dispute(p_q=float(p_q[k]), p_g=float(p_g[k]), j=stakes, c_q=c_q, c_g=c_g)
-            if decide(d, area.fee_rule).kind is OutcomeKind.TRIAL:
-                trials += 1
-        fractions.append(trials / n_samples)
-    return fractions[0], fractions[1]
+    u = substream(seed, _STREAM_RATES).random(n_samples).tolist()
+    c_q, c_g = area.cost_q - cost_delta, area.cost_g - cost_delta
+    return tuple(sum(tried_by_decide(area, x, stakes, c_q, c_g) for x in u) / n_samples
+                 for stakes in (area.stakes_j * area.stakes_multiplier, area.stakes_j))
 
 
 def path_by_recurrence(x0, rates, periods):
@@ -115,13 +113,9 @@ def replay_by_decide(area, population, periods, seed, cost_delta=0.0):
         for t, (u_dispute, u_belief, u_flip) in enumerate(
                 substream(seed, i).random((periods, 3)).tolist()):
             disputed = u_dispute < rate
-            eps = (2.0 * u_belief - 1.0) * area.belief_spread
-            p_q = min(max(area.belief_center + eps, 0.0), 1.0)
-            p_g = min(max(area.belief_center - eps, 0.0), 1.0)
             stakes = float(area.stakes_j) if efficient else \
                 float(area.stakes_j * area.stakes_multiplier)
-            d = Dispute(p_q=p_q, p_g=p_g, j=stakes, c_q=c_q, c_g=c_g)
-            trial = disputed and decide(d, area.fee_rule).kind is OutcomeKind.TRIAL
+            trial = disputed and tried_by_decide(area, u_belief, stakes, c_q, c_g)
             if trial and u_flip < (area.q_ei if efficient else area.q_ie):
                 efficient = not efficient
             disputes[t] += disputed
@@ -292,37 +286,26 @@ class TestTrialFractions:
         with pytest.raises(DomainError):
             trial_fractions(tort_area(), cost_delta=-1.0)
 
+    def test_n_samples_true_draws_one_sample(self):
+        # a bool passes the bounds check as an int, as `simulate` takes periods=True
+        for seed in range(8):
+            assert trial_fractions(tort_area(), n_samples=True, seed=seed) == \
+                trial_fractions(tort_area(), n_samples=1, seed=seed)
+        assert flip_rates(tort_area(), n_samples=True) == flip_rates(tort_area(), n_samples=1)
+
     @settings(max_examples=150, deadline=None)
-    @given(
-        data=st.data(),
-        fee_rule=st.sampled_from(FeeRule),
-        stakes_j=st.floats(1e-3, 1e4),
-        stakes_multiplier=st.floats(1.0, 10.0),
-        cost_q=st.floats(0.0, 1e3),
-        cost_g=st.floats(0.0, 1e3),
-        belief_spread=st.floats(0.0, 1.5),
-        belief_center=st.floats(0.0, 1.0),
-        n_samples=st.integers(1, 40),
-        seed=st.integers(0, 2**64 - 1),
-    )
-    def test_array_kernel_equals_decide_loop(
-        self, data, fee_rule, stakes_j, stakes_multiplier, cost_q, cost_g,
-        belief_spread, belief_center, n_samples, seed,
-    ):
-        area = tort_area(
-            fee_rule=fee_rule, stakes_j=stakes_j, stakes_multiplier=stakes_multiplier,
-            cost_q=cost_q, cost_g=cost_g, belief_spread=belief_spread,
-            belief_center=belief_center,
-        )
-        cost_delta = data.draw(st.floats(0.0, min(cost_q, cost_g)), label="cost_delta")
+    @given(data=st.data(), area=tort_areas(), n_samples=st.integers(1, 40),
+           seed=st.integers(0, 2**64 - 1))
+    def test_array_kernel_equals_decide_loop(self, data, area, n_samples, seed):
+        cost_delta = data.draw(st.floats(0.0, min(area.cost_q, area.cost_g)), label="cost_delta")
         assert trial_fractions(area, cost_delta, n_samples, seed) == trial_fractions_by_decide(
             area, cost_delta, n_samples, seed
         )
 
     def test_overflowing_costs_are_tried_like_decide(self):
         # c_q + c_g lies just inside float range, so many English ranges are wider
-        # than any float: an inf width, which decide() settles; both array paths
-        # must decide every case as decide() does, and warn of nothing
+        # than any float: an inf width, which decide() settles; `trial_fractions` and
+        # `simulate` must decide every case as decide() does, and warn of nothing
         area = tort_area(
             dispute_rate=1.0, stakes_multiplier=1.0, cost_q=8.5e307, cost_g=8.5e307,
             belief_spread=1.0, overturn_prob=0.0, fee_rule=FeeRule.ENGLISH,
@@ -357,6 +340,7 @@ class TestTrialThreshold:
     @given(data=st.data(), area=tort_areas(), inefficient=st.booleans(),
            seed=st.integers(0, 2**64 - 1))
     def test_threshold_decides_as_the_kernel(self, data, area, inefficient, seed):
+        # `decide`, the public reference, not the probe the threshold is built from
         cost_delta = data.draw(st.floats(0.0, min(area.cost_q, area.cost_g)), label="cost_delta")
         c_q, c_g = area.cost_q - cost_delta, area.cost_g - cost_delta
         stakes = float(area.stakes_j * area.stakes_multiplier) if inefficient else \
@@ -365,8 +349,8 @@ class TestTrialThreshold:
         k = int(threshold * 2**53)
         assert 0 <= k <= 2**53 and math.ldexp(k, -53) == threshold
         edge = [math.ldexp(j, -53) for j in (k - 1, k) if 0 <= j < 2**53]
-        u = np.concatenate([substream(seed, 0).random(64), edge])
-        assert ((u >= threshold) == evolution._tried(area, u, stakes, c_q, c_g)).all()
+        for u in substream(seed, 0).random(64).tolist() + edge:
+            assert (u >= threshold) == tried_by_decide(area, u, stakes, c_q, c_g), u
 
     @pytest.mark.parametrize("fee_rule", list(FeeRule))
     def test_simulate_decides_draws_on_the_threshold(self, monkeypatch, fee_rule):
@@ -389,11 +373,30 @@ class TestTrialThreshold:
         monkeypatch.setattr(evolution, "fill_substreams", fill)
         periods = 7
         trace = simulate(area, RulePopulation(3, 2 / 3), periods=periods)
-        u = np.resize(beliefs, (3, periods))
-        want = sum(evolution._tried(area, u[i], levels[i >= 2], c_q, c_g).astype(int)
-                   for i in range(3))
-        assert trace.trials[1:].tolist() == want.tolist()
+        u = np.resize(beliefs, (3, periods)).tolist()
+        want = [sum(tried_by_decide(area, u[i][t], levels[i >= 2], c_q, c_g) for i in range(3))
+                for t in range(periods)]
+        assert trace.trials[1:].tolist() == want
         assert trace.fraction_efficient.tolist() == [2 / 3] * (periods + 1)
+
+    @pytest.mark.parametrize("fee_rule", list(FeeRule))
+    def test_trial_fractions_count_draws_on_the_threshold(self, monkeypatch, fee_rule):
+        # the estimator's draws exactly at each stakes level's threshold and one step below it
+        area = tort_area(fee_rule=fee_rule)
+        levels = (float(area.stakes_j * area.stakes_multiplier), float(area.stakes_j))
+        edges = []
+        for stakes in levels:
+            k = int(evolution._trial_threshold(area, stakes, area.cost_q, area.cost_g) * 2**53)
+            edges += [math.ldexp(k - 1, -53), math.ldexp(k, -53)]
+
+        class Draws:
+            def random(self, n):
+                return np.resize(edges, n)
+
+        monkeypatch.setattr(evolution, "substream", lambda seed, stream: Draws())
+        want = tuple(sum(tried_by_decide(area, u, stakes, area.cost_q, area.cost_g)
+                         for u in edges) / len(edges) for stakes in levels)
+        assert trial_fractions(area, n_samples=len(edges)) == want
 
 
 class TestFlipRates:

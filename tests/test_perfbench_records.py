@@ -2,7 +2,7 @@
 
 Four variants of settle_batch (the CSV and SVG of 20,000 disputes each), two of
 evolve_large (variant 0 under the American fee rule, variant 3 under the English),
-and the three ops of selection_sweep run through
+and all 16 variants of selection_sweep (3 ops each, every record it has) run through
 perfbench/workloads.py as the benchmark runs them and are compared with
 perfbench/records.json by the benchmark's own check. An output that drifts fails
 here before the benchmark reports it as incorrect.
@@ -26,8 +26,8 @@ RECORDS = json.loads((PERFBENCH / "records.json").read_text())
 @pytest.mark.parametrize("workload, seed", [
     pytest.param(w, seed, id=w if seed == 0 else f"{w}-{seed}")
     for w, seed in [("settle_batch", 0), ("settle_batch", 1), ("settle_batch", 2),
-                    ("settle_batch", 3), ("evolve_large", 0), ("evolve_large", 3),
-                    ("selection_sweep", 0)]])
+                    ("settle_batch", 3), ("evolve_large", 0), ("evolve_large", 3)]
+    + [("selection_sweep", seed) for seed in range(workloads.VARIANTS)]])
 def test_outputs_match_the_records(tmp_path, workload, seed):
     root = str(PERFBENCH.parent)
     w = workloads.make(workload, seed, str(tmp_path), root, workloads.worker_env(root), lexsim)

@@ -246,3 +246,23 @@ class TestDisputeBatch:
         monkeypatch.undo()
         assert loaded == [FIXTURE] * 20_000
         assert loaded != [FIXTURE] * 19_999 + [Dispute(0.6, 0.5, 101.0, 10.0, 10.0)]
+
+    def test_a_slice_is_a_batch_of_the_sliced_items(self):
+        from pathlib import Path
+
+        from lexsim.config import load_config
+        from lexsim.settlement import DisputeBatch
+
+        fixture = Path(__file__).resolve().parent.parent / "configs" / "settle_fixture.json"
+        loaded = load_config(str(fixture), "settle").params.disputes
+        assert loaded[0:1] == [FIXTURE] and isinstance(loaded[0:1], DisputeBatch)
+        rng = random.Random(5)
+        batch = DisputeBatch.of([random_dispute(rng) for _ in range(7)])
+        for s in (slice(None), slice(0, 1), slice(None, None, 2), slice(1, None, 3),
+                  slice(-3, -1), slice(-100, 100), slice(None, None, -1), slice(-1, -6, -2),
+                  slice(5, 2), slice(7, None)):
+            part = batch[s]
+            assert isinstance(part, DisputeBatch)
+            assert part == list(batch)[s] and list(part) == list(batch)[s]
+            assert not any(column.flags.writeable for column in part.columns())
+        assert batch[-1] == list(batch)[-1] and isinstance(batch[-1], Dispute)
