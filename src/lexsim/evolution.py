@@ -194,10 +194,12 @@ def _party_costs(area: LegalArea, cost_delta: float) -> tuple[float, float]:
 
 
 def _tried(area: LegalArea, u_belief: float, stakes: float, c_q: float, c_g: float) -> bool:
-    """Whether `decide` tries the case of belief draw u_belief; a NaN width is a trial too."""
+    """Whether `decide` tries the case of belief draw u_belief; a NaN width is a trial too.
+    Beliefs are clipped to [0, 1] as min(max(p, 0.0), 1.0) would, without its two calls."""
     eps = (2.0 * u_belief - 1.0) * area.belief_spread
-    p_q = min(max(area.belief_center + eps, 0.0), 1.0)
-    p_g = min(max(area.belief_center - eps, 0.0), 1.0)
+    p_q, p_g = area.belief_center + eps, area.belief_center - eps
+    p_q = 0.0 if p_q < 0.0 else 1.0 if p_q > 1.0 else p_q
+    p_g = 0.0 if p_g < 0.0 else 1.0 if p_g > 1.0 else p_g
     lower, upper = _bounds(p_q, p_g, stakes, c_q, c_g, area.fee_rule)
     return not upper - lower >= 0.0  # a float past float range is inf, as in `decide`
 
@@ -205,13 +207,12 @@ def _tried(area: LegalArea, u_belief: float, stakes: float, c_q: float, c_g: flo
 def _trial_threshold(area: LegalArea, stakes: float, c_q: float, c_g: float) -> float:
     """Least belief draw that `_tried` marks as a trial at these stakes; 1.0 if none is.
 
-    A draw u is k * 2^-53 for an integer k in [0, 2^53), so a 53-step
-    bisection over k finds the threshold, each probe one `_tried` call.
-    It is exact because `_tried` is monotone in u: every step from u to
-    `upper - lower` is an IEEE operation monotone in its operand, and
-    rounding keeps that order. eps = (2u - 1) * spread never falls as u
-    rises, so the clipped p_q never falls and p_g never rises; under both fee
-    rules `lower` never falls as p_q rises and `upper` never rises as p_g
+    A draw u is k * 2^-53 for an integer k in [0, 2^53), so a 53-step bisection
+    over k finds the threshold. It is exact because `_tried` is monotone in u:
+    every step from u to `upper - lower` is an IEEE operation monotone in its
+    operand, and rounding keeps that order. eps = (2u - 1) * spread never falls
+    as u rises, so the clipped p_q never falls and p_g never rises; under both
+    fee rules `lower` never falls as p_q rises and `upper` never rises as p_g
     falls, so the width never rises. `LegalArea` keeps stakes plus costs in
     float range, so both ends are finite and the width is never NaN (it may
     overflow to -inf or inf, which keep the order). A case is tried when the
@@ -359,13 +360,12 @@ def simulate(
     `fill_substreams` writes for a whole block from one Philox. A block's
     draws take 24 bytes per rule-period, at most 2^32 bytes.
 
-    A disputed case is tried when its belief draw is at least
-    `_trial_threshold` at the rule's stakes, found once per stakes level, so
-    no period calls the settle/trial kernel. Each block steps one period at
-    a time: the period's draws are compared with the rate, the threshold and
-    the overturn odds at each rule's current state, a tried rule flips, and
-    the period's disputes, trials and efficient rules are counted. Besides
-    the draws, a period holds only a few arrays of one value per rule.
+    A disputed case is tried when its belief draw is at least the threshold
+    from `_thresholds` at the rule's stakes. Each block steps one period at a
+    time: the period's draws are compared with the rate, the threshold and the
+    overturn odds at each rule's current state, a tried rule flips, and the
+    period's disputes, trials and efficient rules are counted. Besides the
+    draws, a period holds only a few arrays of one value per rule.
     """
     import numpy as np
 
