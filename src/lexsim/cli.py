@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"error: config: {_one_line(e)}", file=sys.stderr)
         return 1
-    except LexsimError as e:
+    except (LexsimError, UnicodeEncodeError) as e:  # or output text UTF-8 cannot hold
         print(f"error: model: {_one_line(e)}", file=sys.stderr)
         return 2
     except OSError as e:

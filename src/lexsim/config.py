@@ -297,16 +297,16 @@ def build_model_params(raw: dict, model: str, errs: list[tuple[str, str]]):
 
 
 def load_config(path: str, model: str) -> RunConfig:
-    """Read a JSON config and validate the block the given model needs."""
+    """Read a UTF-8 JSON config and validate the block the given model needs."""
     if model not in MODELS:
         raise ConfigError([("", f"unknown model {model!r}; expected one of {list(MODELS)}")])
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()  # json.loads decodes it, not the locale
     except OSError as e:
         raise ConfigError([("", f"cannot read config file: {e}")])
     try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as e:  # bad JSON, huge integer, or too deep
+        raw = json.loads(data)
+    except (ValueError, RecursionError) as e:  # bad bytes or JSON, huge integer, too deep
         raise ConfigError([("", f"invalid JSON: {e}")])
     if not isinstance(raw, dict):
         raise ConfigError([("", f"top level must be a JSON object, got {raw!r}")])

@@ -448,16 +448,16 @@ def _write_all(outputs: list[tuple[str, str]]) -> None:
     gives; the targets are replaced only once all are written. Any other
     target (a device such as /dev/null, a FIFO) holds no earlier output to
     keep and is written in place. A path naming this process's standard
-    output, such as /dev/stdout, is written through `sys.stdout`, after any
-    text already printed there and never renamed over.
+    output, such as /dev/stdout, is written in place to fd 1, after any text
+    already printed to `sys.stdout`, and never renamed over. Every output is
+    UTF-8 whatever the locale; text it cannot hold raises UnicodeEncodeError.
     """
     staged: list[tuple[str, str]] = []  # (temporary, target), not yet renamed
-    in_place: list[tuple[str, str]] = []
-    to_stdout: list[str] = []
+    in_place: list[tuple[str | int, str]] = []  # (path, or 1 for stdout, text)
     try:
         for path, text in outputs:
             if _is_stdout(path):
-                to_stdout.append(text)
+                in_place.append((1, text))
                 continue
             try:
                 mode = os.stat(path).st_mode  # follows links
@@ -476,16 +476,15 @@ def _write_all(outputs: list[tuple[str, str]]) -> None:
             except OSError as e:
                 raise OSError(e.errno, e.strerror, path) from None
             staged.append((tmp, target))
-            with open(fd, "w", newline="") as fh:
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
                 if mode is not None:
                     os.fchmod(fd, stat.S_IMODE(mode))
                 fh.write(text)
         for path, text in in_place:
-            with open(path, "w", newline="") as fh:
+            if path == 1:
+                sys.stdout.flush()
+            with open(path, "w", encoding="utf-8", newline="", closefd=path != 1) as fh:
                 fh.write(text)
-        for text in to_stdout:
-            sys.stdout.write(text)
-            sys.stdout.flush()
         while staged:
             os.replace(*staged[0])
             staged.pop(0)

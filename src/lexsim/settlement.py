@@ -26,6 +26,7 @@ amplifies a cost change whenever the parties are mutually optimistic.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -83,6 +84,7 @@ class DisputeBatch(Sequence):
     def __getitem__(self, i):  # a slice is a batch of the sliced column views
         if isinstance(i, slice):
             return DisputeBatch(*(c[i] for c in self.columns()))
+        i = operator.index(i)  # as a list takes its index: True is 1, 1.0 a TypeError
         return Dispute(*(float(c[i]) for c in self.columns()))
 
     def __eq__(self, other):

@@ -1,9 +1,12 @@
 """SVG line charts: deterministic text output with no drawing dependency."""
 
+import hashlib
 import json
 import math
 import re
 import sys
+from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -14,6 +17,30 @@ from lexsim.cli import main
 def simple_series(n=2):
     xs = [0.0, 1.0, 2.0, 3.0]
     return [(f"series {i}", xs, [float(i + j) for j in range(4)]) for i in range(n)]
+
+
+class TestPinnedBytes:
+    """Chart layouts the shipped configs' golden SVGs do not reach."""
+
+    @pytest.mark.parametrize("kwargs, digest", [
+        ({"series": simple_series(2)},  # no title and no axis labels: top is 24
+         "43a726509768610a612ffa2fe94f5039476e6da686e36132635a56447cf6065e"),
+        ({"series": simple_series(1), "x_label": "period"},
+         "780550b69d394f103032ea5f9744e6f5ead361f66eb4d356bb76062d93f0c743"),
+        ({"series": [(f"rule {i}", [0.0, 0.5, 1.0], [i * 0.1, -i * 0.3, i * i * 1.5])
+                     for i in range(7)],  # the palette wraps; seven legend rows
+          "title": "seven", "x_label": "x", "y_label": "y"},
+         "da985c03253dd75610bc6cd532854784c2b769505fc7c78d34818879cd511e42"),
+    ])
+    def test_digest(self, kwargs, digest):
+        assert hashlib.sha256(line_chart(**kwargs).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("config", sorted(Path("configs").glob("*.json")), ids=str)
+    def test_shipped_config_svg_parses(self, config, tmp_path):
+        out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+        model = config.stem.split("_")[0]
+        assert main([model, "--config", str(config), "--out", str(out), "--svg", str(svg)]) == 0
+        ElementTree.fromstring(svg.read_bytes())
 
 
 class TestOutputShape:
@@ -54,6 +81,23 @@ class TestOutputShape:
         assert "a &amp; b &lt;c&gt;" in svg
         assert ">x &amp; y &lt;z&gt; \"q\" 'a'</text>" in svg  # quotes stay as they are
         assert "<c>" not in svg
+
+    @pytest.mark.parametrize("text, shown", [
+        ("a\x01b", "a\ufffdb"), ("nul\x00", "nul\ufffd"), ("\x0b\x0c\x1f", "\ufffd" * 3),
+        ("\ud800", "\ufffd"), ("\udfff\ufffe\uffff", "\ufffd" * 3),
+    ])
+    def test_text_outside_xml_chars_shows_as_replacement(self, text, shown):
+        # two series so the legend renders the label; each other text slot in turn
+        for kwargs in ({}, {"title": text}, {"x_label": text}, {"y_label": text}):
+            series = [(text, [0.0, 1.0], [0.0, 1.0]), ("other", [0.0, 1.0], [1.0, 0.0])]
+            svg = line_chart(series, **kwargs)
+            ElementTree.fromstring(svg)
+            assert svg.count(f">{shown}</text>") == 1 + len(kwargs)
+
+    def test_allowed_text_is_kept(self):
+        text = "tab\tnl\ncr\r \ud7ff\ufffd\U00010000 \u03a9"
+        svg = line_chart([("s", [0.0, 1.0], [0.0, 1.0])], title=text)
+        assert f">{text}</text>" in svg
 
     def test_no_external_references(self):
         # the xmlns declaration is the only URL allowed in the document

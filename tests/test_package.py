@@ -1,10 +1,13 @@
 """The package surface: one export table, resolved on first lookup, and numpy and each
 model module loaded only by the runs that use them."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +136,15 @@ class TestNumpyOnFirstArrayUse:
         done = fresh_python("import sys\nfrom lexsim.cli import main\n"
                             f"print(main({argv!r}), 'numpy' in sys.modules, file=sys.stderr)\n")
         assert done.stderr.splitlines()[-1] == "0 True"
+
+
+def test_every_source_parses_at_the_declared_python_floor():
+    """A grammar check at pyproject's requires-python floor, not a run on that Python:
+    `ast.parse` with `feature_version` rejects the newer syntax it knows, such as except*."""
+    root = Path(__file__).resolve().parent.parent
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (root / "pyproject.toml").read_text())
+    paths = [path for top in ("src", "tests", "demos", "perfbench")
+             for path in sorted((root / top).rglob("*.py"))]
+    assert floor and len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_bytes(), str(path), feature_version=(3, int(floor[1])))

@@ -897,6 +897,60 @@ class TestClosedStdout:
         assert sha256(out) == DIGESTS["equilibrium_golden"][0]
 
 
+class TestUtf8:
+    """A config is read as UTF-8 and every output written as UTF-8, whatever the locale."""
+
+    C_LOCALE = {"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0"}
+    UTF8_MODE = {"PYTHONUTF8": "1"}
+
+    def run_cli(self, tmp_path, model, config: bytes, locale, out="out.csv"):
+        """(exit code, stderr, CSV path, SVG path, stdout) of a fresh `python -m lexsim.cli`."""
+        cfg, out, svg = tmp_path / "cfg.json", tmp_path / out, tmp_path / "out.svg"
+        cfg.write_bytes(config)
+        argv = [sys.executable, "-m", "lexsim.cli", model, "--config", str(cfg),
+                "--out", str(out), "--svg", str(svg)]
+        env = {**os.environ, **locale,
+               "PYTHONPATH": "src" + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run(argv, capture_output=True, env=env, check=False)
+        assert b"Traceback" not in done.stderr
+        return done.returncode, done.stderr.decode(), out, svg, done.stdout
+
+    @pytest.mark.parametrize("locale", [{}, C_LOCALE], ids=["default", "C"])
+    def test_undecodable_config_bytes_are_a_config_error(self, tmp_path, locale):
+        code, err, out, svg, _ = self.run_cli(tmp_path, "equilibrium", b'{"x": "\xff"}', locale)
+        assert (code, err) == (1, "error: config: : invalid JSON: 'utf-8' codec can't decode "
+                                  "byte 0xff in position 7: invalid start byte\n")
+        assert not out.exists() and not svg.exists()
+
+    def test_a_non_ascii_name_under_the_c_locale(self, tmp_path):
+        payload = shipped("composition_docket")
+        payload["composition"]["areas"][0]["name"] = "civil\u03a9"
+        outputs = set()
+        for ascii_only in (False, True):  # the name as UTF-8 bytes, then as an ASCII escape
+            config = json.dumps(payload, ensure_ascii=ascii_only).encode()
+            for locale in (self.C_LOCALE, self.UTF8_MODE):
+                code, err, out, svg, _ = self.run_cli(tmp_path, "composition", config, locale)
+                assert (code, err) == (0, "")
+                outputs.add((sha256(out), sha256(svg)))
+        assert len(outputs) == 1
+        assert out.read_bytes().count("civil\u03a9".encode()) == 1
+        assert sha256(out).startswith("5e5d47aa")
+        code, _, _, _, stdout = self.run_cli(tmp_path, "composition", config, self.C_LOCALE,
+                                             out="/dev/stdout")  # the join keeps the absolute path
+        assert (code, stdout) == (0, out.read_bytes())
+
+    def test_a_lone_surrogate_is_a_model_error(self, tmp_path):
+        payload = shipped("composition_docket")
+        payload["composition"]["areas"][0]["name"] = "\ud800"
+        (tmp_path / "out.csv").write_bytes(b"kept")
+        code, err, out, svg, _ = self.run_cli(tmp_path, "composition",
+                                              json.dumps(payload).encode(), {})
+        assert (code, err) == (2, "error: model: 'utf-8' codec can't encode character "
+                                  "'\\ud800' in position 81: surrogates not allowed\n")
+        assert out.read_bytes() == b"kept" and not svg.exists()
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out.csv"]
+
+
 class TestFloatFormatting:
     def test_seventeen_digit_round_trip(self, tmp_path):
         out = tmp_path / "eq.csv"

@@ -266,3 +266,21 @@ class TestDisputeBatch:
             assert part == list(batch)[s] and list(part) == list(batch)[s]
             assert not any(column.flags.writeable for column in part.columns())
         assert batch[-1] == list(batch)[-1] and isinstance(batch[-1], Dispute)
+
+    def test_an_index_is_taken_as_a_list_takes_it(self):
+        import numpy as np
+
+        from lexsim.settlement import DisputeBatch
+
+        rng = random.Random(6)
+        items = [random_dispute(rng) for _ in range(3)]
+        batch = DisputeBatch.of(items)
+        for key in (True, False, 2, -3, np.int64(2), np.intp(-1)):
+            assert batch[key] == items[key] and isinstance(batch[key], Dispute)
+        for key, error in [(1.0, TypeError), (np.float64(1.0), TypeError), ("1", TypeError),
+                           (None, TypeError), ((0,), TypeError), ([0], TypeError),
+                           (3, IndexError), (-4, IndexError)]:
+            with pytest.raises(error):
+                items[key]
+            with pytest.raises(error):
+                batch[key]
