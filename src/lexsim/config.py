@@ -23,12 +23,13 @@ import importlib
 import json
 import math
 import operator
+import os
+import stat
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, is_dataclass
 from enum import Enum
 from functools import cache
 from itertools import chain
-from pathlib import Path
 from typing import get_args, get_origin
 
 from .errors import ConfigError, DomainError, _Bounded, _admitted, _finite, _schema
@@ -38,6 +39,7 @@ _MAX_RUNS = 10**6  # per sweep, grid points x replicates; a sweep keeps every su
 _COMPARISONS = ((">=", operator.ge), (">", operator.gt), ("<=", operator.le), ("<", operator.lt))
 _NUMBER_TYPES = frozenset((int, float))
 _UNKNOWN = "unknown key"  # the one fault that stops no block from being built
+_MAX_CONFIG_BYTES = 2**28  # 256 MiB; one byte more is read, to see a config past it
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,9 @@ def _names(cls) -> frozenset[str]:
 def _str(v, path, errs, *, choices=None):
     if not isinstance(v, str) or not v:
         errs.append((path, f"must be a nonempty string, got {v!r}"))
+        return None
+    if any("\ud800" <= c <= "\udfff" for c in v):  # JSON's "\ud800": UTF-8 cannot hold it
+        errs.append((path, f"must not hold a lone surrogate, got {v!r}"))
         return None
     if choices is not None and v not in choices:
         errs.append((path, f"must be one of {sorted(choices)}, got {v!r}"))
@@ -297,13 +302,20 @@ def build_model_params(raw: dict, model: str, errs: list[tuple[str, str]]):
 
 
 def load_config(path: str, model: str) -> RunConfig:
-    """Read a UTF-8 JSON config and validate the block the given model needs."""
+    """Read a UTF-8 JSON config, a file or pipe of up to 2^28 bytes, and check its model's block."""
     if model not in MODELS:
         raise ConfigError([("", f"unknown model {model!r}; expected one of {list(MODELS)}")])
     try:
-        data = Path(path).read_bytes()  # json.loads decodes it, not the locale
+        with open(path, "rb") as fh:  # json.loads decodes it, not the locale
+            if not stat.S_ISREG(kind := os.fstat(fh.fileno()).st_mode) and not stat.S_ISFIFO(kind):
+                raise ConfigError([("", f"config must be a regular file or a pipe: {path!r}")])
+            data = bytearray()  # grown a MiB a read: one read of the cap reserves 256 MiB
+            while chunk := fh.read(min(2**20, _MAX_CONFIG_BYTES + 1 - len(data))):
+                data += chunk
     except OSError as e:
         raise ConfigError([("", f"cannot read config file: {e}")])
+    if len(data) > _MAX_CONFIG_BYTES:
+        raise ConfigError([("", f"config is over {_MAX_CONFIG_BYTES} bytes: {path!r}")])
     try:
         raw = json.loads(data)
     except (ValueError, RecursionError) as e:  # bad bytes or JSON, huge integer, too deep

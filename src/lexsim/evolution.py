@@ -31,6 +31,7 @@ reach trial, so rule columns are untouched by construction.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -193,39 +194,31 @@ def _party_costs(area: LegalArea, cost_delta: float) -> tuple[float, float]:
     return area.cost_q - cost_delta, area.cost_g - cost_delta
 
 
-def _tried(area: LegalArea, u_belief: float, stakes: float, c_q: float, c_g: float) -> bool:
-    """Whether `decide` tries the case of belief draw u_belief; a NaN width is a trial too.
-    Beliefs are clipped to [0, 1] as min(max(p, 0.0), 1.0) would, without its two calls."""
-    eps = (2.0 * u_belief - 1.0) * area.belief_spread
-    p_q, p_g = area.belief_center + eps, area.belief_center - eps
-    p_q = 0.0 if p_q < 0.0 else 1.0 if p_q > 1.0 else p_q
-    p_g = 0.0 if p_g < 0.0 else 1.0 if p_g > 1.0 else p_g
-    lower, upper = _bounds(p_q, p_g, stakes, c_q, c_g, area.fee_rule)
-    return not upper - lower >= 0.0  # a float past float range is inf, as in `decide`
-
-
 def _trial_threshold(area: LegalArea, stakes: float, c_q: float, c_g: float) -> float:
-    """Least belief draw that `_tried` marks as a trial at these stakes; 1.0 if none is.
+    """Least belief draw that `decide` tries at these stakes; 1.0 if it tries none.
 
-    A draw u is k * 2^-53 for an integer k in [0, 2^53), so a 53-step bisection
-    over k finds the threshold. It is exact because `_tried` is monotone in u:
-    every step from u to `upper - lower` is an IEEE operation monotone in its
-    operand, and rounding keeps that order. eps = (2u - 1) * spread never falls
-    as u rises, so the clipped p_q never falls and p_g never rises; under both
-    fee rules `lower` never falls as p_q rises and `upper` never rises as p_g
-    falls, so the width never rises. `LegalArea` keeps stakes plus costs in
-    float range, so both ends are finite and the width is never NaN (it may
-    overflow to -inf or inf, which keep the order). A case is tried when the
-    width is below 0, so u is tried exactly when u >= the threshold.
+    A draw u is k * 2^-53 for an integer k in [0, 2^53), so `bisect_left` over k,
+    keyed by whether the draw is tried, finds the threshold in 53 probes. It is
+    exact because the key is monotone in u: every step from u to `upper - lower`
+    is an IEEE operation monotone in its operand, and rounding keeps that order.
+    eps = (2u - 1) * spread never falls as u rises, so the clipped p_q never falls
+    and p_g never rises; under both fee rules `lower` never falls as p_q rises and
+    `upper` never rises as p_g falls, so the width never rises. `LegalArea` keeps
+    stakes plus costs in float range, so both ends are finite and the width is
+    never NaN (it may overflow to -inf or inf, which keep the order). A case is
+    tried when the width is below 0, so u is tried exactly when u >= the threshold.
     """
-    lo, hi = 0, 2**53  # hi is tried, or the sentinel 2^53 that no draw reaches
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _tried(area, math.ldexp(mid, -53), stakes, c_q, c_g):
-            hi = mid
-        else:
-            lo = mid + 1
-    return math.ldexp(hi, -53)
+    center, spread, fee_rule = area.belief_center, area.belief_spread, area.fee_rule
+
+    def tried(k: int) -> bool:  # beliefs clipped to [0, 1] as min(max(p, 0.0), 1.0) would
+        eps = (2.0 * math.ldexp(k, -53) - 1.0) * spread
+        p_q, p_g = center + eps, center - eps
+        p_q = 0.0 if p_q < 0.0 else 1.0 if p_q > 1.0 else p_q
+        p_g = 0.0 if p_g < 0.0 else 1.0 if p_g > 1.0 else p_g
+        lower, upper = _bounds(p_q, p_g, stakes, c_q, c_g, fee_rule)
+        return not upper - lower >= 0.0  # a float past float range is inf, as in `decide`
+
+    return math.ldexp(bisect.bisect_left(range(2**53), True, key=tried), -53)
 
 
 def _thresholds(area: LegalArea, cost_delta: float) -> tuple[float, float]:

@@ -442,15 +442,16 @@ def _is_stdout(path: str) -> bool:
 def _write_all(outputs: list[tuple[str, str]]) -> None:
     """Write every (path, text) or, on failure, leave every existing file as it was.
 
-    A new or regular-file path gets its text in a new temporary file beside the
-    path's real target (so a symlinked output keeps its link), with the mode of
-    the file it replaces, or 0666 & ~umask for a new one as `open(path, "w")`
-    gives; the targets are replaced only once all are written. Any other
-    target (a device such as /dev/null, a FIFO) holds no earlier output to
-    keep and is written in place. A path naming this process's standard
-    output, such as /dev/stdout, is written in place to fd 1, after any text
-    already printed to `sys.stdout`, and never renamed over. Every output is
-    UTF-8 whatever the locale; text it cannot hold raises UnicodeEncodeError.
+    A path that `open(path, "w")` refuses raises its OSError, naming the path, before
+    anything is renamed. A new or regular-file path gets its text in a new temporary
+    file beside the path's real target (so a symlinked output keeps its link), with the
+    mode of the file it replaces, or 0666 & ~umask for a new one as `open(path, "w")`
+    gives; the targets are replaced only once all are written. Any other target (a
+    device such as /dev/null, a FIFO) holds no earlier output to keep and is written in
+    place. A path naming this process's standard output, such as /dev/stdout, is written
+    in place to fd 1, after any text already printed to `sys.stdout`, and never renamed
+    over. Every output is UTF-8 whatever the locale; text it cannot hold raises
+    UnicodeEncodeError.
     """
     staged: list[tuple[str, str]] = []  # (temporary, target), not yet renamed
     in_place: list[tuple[str | int, str]] = []  # (path, or 1 for stdout, text)
@@ -459,9 +460,11 @@ def _write_all(outputs: list[tuple[str, str]]) -> None:
             if _is_stdout(path):
                 in_place.append((1, text))
                 continue
-            try:
+            try:  # the path walked by the OS, as open walks it: "x/.." needs x
                 mode = os.stat(path).st_mode  # follows links
-            except OSError:  # missing, or the open below reports why not
+            except FileNotFoundError:  # a new file, if open can create it: not '' or "name/"
+                if not (os.path.basename(path) and os.path.isdir(os.path.dirname(path) or ".")):
+                    raise
                 mode = None
             if mode is not None and stat.S_ISDIR(mode):  # found now, not by a rename
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)

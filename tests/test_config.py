@@ -2,6 +2,12 @@
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +127,81 @@ class TestLoadFailures:
         with pytest.raises(ConfigError) as exc:
             load_config(write(tmp_path, payload), "equilibrium")
         assert "equilibrium.curve" in str(exc.value) and "gamma" in str(exc.value)
+
+
+class TestConfigFile:
+    """A config is a regular file or a pipe of at most 2^28 bytes; anything else is
+    refused before it is read to the end."""
+
+    def test_a_device_is_refused_before_memory_runs_out(self, tmp_path):
+        # /dev/zero never ends; the address-space limit makes an unbounded read fail fast
+        limit = 400 << 20
+        argv = [sys.executable, "-m", "lexsim.cli", "equilibrium", "--config", "/dev/zero",
+                "--out", str(tmp_path / "z.csv")]
+        env = {**os.environ, "PYTHONPATH": "src" + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run(
+            argv, env=env, capture_output=True, timeout=120, check=False,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stderr) == (
+            1, b"error: config: : config must be a regular file or a pipe: '/dev/zero'\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_a_directory_is_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^: cannot read config file: \[Errno 21\] "):
+            load_config(str(tmp_path), "equilibrium")
+
+    def test_a_file_past_the_limit_is_refused(self, tmp_path, monkeypatch):
+        path = write(tmp_path, " " * 2**21 + json.dumps(equilibrium_block()))  # 3 reads
+        size = os.path.getsize(path)
+        monkeypatch.setattr(config, "_MAX_CONFIG_BYTES", size)
+        assert load_config(path, "equilibrium").params.tolerance == 1e-9
+        monkeypatch.setattr(config, "_MAX_CONFIG_BYTES", size - 1)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path, "equilibrium")
+        assert exc.value.errors == [("", f"config is over {size - 1} bytes: {path!r}")]
+
+    def test_a_config_from_a_fifo_loads(self, tmp_path):
+        fifo = tmp_path / "cfg.fifo"
+        os.mkfifo(fifo)
+        text = json.dumps(equilibrium_block(tolerance=1e-7))
+
+        def feed():
+            with open(fifo, "w") as fh:  # blocks until the loader opens the FIFO
+                fh.write(text)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            cfg = load_config(str(fifo), "equilibrium")
+        finally:
+            writer.join(timeout=30)
+        assert cfg.params.tolerance == 1e-7
+
+
+class TestLoneSurrogates:
+    """A config string UTF-8 cannot hold is a fault at its field, not a failed write."""
+
+    def test_an_area_name(self, tmp_path):
+        payload = json.loads((Path(CONFIG_DIR) / "composition_docket.json").read_text())
+        payload["composition"]["areas"][0]["name"] = "\ud800"
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, payload), "composition")
+        assert exc.value.errors == [
+            ("composition.areas[0].name", "must not hold a lone surrogate, got '\\ud800'")]
+
+    def test_a_choice(self, tmp_path):
+        payload = settle_block()
+        payload["settle"]["rule"] = "american\udfff"
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, payload), "settle")
+        assert exc.value.errors == [
+            ("settle.rule", "must not hold a lone surrogate, got 'american\\udfff'")]
+
+    def test_a_surrogate_pair_is_one_character(self, tmp_path):
+        payload = evolve_block()
+        payload["evolve"]["area"]["name"] = "\ud83d\ude00"  # as json.dumps escapes U+1F600
+        cfg = load_config(write(tmp_path, payload), "evolve")
+        assert cfg.params.area.name == "\U0001f600"
 
 
 class TestFieldErrors:

@@ -35,7 +35,7 @@ from lexsim import (
     substream,
     trial_fractions,
 )
-from lexsim import evolution
+from lexsim import evolution, settlement
 from lexsim.evolution import _MAX_CLOSURE_ITER, _STREAM_RATES, EvolutionTrace
 
 GOLDEN_G = (3.0 - math.sqrt(5.0)) / 2.0
@@ -48,6 +48,19 @@ def tried_by_decide(area, u_belief, stakes, c_q, c_g):
     p_g = min(max(area.belief_center - eps, 0.0), 1.0)
     d = Dispute(p_q=p_q, p_g=p_g, j=stakes, c_q=c_q, c_g=c_g)
     return decide(d, area.fee_rule).kind is OutcomeKind.TRIAL
+
+
+def threshold_by_hand(area, stakes, c_q, c_g):
+    """Reference: the least draw k * 2^-53 that `decide` tries, by a 53-step hand
+    bisection over k; 1.0, the sentinel k = 2^53, if it tries none."""
+    lo, hi = 0, 2**53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tried_by_decide(area, math.ldexp(mid, -53), stakes, c_q, c_g):
+            hi = mid
+        else:
+            lo = mid + 1
+    return math.ldexp(hi, -53)
 
 
 def trial_fractions_by_decide(area, cost_delta, n_samples, seed):
@@ -351,6 +364,35 @@ class TestTrialThreshold:
         edge = [math.ldexp(j, -53) for j in (k - 1, k) if 0 <= j < 2**53]
         for u in substream(seed, 0).random(64).tolist() + edge:
             assert (u >= threshold) == tried_by_decide(area, u, stakes, c_q, c_g), u
+
+    @settings(max_examples=100, deadline=None)
+    @given(area=tort_areas(), inefficient=st.booleans())
+    @example(area=tort_area(fee_rule=FeeRule.AMERICAN), inefficient=True)
+    @example(area=tort_area(fee_rule=FeeRule.ENGLISH), inefficient=False)
+    @example(area=tort_area(belief_center=0.9, belief_spread=0.5), inefficient=True)  # clipped
+    @example(area=tort_area(belief_center=0.0, belief_spread=1e3,
+                            fee_rule=FeeRule.ENGLISH), inefficient=False)
+    @example(area=tort_area(belief_spread=0.0), inefficient=True)  # no draw is tried
+    @example(area=tort_area(cost_q=1e6, cost_g=1e6), inefficient=True)  # no draw is tried
+    @example(area=tort_area(stakes_multiplier=1.0, cost_q=8.5e307, cost_g=8.5e307,
+                            belief_spread=1.0, fee_rule=FeeRule.ENGLISH), inefficient=False)
+    def test_threshold_equals_a_hand_bisection(self, area, inefficient):
+        stakes = float(area.stakes_j * area.stakes_multiplier) if inefficient else \
+            float(area.stakes_j)
+        assert evolution._trial_threshold(area, stakes, area.cost_q, area.cost_g) == \
+            threshold_by_hand(area, stakes, area.cost_q, area.cost_g)
+
+    @pytest.mark.parametrize("fee_rule", list(FeeRule))
+    def test_the_search_ends(self, monkeypatch, fee_rule):
+        area = tort_area(fee_rule=fee_rule, belief_spread=0.0)
+        stakes, c_q, c_g = float(area.stakes_j), area.cost_q, area.cost_g
+        assert evolution._trial_threshold(area, stakes, c_q, c_g) == 1.0  # every range is c wide
+        # no area tries the draw 0, where the plaintiff is the more pessimistic party and
+        # the range is at least c_q + c_g wide: an empty range everywhere stands in for one
+        for module in (evolution, settlement):
+            monkeypatch.setattr(module, "_bounds", lambda *args: (1.0, 0.0))
+        assert evolution._trial_threshold(area, stakes, c_q, c_g) == \
+            threshold_by_hand(area, stakes, c_q, c_g) == 0.0
 
     @pytest.mark.parametrize("fee_rule", list(FeeRule))
     def test_simulate_decides_draws_on_the_threshold(self, monkeypatch, fee_rule):

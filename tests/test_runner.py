@@ -1,5 +1,6 @@
 """End-to-end runs: CSV/SVG emission, sweeps, and the command-line front end."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,8 +9,9 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import warnings
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,12 +33,13 @@ from lexsim import (
     settlement_range,
     shrink_ratio,
 )
-from lexsim import config, contracts, evolution, runner
+from lexsim import cli, config, contracts, evolution, runner
 from lexsim.cli import main
 from lexsim import EquilibriumParams, SettleParams
 from lexsim.config import RunConfig, SweepAxis, SweepSpec
 from lexsim.contracts import GapCurve
 from lexsim.settlement import DisputeBatch
+from test_config_schema import mutated
 from test_golden_outputs import DIGESTS, sha256
 
 GOLDEN_G = (3.0 - math.sqrt(5.0)) / 2.0
@@ -939,16 +942,32 @@ class TestUtf8:
                                              out="/dev/stdout")  # the join keeps the absolute path
         assert (code, stdout) == (0, out.read_bytes())
 
-    def test_a_lone_surrogate_is_a_model_error(self, tmp_path):
+    def test_a_lone_surrogate_is_a_config_error(self, tmp_path):
         payload = shipped("composition_docket")
         payload["composition"]["areas"][0]["name"] = "\ud800"
         (tmp_path / "out.csv").write_bytes(b"kept")
         code, err, out, svg, _ = self.run_cli(tmp_path, "composition",
                                               json.dumps(payload).encode(), {})
-        assert (code, err) == (2, "error: model: 'utf-8' codec can't encode character "
-                                  "'\\ud800' in position 81: surrogates not allowed\n")
+        assert (code, err) == (1, "error: config: composition.areas[0].name: must not hold a "
+                                  "lone surrogate, got '\\ud800'\n")
         assert out.read_bytes() == b"kept" and not svg.exists()
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "out.csv"]
+
+    def test_a_lone_surrogate_built_in_code_is_a_model_error(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # no config can hold the name, so params built in code stand in for one
+        cfg = load_config(f"{CONFIG_DIR}/composition_docket.json", "composition")
+        areas = cfg.params.areas
+        cfg.params = replace(cfg.params, areas=[replace(areas[0], name="\ud800"), *areas[1:]])
+        monkeypatch.setattr(cli, "load_config", lambda path, model: cfg)
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"kept")
+        assert main(["composition", "--config", "built.json", "--out", str(out),
+                     "--svg", str(tmp_path / "out.svg")]) == 2
+        assert capsys.readouterr() == ("", "error: model: 'utf-8' codec can't encode character "
+                                           "'\\ud800' in position 81: surrogates not allowed\n")
+        assert out.read_bytes() == b"kept"
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestFloatFormatting:
@@ -1249,6 +1268,95 @@ class TestAtomicOutputs:
         assert received == expected.read_bytes()
         assert svg.read_text().startswith("<svg ")
         assert sorted(os.listdir(tmp_path)) == ["eq.fifo", "eq.svg", "expected.csv"]
+
+
+    @pytest.mark.parametrize("out, svg", [("a.csv", ""), ("a.csv", "missing/.."),
+                                          ("", None), ("missing/../b.csv", None),
+                                          ("b.csv/", None)])
+    def test_a_path_open_refuses_writes_nothing(self, tmp_path, capsys, monkeypatch, out, svg):
+        # '' and a trailing slash name no file, and `missing/..` no directory, as the OS
+        # walks them, whatever they resolve to as text
+        cfg = os.path.abspath(self.CFG)
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        argv = ["equilibrium", "--config", cfg, "--out", out] + ([] if svg is None else
+                                                                 ["--svg", svg])
+        assert main(argv) == 2
+        bad = out if svg is None else svg
+        assert capsys.readouterr() == ("", f"error: io: [Errno 2] No such file or directory: "
+                                           f"{bad!r}\n")
+        assert [files for _, _, files in os.walk(tmp_path)] == [[], []]
+
+    @pytest.mark.parametrize("svg, code", [("", 2), ("missing/..", 2), ("a.csv/", 1)])
+    def test_an_existing_csv_is_kept_when_the_svg_path_is_refused(self, tmp_path, capsys,
+                                                                   monkeypatch, svg, code):
+        cfg = os.path.abspath(self.CFG)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.csv").write_bytes(b"old\n")
+        assert main(["equilibrium", "--config", cfg, "--out", "a.csv", "--svg", svg]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert (tmp_path / "a.csv").read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["a.csv"]
+
+    def test_a_trailing_slash_after_a_file_keeps_it(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        out.write_bytes(b"old\n")
+        assert main(["equilibrium", "--config", self.CFG, "--out", f"{out}/"]) == 2
+        assert capsys.readouterr() == ("", f"error: io: [Errno 20] Not a directory: "
+                                           f"'{out}/'\n")
+        assert out.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["a.csv"]
+
+
+class TestCliContract:
+    """The README's CLI contract over mutated shipped configs and bad output paths: exit
+    0, 1 or 2; a failure prints one `error:` line, after a sweep's `sweep:` line, creates
+    no file and keeps an existing `--out` file's bytes; a success writes both outputs."""
+
+    @staticmethod
+    def files(root):
+        tree = {}
+        for folder, _, names in os.walk(root):
+            for name in names:
+                with open(os.path.join(folder, name), "rb") as fh:
+                    tree[os.path.relpath(os.path.join(folder, name), root)] = fh.read()
+        return tree
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=mutated(), svg=st.sampled_from(["chart.svg", "", "missing/..", "chart.svg/"]),
+           existing=st.booleans())
+    def test_mutated_configs_and_output_paths(self, case, svg, existing):
+        _, model, raw = case
+        home = os.getcwd()
+        with tempfile.TemporaryDirectory() as root:
+            os.mkdir(os.path.join(root, "work"))  # the run's directory; '' and '..' lead out
+            with open(os.path.join(root, "cfg.json"), "w") as fh:
+                json.dump(raw, fh)
+            if existing:
+                with open(os.path.join(root, "work", "out.csv"), "wb") as fh:
+                    fh.write(b"old\n")
+            before = self.files(root)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            os.chdir(os.path.join(root, "work"))
+            try:
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main([model, "--config", "../cfg.json", "--out", "out.csv",
+                                 "--svg", svg])
+            finally:
+                os.chdir(home)
+            after = self.files(root)
+        lines = stderr.getvalue().splitlines()
+        if model == "sweep" and lines and lines[0].startswith("sweep: "):
+            lines = lines[1:]
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert (stdout.getvalue(), lines) == (f"wrote out.csv and {svg}\n", [])
+            assert set(after) - set(before) <= {"work/out.csv", "work/chart.svg"}
+            assert after["work/out.csv"] and after[os.path.join("work", svg)]
+        else:
+            assert stdout.getvalue() == ""
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert after == before
 
 
 class TestInterrupt:
