@@ -309,8 +309,8 @@ def load_config(path: str, model: str) -> RunConfig:
         with open(path, "rb") as fh:  # json.loads decodes it, not the locale
             if not stat.S_ISREG(kind := os.fstat(fh.fileno()).st_mode) and not stat.S_ISFIFO(kind):
                 raise ConfigError([("", f"config must be a regular file or a pipe: {path!r}")])
-            data = bytearray()  # grown a MiB a read: one read of the cap reserves 256 MiB
-            while chunk := fh.read(min(2**20, _MAX_CONFIG_BYTES + 1 - len(data))):
+            data = bytearray()  # grown 64 KiB a read: one read of the cap reserves 256 MiB
+            while chunk := fh.read(min(2**16, _MAX_CONFIG_BYTES + 1 - len(data))):
                 data += chunk
     except OSError as e:
         raise ConfigError([("", f"cannot read config file: {e}")])

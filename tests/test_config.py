@@ -151,7 +151,7 @@ class TestConfigFile:
             load_config(str(tmp_path), "equilibrium")
 
     def test_a_file_past_the_limit_is_refused(self, tmp_path, monkeypatch):
-        path = write(tmp_path, " " * 2**21 + json.dumps(equilibrium_block()))  # 3 reads
+        path = write(tmp_path, " " * 2**21 + json.dumps(equilibrium_block()))  # 33 reads
         size = os.path.getsize(path)
         monkeypatch.setattr(config, "_MAX_CONFIG_BYTES", size)
         assert load_config(path, "equilibrium").params.tolerance == 1e-9
@@ -175,6 +175,7 @@ class TestConfigFile:
             cfg = load_config(str(fifo), "equilibrium")
         finally:
             writer.join(timeout=30)
+        assert not writer.is_alive()
         assert cfg.params.tolerance == 1e-7
 
 

@@ -1269,7 +1269,6 @@ class TestAtomicOutputs:
         assert svg.read_text().startswith("<svg ")
         assert sorted(os.listdir(tmp_path)) == ["eq.fifo", "eq.svg", "expected.csv"]
 
-
     @pytest.mark.parametrize("out, svg", [("a.csv", ""), ("a.csv", "missing/.."),
                                           ("", None), ("missing/../b.csv", None),
                                           ("b.csv/", None)])
