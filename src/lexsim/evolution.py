@@ -120,8 +120,9 @@ class RulePopulation(_Bounded):
 
     @property
     def initial_efficient_count(self) -> int:
-        """Integer head count, nearest with .5 up; the first this-many rules start efficient."""
-        return int(math.floor(self.fraction_efficient * self.n_rules + 0.5))
+        """Integer head count, nearest with .5 up and at most n_rules (a bound that binds
+        only from 2^52 rules on); the first this-many rules start efficient."""
+        return min(self.n_rules, int(math.floor(self.fraction_efficient * self.n_rules + 0.5)))
 
 
 @dataclass(frozen=True)

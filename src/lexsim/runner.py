@@ -15,6 +15,7 @@ builder, so its rows agree with the CSV.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import errno
 import functools
@@ -413,9 +414,8 @@ def run(cfg: RunConfig) -> RunResult:
     _check_ids(cfg.seed, 0)  # the seed of a config built in code, as rng checks it
     if cfg.output_path is None:
         raise DomainError("run configuration has no output path")
-    if cfg.svg_path is not None and (
-        os.path.realpath(cfg.svg_path) == os.path.realpath(cfg.output_path)
-    ):
+    target = _target(cfg.output_path)[0]  # a path open refuses stops the run here
+    if cfg.svg_path is not None and _target(cfg.svg_path)[0] == target:
         raise ConfigError([("svg", f"{cfg.svg_path!r} is the same file as the CSV output "
                                    f"{cfg.output_path!r}")])
     if cfg.model == "sweep":
@@ -430,48 +430,45 @@ def run(cfg: RunConfig) -> RunResult:
     return RunResult(csv_path=cfg.output_path, svg_path=cfg.svg_path, rows=n_rows)
 
 
-def _is_stdout(path: str) -> bool:
-    """Whether `path` names the file behind fd 1, this process's standard output."""
+def _target(path: str) -> tuple[str | int, int | None]:
+    """What `open(path, "w")` would write, walked by the OS as open walks it ("x/.."
+    needs x): 1 for the file behind fd 1, this process's standard output, else the
+    path's real path; and that file's mode, None for a new file open would create.
+    A path open refuses raises stat's OSError, or EISDIR for a directory, naming `path`."""
     try:
-        st, out = os.stat(path), os.fstat(1)
-    except OSError:
-        return False
-    return (st.st_dev, st.st_ino) == (out.st_dev, out.st_ino)
+        st = os.stat(path)  # follows links
+    except FileNotFoundError:  # a new file, if open can create it: not '' or "name/"
+        if not (os.path.basename(path) and os.path.isdir(os.path.dirname(path) or ".")):
+            raise
+        return os.path.realpath(path), None
+    if stat.S_ISDIR(st.st_mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    with contextlib.suppress(OSError):  # fd 1 may be closed
+        if os.path.samestat(st, os.fstat(1)):
+            return 1, st.st_mode
+    return os.path.realpath(path), st.st_mode
 
 
 def _write_all(outputs: list[tuple[str, str]]) -> None:
     """Write every (path, text) or, on failure, leave every existing file as it was.
 
-    A path that `open(path, "w")` refuses raises its OSError, naming the path, before
-    anything is renamed. A new or regular-file path gets its text in a new temporary
-    file beside the path's real target (so a symlinked output keeps its link), with the
-    mode of the file it replaces, or 0666 & ~umask for a new one as `open(path, "w")`
-    gives; the targets are replaced only once all are written. Any other target (a
-    device such as /dev/null, a FIFO) holds no earlier output to keep and is written in
-    place. A path naming this process's standard output, such as /dev/stdout, is written
-    in place to fd 1, after any text already printed to `sys.stdout`, and never renamed
-    over. Every output is UTF-8 whatever the locale; text it cannot hold raises
-    UnicodeEncodeError.
+    Each path is resolved by `_target`, so one that `open(path, "w")` refuses raises its
+    OSError before anything is renamed. A new or regular file gets its text in a new
+    temporary file beside its real path (so a symlinked output keeps its link), with the
+    mode of the file it replaces, or 0666 & ~umask for a new one as open gives; the
+    targets are replaced only once all are written. Any other file (a device such as
+    /dev/null, a FIFO) holds no earlier output to keep and is written in place, and
+    standard output to fd 1 after any text already printed to `sys.stdout`. Every
+    output is UTF-8 whatever the locale; text it cannot hold raises UnicodeEncodeError.
     """
     staged: list[tuple[str, str]] = []  # (temporary, target), not yet renamed
     in_place: list[tuple[str | int, str]] = []  # (path, or 1 for stdout, text)
     try:
         for path, text in outputs:
-            if _is_stdout(path):
-                in_place.append((1, text))
+            target, mode = _target(path)  # again: what `run` saw may be stale by now
+            if target == 1 or mode is not None and not stat.S_ISREG(mode):
+                in_place.append((1 if target == 1 else path, text))
                 continue
-            try:  # the path walked by the OS, as open walks it: "x/.." needs x
-                mode = os.stat(path).st_mode  # follows links
-            except FileNotFoundError:  # a new file, if open can create it: not '' or "name/"
-                if not (os.path.basename(path) and os.path.isdir(os.path.dirname(path) or ".")):
-                    raise
-                mode = None
-            if mode is not None and stat.S_ISDIR(mode):  # found now, not by a rename
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            if mode is not None and not stat.S_ISREG(mode):
-                in_place.append((path, text))
-                continue
-            target = os.path.realpath(path)
             head, tail = os.path.split(target)
             tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
             try:

@@ -244,6 +244,27 @@ class TestPopulation:
         assert RulePopulation(3, 1.0).initial_efficient_count == 3
         assert RulePopulation(3, 0.0).initial_efficient_count == 0
 
+    @pytest.mark.parametrize("n", [2**52 + 1, 2**54 + 3, 2**63 - 1])
+    def test_a_whole_population_counts_every_rule(self, n):
+        # f * n + 0.5 rounds up to n + 1, or to 2^63, past the last rule
+        assert math.floor(1.0 * n + 0.5) > n
+        assert RulePopulation(n, 1.0).initial_efficient_count == n
+
+    @given(n=st.integers(1, 2**63 - 1), f=st.floats(0.0, 1.0))
+    @example(n=2**52 + 1, f=1.0)
+    @example(n=2**52, f=1.0)
+    def test_the_count_lies_within_the_population(self, n, f):
+        count = RulePopulation(n, f).initial_efficient_count
+        assert 0 <= count <= n
+
+    @given(n=st.integers(1, 2**52 - 1), f=st.floats(0.0, 1.0))
+    @example(n=2**52 - 1, f=1.0)
+    @example(n=2**52 - 1, f=0.5)
+    def test_below_2_to_the_52_the_count_is_the_rounded_product(self, n, f):
+        # n + 0.5 is exact there and rounding is monotone, so f * n + 0.5 stays at or
+        # below it: the bound never binds
+        assert RulePopulation(n, f).initial_efficient_count == int(math.floor(f * n + 0.5))
+
 
 class TestEffectiveRate:
     def test_tort_passes_through(self):

@@ -1286,14 +1286,16 @@ class TestAtomicOutputs:
                                            f"{bad!r}\n")
         assert [files for _, _, files in os.walk(tmp_path)] == [[], []]
 
-    @pytest.mark.parametrize("svg, code", [("", 2), ("missing/..", 2), ("a.csv/", 1)])
+    @pytest.mark.parametrize("svg, err_no", [("", 2), ("missing/..", 2), ("a.csv/", 20)])
     def test_an_existing_csv_is_kept_when_the_svg_path_is_refused(self, tmp_path, capsys,
-                                                                   monkeypatch, svg, code):
+                                                                   monkeypatch, svg, err_no):
+        # `a.csv/` names no file although it resolves, as text, to the CSV output
         cfg = os.path.abspath(self.CFG)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a.csv").write_bytes(b"old\n")
-        assert main(["equilibrium", "--config", cfg, "--out", "a.csv", "--svg", svg]) == code
-        assert capsys.readouterr().err.count("\n") == 1
+        assert main(["equilibrium", "--config", cfg, "--out", "a.csv", "--svg", svg]) == 2
+        assert capsys.readouterr().err == \
+            f"error: io: [Errno {err_no}] {os.strerror(err_no)}: {svg!r}\n"
         assert (tmp_path / "a.csv").read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["a.csv"]
 
@@ -1305,6 +1307,115 @@ class TestAtomicOutputs:
                                            f"'{out}/'\n")
         assert out.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["a.csv"]
+
+    @pytest.mark.parametrize("svg", ["nothere/../x.csv", "x.csv/"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_an_svg_path_open_refuses_is_io_before_any_clash(self, tmp_path, capsys,
+                                                              monkeypatch, svg, existing):
+        # as text both name the CSV output; open refuses both, and that is found first
+        cfg = os.path.abspath(self.CFG)
+        monkeypatch.chdir(tmp_path)
+        if existing:
+            (tmp_path / "x.csv").write_bytes(b"old\n")
+        err_no = 20 if existing and svg == "x.csv/" else 2
+        assert main(["equilibrium", "--config", cfg, "--out", "x.csv", "--svg", svg]) == 2
+        assert capsys.readouterr() == \
+            ("", f"error: io: [Errno {err_no}] {os.strerror(err_no)}: {svg!r}\n")
+        assert self.files(tmp_path) == ({"x.csv": b"old\n"} if existing else {})
+
+    @pytest.mark.parametrize("out, svg", [("evolve.csv", "no_such_dir/e.svg"),
+                                          ("no_such_dir/e.csv", "evolve.svg"),
+                                          ("evolve.csv/", None)])
+    def test_a_refused_path_stops_the_run_before_the_model(self, tmp_path, capsys,
+                                                           monkeypatch, out, svg):
+        calls = []
+        monkeypatch.setattr(evolution, "simulate", lambda *a, **kw: calls.append(a))
+        cfg = os.path.abspath(f"{CONFIG_DIR}/evolve_tort.json")
+        monkeypatch.chdir(tmp_path)
+        argv = ["evolve", "--config", cfg, "--out", out] + ([] if svg is None else
+                                                            ["--svg", svg])
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: io: [Errno 2] ")
+        cfg = load_config(cfg, "evolve")  # and `run` itself, as code calls it
+        cfg.output_path, cfg.svg_path = out, svg
+        with pytest.raises(FileNotFoundError):
+            run(cfg)
+        assert calls == []
+        assert os.listdir(tmp_path) == []
+
+    @staticmethod
+    def files(root):
+        return {p.name: p.read_bytes() for p in Path(root).iterdir()}
+
+
+class TestSameFile:
+    """`--out` and `--svg` naming one file, found by the file each path resolves to, are
+    one config error, exit 1, with nothing written and an existing output kept."""
+
+    CFG = f"{CONFIG_DIR}/equilibrium_golden.json"
+
+    def check(self, capsys, out, svg):
+        assert main(["equilibrium", "--config", self.CFG, "--out", out, "--svg", svg]) == 1
+        assert capsys.readouterr() == ("", f"error: config: svg: {svg!r} is the same file as "
+                                           f"the CSV output {out!r}\n")
+
+    @pytest.mark.parametrize("svg", ["a.csv", "sub/../a.csv", "./a.csv", "b.svg"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_paths_to_one_file(self, tmp_path, capsys, monkeypatch, svg, existing):
+        monkeypatch.setattr(self, "CFG", os.path.abspath(self.CFG))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        os.symlink("a.csv", tmp_path / "b.svg")  # dangling until a.csv exists
+        if existing:
+            (tmp_path / "a.csv").write_bytes(b"old\n")
+        self.check(capsys, "a.csv", svg)
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.svg", "sub"][1 - existing:]
+        if existing:
+            assert (tmp_path / "a.csv").read_bytes() == b"old\n"
+
+    def test_dev_null_twice(self, capsys):
+        self.check(capsys, "/dev/null", "/dev/null")
+
+    def test_stdout_by_two_names(self, tmp_path):
+        argv = [sys.executable, "-m", "lexsim.cli", "equilibrium", "--config", self.CFG,
+                "--out", "/dev/stdout", "--svg", "/proc/self/fd/1"]
+        env = {**os.environ, "PYTHONPATH": "src" + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", "error: config: svg: '/proc/self/fd/1' is the same file as the CSV output "
+                   "'/dev/stdout'\n")
+
+
+class TestTarget:
+    """`runner._target`: what `open(path, "w")` would write and that file's mode."""
+
+    def test_a_new_file(self, tmp_path):
+        assert runner._target(str(tmp_path / "n.csv")) == (os.path.realpath(tmp_path / "n.csv"),
+                                                           None)
+
+    def test_an_existing_file_through_a_link(self, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("old")
+        os.chmod(real, 0o640)
+        os.symlink(real, tmp_path / "link.csv")
+        target, mode = runner._target(str(tmp_path / "link.csv"))
+        assert target == os.path.realpath(real)
+        assert stat.S_ISREG(mode) and stat.S_IMODE(mode) == 0o640
+
+    def test_a_device(self):
+        target, mode = runner._target("/dev/null")
+        assert target == "/dev/null" and stat.S_ISCHR(mode)
+
+    @pytest.mark.parametrize("path, err", [("", FileNotFoundError), (".", IsADirectoryError),
+                                           ("missing/../n.csv", FileNotFoundError),
+                                           ("n.csv/", FileNotFoundError)])
+    def test_a_path_open_refuses(self, tmp_path, monkeypatch, path, err):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(err) as info:
+            runner._target(path)
+        assert info.value.filename == path
+        with pytest.raises(OSError):  # EISDIR for `n.csv/`, which Linux's open reports
+            open(path, "w")
 
 
 class TestCliContract:
