@@ -1321,7 +1321,7 @@ class TestAtomicOutputs:
         assert main(["equilibrium", "--config", cfg, "--out", "x.csv", "--svg", svg]) == 2
         assert capsys.readouterr() == \
             ("", f"error: io: [Errno {err_no}] {os.strerror(err_no)}: {svg!r}\n")
-        assert self.files(tmp_path) == ({"x.csv": b"old\n"} if existing else {})
+        assert TestCliContract.files(tmp_path) == ({"x.csv": b"old\n"} if existing else {})
 
     @pytest.mark.parametrize("out, svg", [("evolve.csv", "no_such_dir/e.svg"),
                                           ("no_such_dir/e.csv", "evolve.svg"),
@@ -1336,16 +1336,12 @@ class TestAtomicOutputs:
                                                             ["--svg", svg])
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: io: [Errno 2] ")
-        cfg = load_config(cfg, "evolve")  # and `run` itself, as code calls it
-        cfg.output_path, cfg.svg_path = out, svg
+        run_cfg = load_config(cfg, "evolve")  # and `run` itself, as code calls it
+        run_cfg.output_path, run_cfg.svg_path = out, svg
         with pytest.raises(FileNotFoundError):
-            run(cfg)
+            run(run_cfg)
         assert calls == []
         assert os.listdir(tmp_path) == []
-
-    @staticmethod
-    def files(root):
-        return {p.name: p.read_bytes() for p in Path(root).iterdir()}
 
 
 class TestSameFile:
@@ -1354,27 +1350,28 @@ class TestSameFile:
 
     CFG = f"{CONFIG_DIR}/equilibrium_golden.json"
 
-    def check(self, capsys, out, svg):
-        assert main(["equilibrium", "--config", self.CFG, "--out", out, "--svg", svg]) == 1
+    @staticmethod
+    def check(capsys, cfg, out, svg):
+        assert main(["equilibrium", "--config", cfg, "--out", out, "--svg", svg]) == 1
         assert capsys.readouterr() == ("", f"error: config: svg: {svg!r} is the same file as "
                                            f"the CSV output {out!r}\n")
 
     @pytest.mark.parametrize("svg", ["a.csv", "sub/../a.csv", "./a.csv", "b.svg"])
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_paths_to_one_file(self, tmp_path, capsys, monkeypatch, svg, existing):
-        monkeypatch.setattr(self, "CFG", os.path.abspath(self.CFG))
+        cfg = os.path.abspath(self.CFG)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         os.symlink("a.csv", tmp_path / "b.svg")  # dangling until a.csv exists
         if existing:
             (tmp_path / "a.csv").write_bytes(b"old\n")
-        self.check(capsys, "a.csv", svg)
+        self.check(capsys, cfg, "a.csv", svg)
         assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.svg", "sub"][1 - existing:]
         if existing:
             assert (tmp_path / "a.csv").read_bytes() == b"old\n"
 
     def test_dev_null_twice(self, capsys):
-        self.check(capsys, "/dev/null", "/dev/null")
+        self.check(capsys, self.CFG, "/dev/null", "/dev/null")
 
     def test_stdout_by_two_names(self, tmp_path):
         argv = [sys.executable, "-m", "lexsim.cli", "equilibrium", "--config", self.CFG,
@@ -1405,6 +1402,10 @@ class TestTarget:
     def test_a_device(self):
         target, mode = runner._target("/dev/null")
         assert target == "/dev/null" and stat.S_ISCHR(mode)
+
+    def test_standard_output(self):
+        # fd 1 is whatever pytest captures into, a file, a pipe or a terminal
+        assert runner._target("/dev/stdout") == (1, os.fstat(1).st_mode)
 
     @pytest.mark.parametrize("path, err", [("", FileNotFoundError), (".", IsADirectoryError),
                                            ("missing/../n.csv", FileNotFoundError),
