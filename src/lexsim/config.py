@@ -19,6 +19,7 @@ A settle block's disputes, by far the longest list, are read into float64 column
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import json
 import math
@@ -124,41 +125,32 @@ def _check_keys(block, allowed, path, errs):
 def _batch(item_cls, items, path, errs):
     """The list `items` of `item_cls` read into the float64 columns of `item_cls._batch`.
 
-    An item that is a dict of exactly the item's field names, each an int or a float,
-    is read as one row and checked there: each column against its bounds by
-    `_admitted`, the rows against `item_cls._across`. Every other item, and every row
-    that fails, is read by `_obj`, which reports its faults in the order a loop over
-    the items would; a faulty item's row holds NaN. No int but 0 and 1 themselves rounds to
-    0 or 1, a Dispute's bounds, so a plain item's row passes exactly when `_obj`
-    accepts the item. An int beyond 2^53 is rounded.
+    If every item is a dict of exactly the item's field names, each an int or a float,
+    the list is read at once as one table, kept if each column passes its bounds by
+    `_admitted` and each row `item_cls._across`. No int but 0 and 1 themselves rounds to
+    0 or 1, a Dispute's bounds, so the table passes exactly when `_obj` accepts every
+    item. Otherwise every item is read by `_obj`, which reports its faults in item
+    order, and `item_cls._batch.of` builds the columns, a faulty item's row NaN. An int
+    beyond 2^53 is rounded.
     """
     import numpy as np
 
     schema = _schema(item_cls)
-    names = [name for name, *_ in schema]
-    keys, get, nan_row = _names(item_cls), operator.itemgetter(*names), (math.nan,) * len(names)
-
-    def rows():
-        return (get(item) if type(item) is dict and item.keys() == keys
-                and _NUMBER_TYPES.issuperset(map(type, item.values())) else nan_row
-                for item in items)
-
-    size = len(items) * len(names)
-    try:
-        table = np.fromiter(chain.from_iterable(rows()), np.float64, size)
-    except OverflowError:  # an int beyond float range: its item is read by `_obj`
-        table = np.fromiter(chain.from_iterable(
-            row if all(map(_finite, row)) else nan_row for row in rows()), np.float64, size)
-    cols = tuple(table.reshape(len(items), len(names)).T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok = item_cls._across(*cols)
-    for col, (_, _, _, bounds, _) in zip(cols, schema):
-        ok &= _admitted(col, **bounds)
-    for i in np.flatnonzero(~ok).tolist():
-        item = _obj(item_cls, items[i], f"{path}[{i}]", errs)
-        for col, name in zip(cols, names):
-            col[i] = math.nan if item is None else getattr(item, name)
-    return item_cls._batch(*cols)
+    width = len(schema)
+    with contextlib.suppress(KeyError, OverflowError):  # a field missing; an int past float range
+        if (set(map(type, items)) == {dict} and sum(map(len, items)) == width * len(items)
+                and {type(v) for item in items for v in item.values()} <= _NUMBER_TYPES):
+            get = operator.itemgetter(*(name for name, *_ in schema))
+            table = np.fromiter(chain.from_iterable(map(get, items)), np.float64, width * len(items))
+            cols = tuple(table.reshape(-1, width).T)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ok = item_cls._across(*cols)
+            for col, (_, _, _, bounds, _) in zip(cols, schema):
+                ok &= _admitted(col, **bounds)
+            if ok.all():
+                return item_cls._batch(*cols)
+    return item_cls._batch.of([_obj(item_cls, item, f"{path}[{i}]", errs)
+                               for i, item in enumerate(items)])
 
 
 def _obj(cls, value, path, errs, check=None, raw=None):

@@ -437,10 +437,12 @@ def _target(path: str) -> tuple[str | int, int | None]:
     A path open refuses raises stat's OSError, or EISDIR for a directory, naming `path`."""
     try:
         st = os.stat(path)  # follows links
-    except FileNotFoundError:  # a new file, if open can create it: not '' or "name/"
-        if not (os.path.basename(path) and os.path.isdir(os.path.dirname(path) or ".")):
+    except FileNotFoundError:  # a new file, if open can create it: not '' or "name/", in
+        real = os.path.realpath(path)  # a directory there as written and past a dangling link
+        if not (os.path.basename(path) and os.path.isdir(os.path.dirname(path) or ".")
+                and os.path.isdir(os.path.dirname(real))):
             raise
-        return os.path.realpath(path), None
+        return real, None
     if stat.S_ISDIR(st.st_mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     with contextlib.suppress(OSError):  # fd 1 may be closed

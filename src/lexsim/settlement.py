@@ -52,9 +52,9 @@ class OutcomeKind(Enum):
 
 class DisputeBatch(Sequence):
     """A read-only sequence of disputes held as five float64 columns, one per Dispute
-    field, in field order; an item is a Dispute of floats. `DisputeBatch.of` gathers
-    one from Disputes; the constructor takes columns whose rows are already valid
-    disputes, as the config loader checks them, and makes them read-only.
+    field, in field order; an item is a Dispute of floats. Only `DisputeBatch.of` makes
+    one from items; the constructor takes columns whose rows are already valid
+    disputes, as the config loader's column read checks them, and makes them read-only.
     `settle_columns` reads the columns as they are."""
 
     __slots__ = ("p_q", "p_g", "j", "c_q", "c_g")
@@ -66,13 +66,13 @@ class DisputeBatch(Sequence):
 
     @classmethod
     def of(cls, disputes) -> DisputeBatch:
-        """`disputes` itself if it is a batch, else their fields as float64 columns;
-        an int beyond 2^53 is rounded."""
+        """`disputes` itself if it is a batch, else their fields as float64 columns, NaN
+        for a None item (one the config loader found faulty); an int beyond 2^53 is rounded."""
         if isinstance(disputes, cls):
             return disputes
         import numpy as np
 
-        return cls(*(np.array([getattr(d, name) for d in disputes], dtype=np.float64)
+        return cls(*(np.array([getattr(d, name, math.nan) for d in disputes], dtype=np.float64)
                      for name in cls.__slots__))
 
     def columns(self) -> tuple:

@@ -657,19 +657,38 @@ class TestManyDisputes:
         assert exc.value.errors == [(f"settle.disputes[700].{key}", message)]
 
     @pytest.mark.parametrize("change, expected", [
-        ({"c_q": True}, [("c_q", "must be a number, got True")]),
-        ({"j": "100"}, [("j", "must be a number, got '100'")]),
-        ({"stray": 1.0}, [("stray", "unknown key")]),
-        ({"p_q": math.nan, "j": math.inf},  # JSON NaN and Infinity
-         [("p_q", "must be finite, got nan"), ("j", "must be finite, got inf")]),
-    ], ids=["bool", "string", "extra-key", "nan-and-infinity"])
+        (lambda d: {**d, "c_q": True}, [(".c_q", "must be a number, got True")]),
+        (lambda d: {**d, "j": "100"}, [(".j", "must be a number, got '100'")]),
+        (lambda d: {**d, "stray": 1.0}, [(".stray", "unknown key")]),
+        (lambda d: {**d, "p_q": math.nan, "j": math.inf},  # JSON NaN and Infinity
+         [(".p_q", "must be finite, got nan"), (".j", "must be finite, got inf")]),
+        (lambda d: {k: v for k, v in d.items() if k != "p_g"}, [(".p_g", "required")]),
+        (lambda d: [1, 2], [("", "must be an object, got [1, 2]")]),
+    ], ids=["bool", "string", "extra-key", "nan-and-infinity", "missing-key", "not-an-object"])
     def test_one_faulty_item(self, tmp_path, change, expected):
         disputes = thousand_disputes()
-        disputes[321].update(change)
-        with pytest.raises(ConfigError) as exc:
-            load_config(write(tmp_path, {"settle": {"rule": "english", "disputes": disputes}}),
-                        "settle")
-        assert exc.value.errors == [(f"settle.disputes[321].{key}", msg) for key, msg in expected]
+        disputes[321] = change(disputes[321])
+        errors = []
+        for items in (disputes, [disputes[321]]):  # the list, and the item alone
+            with pytest.raises(ConfigError) as exc:
+                load_config(write(tmp_path, {"settle": {"rule": "english", "disputes": items}}),
+                            "settle")
+            errors.append(exc.value.errors)
+        assert errors == [[(f"settle.disputes[{i}]{key}", msg) for key, msg in expected]
+                          for i in (321, 0)]
+
+    def test_a_clean_list_is_read_as_columns(self, tmp_path, monkeypatch):
+        calls, read = [], config._obj
+
+        def counted(cls, *args, **kwargs):
+            calls.append(cls)
+            return read(cls, *args, **kwargs)
+
+        monkeypatch.setattr(config, "_obj", counted)
+        path = write(tmp_path, {"settle": {"rule": "english", "disputes": thousand_disputes()}})
+        assert len(load_config(path, "settle").params.disputes) == 1000
+        assert calls.count(SettleParams) == 1
+        assert calls.count(Dispute) == 0  # no item read one by one
 
     def test_loaded_disputes_are_a_read_only_batch_of_floats(self, tmp_path):
         disputes = thousand_disputes()

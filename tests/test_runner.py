@@ -1325,23 +1325,27 @@ class TestAtomicOutputs:
 
     @pytest.mark.parametrize("out, svg", [("evolve.csv", "no_such_dir/e.svg"),
                                           ("no_such_dir/e.csv", "evolve.svg"),
-                                          ("evolve.csv/", None)])
+                                          ("evolve.csv/", None),
+                                          ("evolve.csv", "link.svg"), ("link.svg", None)])
     def test_a_refused_path_stops_the_run_before_the_model(self, tmp_path, capsys,
                                                            monkeypatch, out, svg):
         calls = []
         monkeypatch.setattr(evolution, "simulate", lambda *a, **kw: calls.append(a))
         cfg = os.path.abspath(f"{CONFIG_DIR}/evolve_tort.json")
         monkeypatch.chdir(tmp_path)
+        os.symlink("no_such_dir/e.svg", "link.svg")  # open would create e.svg where no dir is
         argv = ["evolve", "--config", cfg, "--out", out] + ([] if svg is None else
                                                             ["--svg", svg])
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: io: [Errno 2] ")
+        refused = svg if out == "evolve.csv" else out
+        assert capsys.readouterr() == ("", f"error: io: [Errno 2] {os.strerror(2)}: {refused!r}\n")
         run_cfg = load_config(cfg, "evolve")  # and `run` itself, as code calls it
         run_cfg.output_path, run_cfg.svg_path = out, svg
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError) as info:
             run(run_cfg)
+        assert info.value.filename == refused
         assert calls == []
-        assert os.listdir(tmp_path) == []
+        assert os.listdir(tmp_path) == ["link.svg"]
 
 
 class TestSameFile:
