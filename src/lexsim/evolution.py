@@ -198,18 +198,31 @@ def _party_costs(area: LegalArea, cost_delta: float) -> tuple[float, float]:
 def _trial_threshold(area: LegalArea, stakes: float, c_q: float, c_g: float) -> float:
     """Least belief draw that `decide` tries at these stakes; 1.0 if it tries none.
 
-    A draw u is k * 2^-53 for an integer k in [0, 2^53), so `bisect_left` over k,
-    keyed by whether the draw is tried, finds the threshold in 53 probes. It is
-    exact because the key is monotone in u: every step from u to `upper - lower`
-    is an IEEE operation monotone in its operand, and rounding keeps that order.
-    eps = (2u - 1) * spread never falls as u rises, so the clipped p_q never falls
-    and p_g never rises; under both fee rules `lower` never falls as p_q rises and
-    `upper` never rises as p_g falls, so the width never rises. `LegalArea` keeps
-    stakes plus costs in float range, so both ends are finite and the width is
-    never NaN (it may overflow to -inf or inf, which keep the order). A case is
-    tried when the width is below 0, so u is tried exactly when u >= the threshold.
+    A draw u is k * 2^-53 for an integer k in [0, 2^53), so a search over k, keyed
+    by whether the draw is tried, finds the threshold. It is exact because the key
+    is monotone in u: every step from u to `upper - lower` is an IEEE operation
+    monotone in its operand, and rounding keeps that order. eps = (2u - 1) * spread
+    never falls as u rises, so the clipped p_q never falls and p_g never rises;
+    under both fee rules `lower` never falls as p_q rises and `upper` never rises
+    as p_g falls, so the width never rises. `LegalArea` keeps stakes plus costs in
+    float range, so both ends are finite and the width is never NaN (it may
+    overflow to -inf or inf, which keep the order). A case is tried when the width
+    is below 0, so u is tried exactly when u >= the threshold.
+
+    The search starts at the closed form. Unclipped, the width is C - 2 eps J', with
+    C = c_q + c_g and J' the stakes (plus C under the English rule), so the key flips
+    near u* = 0.5 + C / (4 spread J'). It probes k0 = u* 2^53 clamped into [0, 2^53),
+    or 2^53 - 1 if u* is undefined or past float range, gallops away in steps of 1,
+    2, ... 32 until the key flips, then bisects that bracket, or the rest of the range
+    if it never flipped: at most 1 + 6 + 53 = 60 probes. Each probe narrows [lo, hi]
+    by the key's answer alone, so exactness rests on monotonicity only: the estimate
+    just picks where to probe.
     """
     center, spread, fee_rule = area.belief_center, area.belief_spread, area.fee_rule
+    c = c_q + c_g
+    span = 4.0 * spread * (stakes + c if fee_rule is FeeRule.ENGLISH else stakes)
+    u = 0.5 + c / span if span else math.inf
+    k = 2**53 - 1 if not u * 2**53 < 2**53 - 1 else max(int(u * 2**53), 0)
 
     def tried(k: int) -> bool:  # beliefs clipped to [0, 1] as min(max(p, 0.0), 1.0) would
         eps = (2.0 * math.ldexp(k, -53) - 1.0) * spread
@@ -219,7 +232,16 @@ def _trial_threshold(area: LegalArea, stakes: float, c_q: float, c_g: float) -> 
         lower, upper = _bounds(p_q, p_g, stakes, c_q, c_g, fee_rule)
         return not upper - lower >= 0.0  # a float past float range is inf, as in `decide`
 
-    return math.ldexp(bisect.bisect_left(range(2**53), True, key=tried), -53)
+    lo, hi, step = 0, 2**53, 1  # the threshold's k lies in [lo, hi]; 2^53 if none is tried
+    for _ in range(7):  # the estimate, then up to 6 gallop steps
+        if not lo <= k < hi:
+            break
+        if tried(k):
+            hi, k = k, k - step
+        else:
+            lo, k = k + 1, k + step
+        step *= 2
+    return math.ldexp(lo + bisect.bisect_left(range(lo, hi), True, key=tried), -53)
 
 
 def _thresholds(area: LegalArea, cost_delta: float) -> tuple[float, float]:

@@ -63,6 +63,15 @@ def threshold_by_hand(area, stakes, c_q, c_g):
     return math.ldexp(hi, -53)
 
 
+def counted_threshold(area, stakes, c_q, c_g):
+    """`_trial_threshold` and how many times it probed its search key."""
+    probes = []
+    bounds = evolution._bounds  # the module's, so a monkeypatched key is counted too
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "_bounds", lambda *args: probes.append(args) or bounds(*args))
+        return evolution._trial_threshold(area, stakes, c_q, c_g), len(probes)
+
+
 def trial_fractions_by_decide(area, cost_delta, n_samples, seed):
     """Reference: one decide() call per belief sample, on the estimator's draws."""
     u = substream(seed, _STREAM_RATES).random(n_samples).tolist()
@@ -387,21 +396,39 @@ class TestTrialThreshold:
             assert (u >= threshold) == tried_by_decide(area, u, stakes, c_q, c_g), u
 
     @settings(max_examples=100, deadline=None)
-    @given(area=tort_areas(), inefficient=st.booleans())
-    @example(area=tort_area(fee_rule=FeeRule.AMERICAN), inefficient=True)
-    @example(area=tort_area(fee_rule=FeeRule.ENGLISH), inefficient=False)
-    @example(area=tort_area(belief_center=0.9, belief_spread=0.5), inefficient=True)  # clipped
+    @given(area=tort_areas(), cut=st.floats(0.0, 1.0))
+    @example(area=tort_area(fee_rule=FeeRule.AMERICAN), cut=0.0)
+    @example(area=tort_area(fee_rule=FeeRule.ENGLISH), cut=0.5)
+    # the search starts at the closed-form estimate k0 = (0.5 + C / (4 spread J')) 2^53
+    @example(area=tort_area(cost_q=5.0, cost_g=5.0), cut=0.0)  # at k0 (efficient stakes)
+    @example(area=tort_area(cost_q=1.0, cost_g=1.0, belief_spread=0.25), cut=0.0)  # at k0 + 1
+    @example(area=tort_area(cost_q=5.0, cost_g=5.0, belief_spread=0.1, fee_rule=FeeRule.ENGLISH),
+             cut=0.0)  # at k0 - 1 (inefficient stakes)
+    # clipped beliefs: far above k0, past the gallop's reach
+    @example(area=tort_area(belief_center=0.9, belief_spread=0.5), cut=0.0)
+    @example(area=tort_area(belief_center=0.0, belief_spread=0.5), cut=0.0)
+    @example(area=tort_area(belief_center=1.0, belief_spread=0.5), cut=0.0)
     @example(area=tort_area(belief_center=0.0, belief_spread=1e3,
-                            fee_rule=FeeRule.ENGLISH), inefficient=False)
-    @example(area=tort_area(belief_spread=0.0), inefficient=True)  # no draw is tried
-    @example(area=tort_area(cost_q=1e6, cost_g=1e6), inefficient=True)  # no draw is tried
+                            fee_rule=FeeRule.ENGLISH), cut=0.0)
+    # k = 2^53, no draw is tried: spread 0 (no estimate), an estimate past float range,
+    # costs above the stakes
+    @example(area=tort_area(belief_spread=0.0), cut=0.0)
+    @example(area=tort_area(belief_spread=1e-300), cut=0.0)
+    @example(area=tort_area(cost_q=1e6, cost_g=1e6), cut=0.0)
+    @example(area=tort_area(belief_spread=1e-300, belief_center=0.0, cost_q=0.0, cost_g=0.0),
+             cut=0.0)  # a subnormal eps is tried, one step above k0
     @example(area=tort_area(stakes_multiplier=1.0, cost_q=8.5e307, cost_g=8.5e307,
-                            belief_spread=1.0, fee_rule=FeeRule.ENGLISH), inefficient=False)
-    def test_threshold_equals_a_hand_bisection(self, area, inefficient):
-        stakes = float(area.stakes_j * area.stakes_multiplier) if inefficient else \
-            float(area.stakes_j)
-        assert evolution._trial_threshold(area, stakes, area.cost_q, area.cost_g) == \
-            threshold_by_hand(area, stakes, area.cost_q, area.cost_g)
+                            belief_spread=1.0, fee_rule=FeeRule.ENGLISH), cut=1.0)
+    def test_threshold_equals_a_hand_bisection(self, area, cut):
+        # at both stakes levels, within 1 + 6 + 53 probes: the estimate, the gallop and
+        # a bisection of the rest of the range
+        cost_delta = cut * min(area.cost_q, area.cost_g)
+        c_q, c_g = area.cost_q - cost_delta, area.cost_g - cost_delta
+        levels = (area.stakes_j * area.stakes_multiplier, area.stakes_j)
+        searched = [counted_threshold(area, float(stakes), c_q, c_g) for stakes in levels]
+        assert evolution._thresholds(area, cost_delta) == tuple(t for t, _ in searched) == \
+            tuple(threshold_by_hand(area, float(stakes), c_q, c_g) for stakes in levels)
+        assert max(probes for _, probes in searched) <= 60
 
     @pytest.mark.parametrize("fee_rule", list(FeeRule))
     def test_the_search_ends(self, monkeypatch, fee_rule):
@@ -412,8 +439,9 @@ class TestTrialThreshold:
         # the range is at least c_q + c_g wide: an empty range everywhere stands in for one
         for module in (evolution, settlement):
             monkeypatch.setattr(module, "_bounds", lambda *args: (1.0, 0.0))
-        assert evolution._trial_threshold(area, stakes, c_q, c_g) == \
-            threshold_by_hand(area, stakes, c_q, c_g) == 0.0
+        # k = 0, far below the closed-form start: past the gallop's reach
+        assert counted_threshold(area, stakes, c_q, c_g) == (0.0, 60)
+        assert threshold_by_hand(area, stakes, c_q, c_g) == 0.0
 
     @pytest.mark.parametrize("fee_rule", list(FeeRule))
     def test_simulate_decides_draws_on_the_threshold(self, monkeypatch, fee_rule):

@@ -128,6 +128,20 @@ class TestNumpyOnFirstArrayUse:
         assert sorted(os.listdir(tmp_path)) == sorted(
             f"{name}.{ext}" for name in ANALYTIC for ext in ("csv", "svg"))
 
+    def test_trial_thresholds_leave_numpy_unloaded(self):
+        done = fresh_python(
+            "import sys\n"
+            "from lexsim import AreaKind, FeeRule, LegalArea\n"
+            "from lexsim.evolution import _thresholds\n"
+            "areas = [LegalArea(name='tort', kind=AreaKind.TORT, dispute_rate=0.5,\n"
+            "                   stakes_j=100.0, stakes_multiplier=2.0, cost_q=18.0,\n"
+            "                   cost_g=18.0, belief_spread=0.4, fee_rule=rule)\n"
+            "         for rule in FeeRule]\n"
+            "print([0.5 < u < 1.0 for a in areas for u in _thresholds(a, 6.0)],\n"
+            "      'numpy' in sys.modules)\n")
+        assert (done.returncode, done.stdout, done.stderr) == \
+            (0, "[True, True, True, True] False\n", "")
+
     @pytest.mark.parametrize("model, name", [("evolve", "evolve_tort"),
                                              ("settle", "settle_fixture")])
     def test_array_runs_load_numpy(self, model, name, tmp_path):

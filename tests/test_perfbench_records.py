@@ -5,7 +5,8 @@ evolve_large (variant 0 under the American fee rule, variant 3 under the English
 and all 16 variants of selection_sweep (3 ops each, every record it has) run through
 perfbench/workloads.py as the benchmark runs them and are compared with
 perfbench/records.json by the benchmark's own check. An output that drifts fails
-here before the benchmark reports it as incorrect.
+here before the benchmark reports it as incorrect. The selection_sweep inputs also
+bound how many probes the evolve trial-threshold search spends on them.
 """
 
 import importlib.util
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import lexsim
+from lexsim import evolution
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
@@ -36,3 +38,15 @@ def test_outputs_match_the_records(tmp_path, workload, seed):
         key = w.record_key(k)
         error = workloads.mismatch(workload, w.result(k), RECORDS[workload].get(key))
         assert error is None, f"op {k} ({key}): {error}"
+
+
+@pytest.mark.parametrize("seed", range(workloads.VARIANTS))
+def test_selection_sweep_thresholds_take_few_probes(tmp_path, monkeypatch, seed):
+    # unclipped areas: the closed-form start lands within a step or two of each threshold
+    w = workloads.make("selection_sweep", seed, str(tmp_path), str(PERFBENCH.parent), {}, lexsim)
+    probes = []
+    bounds = evolution._bounds
+    monkeypatch.setattr(evolution, "_bounds", lambda *args: probes.append(args) or bounds(*args))
+    thresholds = [u for area in w.areas for delta in w.deltas
+                  for u in evolution._thresholds(area, delta)]
+    assert len(thresholds) == 24 and len(probes) <= 4 * 24
