@@ -214,9 +214,11 @@ def _trial_threshold(area: LegalArea, stakes: float, c_q: float, c_g: float) -> 
     near u* = 0.5 + C / (4 spread J'). It probes k0 = u* 2^53 clamped into [0, 2^53),
     or 2^53 - 1 if u* is undefined or past float range, gallops away in steps of 1,
     2, ... 32 until the key flips, then bisects that bracket, or the rest of the range
-    if it never flipped: at most 1 + 6 + 53 = 60 probes. Each probe narrows [lo, hi]
-    by the key's answer alone, so exactness rests on monotonicity only: the estimate
-    just picks where to probe.
+    if it never flipped: at most 1 + 6 + 53 = 60 probes. Where the beliefs clip at k0
+    (center -+ eps outside [0, 1]) the width is not C - 2 eps J' there and u* is no
+    guide, so it skips the gallop and bisects the rest of the range: at most 1 + 53
+    = 54 probes. Each probe narrows [lo, hi] by the key's answer alone, so exactness
+    rests on monotonicity only: the estimate just picks where to probe.
     """
     center, spread, fee_rule = area.belief_center, area.belief_spread, area.fee_rule
     c = c_q + c_g
@@ -233,7 +235,9 @@ def _trial_threshold(area: LegalArea, stakes: float, c_q: float, c_g: float) -> 
         return not upper - lower >= 0.0  # a float past float range is inf, as in `decide`
 
     lo, hi, step = 0, 2**53, 1  # the threshold's k lies in [lo, hi]; 2^53 if none is tried
-    for _ in range(7):  # the estimate, then up to 6 gallop steps
+    eps = (2.0 * math.ldexp(k, -53) - 1.0) * spread  # as `tried` computes it at k0
+    gallop = 0.0 <= center + eps <= 1.0 and 0.0 <= center - eps <= 1.0
+    for _ in range(7 if gallop else 1):  # the estimate, then up to 6 gallop steps
         if not lo <= k < hi:
             break
         if tried(k):

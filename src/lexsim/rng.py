@@ -51,6 +51,10 @@ def fill_substreams(seed: int, first: int, out: np.ndarray) -> np.ndarray:
     assigning the state also empties the generator's output buffer. Each
     stream is drawn straight into its slot of the C-contiguous `out`. Returns
     `out`.
+
+    The state's words are kept as Python ints: the `state` setter reads them
+    one at a time, and a list hands out its ints where a uint64 array would
+    build a numpy scalar for each, which more than halves the cost of a switch.
     """
     import numpy as np
 
@@ -63,7 +67,9 @@ def fill_substreams(seed: int, first: int, out: np.ndarray) -> np.ndarray:
     bits = np.random.Philox(key=seed, counter=0)
     gen = np.random.Generator(bits)
     state = bits.state
-    counter = state["state"]["counter"]
+    state["state"]["key"] = state["state"]["key"].tolist()
+    state["buffer"] = state["buffer"].tolist()
+    counter = state["state"]["counter"] = state["state"]["counter"].tolist()
     for k in range(len(out)):
         counter[3] = first + k  # counter = stream << 192
         bits.state = state

@@ -72,6 +72,17 @@ def counted_threshold(area, stakes, c_q, c_g):
         return evolution._trial_threshold(area, stakes, c_q, c_g), len(probes)
 
 
+def clipped_at_start(area, stakes, c_q, c_g):
+    """Whether the beliefs clip at the draw `_trial_threshold` probes first, its closed-form
+    start k0 = (0.5 + C / (4 spread J')) 2^53 clamped below 2^53, in the same float steps."""
+    c = c_q + c_g
+    span = 4.0 * area.belief_spread * (stakes + c if area.fee_rule is FeeRule.ENGLISH else stakes)
+    u = 0.5 + c / span if span else math.inf
+    k0 = 2**53 - 1 if not u * 2**53 < 2**53 - 1 else max(int(u * 2**53), 0)
+    eps = (2.0 * math.ldexp(k0, -53) - 1.0) * area.belief_spread
+    return not 0.0 <= area.belief_center - eps <= 1.0 or not 0.0 <= area.belief_center + eps <= 1.0
+
+
 def trial_fractions_by_decide(area, cost_delta, n_samples, seed):
     """Reference: one decide() call per belief sample, on the estimator's draws."""
     u = substream(seed, _STREAM_RATES).random(n_samples).tolist()
@@ -421,14 +432,17 @@ class TestTrialThreshold:
                             belief_spread=1.0, fee_rule=FeeRule.ENGLISH), cut=1.0)
     def test_threshold_equals_a_hand_bisection(self, area, cut):
         # at both stakes levels, within 1 + 6 + 53 probes: the estimate, the gallop and
-        # a bisection of the rest of the range
+        # a bisection of the rest of the range; 1 + 53 where the beliefs clip at the
+        # estimate, which skips the gallop
         cost_delta = cut * min(area.cost_q, area.cost_g)
         c_q, c_g = area.cost_q - cost_delta, area.cost_g - cost_delta
-        levels = (area.stakes_j * area.stakes_multiplier, area.stakes_j)
-        searched = [counted_threshold(area, float(stakes), c_q, c_g) for stakes in levels]
+        levels = [float(stakes) for stakes in (area.stakes_j * area.stakes_multiplier,
+                                               area.stakes_j)]
+        searched = [counted_threshold(area, stakes, c_q, c_g) for stakes in levels]
         assert evolution._thresholds(area, cost_delta) == tuple(t for t, _ in searched) == \
-            tuple(threshold_by_hand(area, float(stakes), c_q, c_g) for stakes in levels)
-        assert max(probes for _, probes in searched) <= 60
+            tuple(threshold_by_hand(area, stakes, c_q, c_g) for stakes in levels)
+        for stakes, (_, probes) in zip(levels, searched):
+            assert probes <= (54 if clipped_at_start(area, stakes, c_q, c_g) else 60)
 
     @pytest.mark.parametrize("fee_rule", list(FeeRule))
     def test_the_search_ends(self, monkeypatch, fee_rule):
