@@ -436,13 +436,12 @@ class TestTrialThreshold:
         # estimate, which skips the gallop
         cost_delta = cut * min(area.cost_q, area.cost_g)
         c_q, c_g = area.cost_q - cost_delta, area.cost_g - cost_delta
-        levels = [float(stakes) for stakes in (area.stakes_j * area.stakes_multiplier,
-                                               area.stakes_j)]
-        searched = [counted_threshold(area, stakes, c_q, c_g) for stakes in levels]
+        levels = (area.stakes_j * area.stakes_multiplier, area.stakes_j)
+        searched = [counted_threshold(area, float(stakes), c_q, c_g) for stakes in levels]
         assert evolution._thresholds(area, cost_delta) == tuple(t for t, _ in searched) == \
-            tuple(threshold_by_hand(area, stakes, c_q, c_g) for stakes in levels)
+            tuple(threshold_by_hand(area, float(stakes), c_q, c_g) for stakes in levels)
         for stakes, (_, probes) in zip(levels, searched):
-            assert probes <= (54 if clipped_at_start(area, stakes, c_q, c_g) else 60)
+            assert probes <= (54 if clipped_at_start(area, float(stakes), c_q, c_g) else 60)
 
     @pytest.mark.parametrize("fee_rule", list(FeeRule))
     def test_the_search_ends(self, monkeypatch, fee_rule):
