@@ -7,7 +7,15 @@ marginal benefit of the next clause equals its marginal cost, then we
 perturb both sides of that trade-off and watch the optimum move.
 """
 
-from lexsim import AiShock, GapCurve, completeness_response, line_chart, solve_completeness
+from lexsim import (
+    AiShock,
+    GapCurve,
+    completeness_response,
+    line_chart,
+    marginal_benefit,
+    marginal_cost,
+    solve_completeness,
+)
 
 # a symmetric benchmark curve: benefit falls off linearly in the remaining
 # gaps, cost blows up as the contract approaches full completeness
@@ -36,13 +44,11 @@ print("cheaper drafting raises completeness, cheaper trials lower it, and")
 print("equal shocks cancel: the two AI effects pull in opposite directions.")
 
 # draw both marginal curves so the crossing is visible
-import numpy as np
-
-g = np.arange(0, 181) / 200.0
-mb = [curve.b_scale * (1.0 - x) ** curve.beta for x in g]
-mc = [curve.k_scale * x**curve.kappa / (1.0 - x) for x in g]
+g = [i / 200.0 for i in range(181)]
+mb = [marginal_benefit(x, curve) for x in g]
+mc = [marginal_cost(x, curve) for x in g]
 svg = line_chart(
-    [("marginal benefit", list(g), mb), ("marginal cost", list(g), mc)],
+    [("marginal benefit", g, mb), ("marginal cost", g, mc)],
     title="gap-filling trade-off",
     x_label="completeness g",
     y_label="marginal value",

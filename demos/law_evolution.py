@@ -43,7 +43,7 @@ print()
 population = RulePopulation(n_rules=2000, fraction_efficient=0.5)
 trace = simulate(area, population, periods=200, seed=7)
 path = expected_path(0.5, rates, 200)
-gaps = np.abs(trace.fraction_efficient - np.asarray(path))
+gaps = np.abs(trace.fraction_efficient - path)
 print(f"simulated final share: {trace.fraction_efficient[-1]:.4f}")
 print(f"largest gap to the expected path: {gaps.max():.4f}")
 print(f"total disputes {int(trace.disputes.sum())}, "
@@ -64,8 +64,8 @@ print("trials cheaper makes the law converge faster.")
 
 svg = line_chart(
     [
-        ("simulated", [float(t) for t in trace.t], [float(x) for x in trace.fraction_efficient]),
-        ("expected", [float(t) for t in trace.t], list(path)),
+        ("simulated", trace.t, trace.fraction_efficient),
+        ("expected", trace.t, path),
     ],
     title="efficient share of rules",
     x_label="period",

@@ -15,7 +15,7 @@ import sys
 
 from .config import MODELS, load_config
 from .errors import ConfigError, LexsimError
-from .runner import _target, run
+from .runner import run
 
 _HELP = {
     "equilibrium": "solve contract completeness where marginal benefit meets marginal cost",
@@ -67,13 +67,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, args.model)
         if args.seed is not None:
             cfg.seed = args.seed
-        cfg.output_path = args.out
-        if args.svg is not None:
-            cfg.svg_path = args.svg
-        paths = [p for p in (args.out, args.svg) if p is not None]
-        # where the `wrote` line goes; a path open refuses raises here, as in run
-        stream = sys.stderr if any(_target(p)[0] == 1 for p in paths) else sys.stdout
-        run(cfg)
+        cfg.output_path, cfg.svg_path = args.out, args.svg
+        result = run(cfg)
     except ConfigError as e:
         print(f"error: config: {_one_line(e)}", file=sys.stderr)
         return 1
@@ -89,6 +84,8 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
+    stream = sys.stderr if result.to_stdout else sys.stdout
+    paths = [p for p in (result.csv_path, result.svg_path) if p is not None]
     try:
         print("wrote " + " and ".join(paths), file=stream, flush=True)
     except OSError as e:  # a closed pipe, say; the outputs are already in place

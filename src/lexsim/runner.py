@@ -44,6 +44,7 @@ class RunResult:
     csv_path: str
     svg_path: str | None
     rows: int
+    to_stdout: bool = False  # an output went to fd 1, this process's standard output
 
 
 def _f(x: float) -> str:
@@ -353,7 +354,7 @@ def _set_path(raw: dict, path: str, value) -> None:
 
 
 def _axis_cell(value) -> str:
-    if type(value) in (int, float):  # a bool falls through to json.dumps: true, false
+    if type(value) is float:  # an int (and a bool: true, false) as json.dumps writes it
         return _f(value)
     if isinstance(value, str):
         return value
@@ -426,8 +427,7 @@ def run(cfg: RunConfig) -> RunResult:
     outputs = [(cfg.output_path, csv_text)]
     if cfg.svg_path is not None:
         outputs.append((cfg.svg_path, chart()))
-    _write_all(outputs)
-    return RunResult(csv_path=cfg.output_path, svg_path=cfg.svg_path, rows=n_rows)
+    return RunResult(cfg.output_path, cfg.svg_path, n_rows, _write_all(outputs))
 
 
 def _target(path: str) -> tuple[str | int, int | None]:
@@ -451,8 +451,8 @@ def _target(path: str) -> tuple[str | int, int | None]:
     return os.path.realpath(path), st.st_mode
 
 
-def _write_all(outputs: list[tuple[str, str]]) -> None:
-    """Write every (path, text) or, on failure, leave every existing file as it was.
+def _write_all(outputs: list[tuple[str, str]]) -> bool:
+    """Write every (path, text) or, failing, leave every file as it was; True if one went to fd 1.
 
     Each path is resolved by `_target`, so one that `open(path, "w")` refuses raises its
     OSError before anything is renamed. A new or regular file gets its text in a new
@@ -490,6 +490,7 @@ def _write_all(outputs: list[tuple[str, str]]) -> None:
         while staged:
             os.replace(*staged[0])
             staged.pop(0)
+        return any(path == 1 for path, _ in in_place)
     finally:
         for tmp, _ in staged:
             try:

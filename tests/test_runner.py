@@ -319,6 +319,23 @@ class TestSweepOutput:
             'null,"{""delta_d"":0.25,""delta_f"":0.5}",0,0,true,4,true,4\n'
             '0.25,"{""delta_d"":0.25,""delta_f"":0.5}",0,0,true,4,true,4\n')
 
+    def test_int_axis_cells_name_their_grid_points(self, tmp_path):
+        # each int as JSON writes it: through a float, 2^60 and 2^60 + 1 would share a cell
+        values = [2**60, 2**60 + 1, 2**53 + 1]
+        payload = shipped("evolve_tort")
+        payload["evolve"]["population"]["n_rules"] = 10
+        payload["evolve"]["periods"] = 2
+        game = shipped("frivolous_nuisance")["frivolous"]["game"]
+        payload["evolve"]["frivolous"] = {"game": game, "filers_per_period": 1}
+        payload["sweep"] = {"model": "evolve", "axes": [
+            {"path": "evolve.frivolous.filers_per_period", "values": values}]}
+        out = tmp_path / "sweep.csv"
+        run_model("sweep", write_config(tmp_path, payload), out)
+        header, rows = read_csv(out)
+        assert header[0] == "evolve.frivolous.filers_per_period"
+        assert [r[0] for r in rows] == ["1152921504606846976", "1152921504606846977",
+                                        "9007199254740993"]
+
     def test_model_failure_names_the_point_and_replicate(self, tmp_path, capsys):
         payload = shipped("equilibrium_golden")
         payload["equilibrium"]["tolerance"] = 1e-30
@@ -594,6 +611,24 @@ class TestCli:
                      "--out", str(out), "--svg", str(svg)])
         assert code == 0
         assert capsys.readouterr().out.strip() == f"wrote {out} and {svg}"
+
+    def test_each_output_path_is_walked_twice(self, tmp_path, monkeypatch, capsys):
+        # once by run before the model, once at write time: the CLI walks none itself
+        walks = []
+
+        def counted(path):
+            walks.append(path)
+            return target(path)
+
+        target = runner._target
+        for module in list(sys.modules.values()):
+            if getattr(module, "_target", None) is target:
+                monkeypatch.setattr(module, "_target", counted)
+        out, svg = str(tmp_path / "eq.csv"), str(tmp_path / "eq.svg")
+        assert main(["equilibrium", "--config", f"{CONFIG_DIR}/equilibrium_golden.json",
+                     "--out", out, "--svg", svg]) == 0
+        assert sorted(walks) == [out, out, svg, svg]
+        assert capsys.readouterr().out == f"wrote {out} and {svg}\n"
 
     def test_missing_config_is_exit_one(self, tmp_path, capsys):
         out = tmp_path / "eq.csv"
@@ -871,6 +906,18 @@ class TestOutToStdout:
         assert redirected.read_bytes() == expected
         assert svg.read_text().startswith("<svg ")
         assert sorted(os.listdir(tmp_path)) == ["evolve.svg", "expected.csv", "r.txt"]
+
+    @pytest.mark.parametrize("out, svg, to_stdout", [
+        ("/dev/stdout", None, True), ("eq.csv", "/dev/stdout", True), ("eq.csv", None, False),
+        ("eq.csv", "eq.svg", False), ("/dev/null", None, False)])
+    def test_run_reports_an_output_on_fd_1(self, tmp_path, monkeypatch, capfd, out, svg,
+                                           to_stdout):
+        cfg = os.path.abspath(f"{CONFIG_DIR}/equilibrium_golden.json")
+        monkeypatch.chdir(tmp_path)
+        result = run_model("equilibrium", cfg, out, svg)
+        capfd.readouterr()
+        assert (result.csv_path, result.svg_path, result.rows) == (out, svg, 1)
+        assert result.to_stdout is to_stdout
 
     def test_stdout_into_a_pipe(self, tmp_path, capsys):
         expected = self.expected(tmp_path)
