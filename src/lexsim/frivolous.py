@@ -130,22 +130,24 @@ def plaintiff_files(
     plaintiff_type: PlaintiffType, anticipated: DefendantAction, config: FrivolousConfig
 ) -> bool:
     """File when the anticipated response covers the filing cost (weakly)."""
-    return _filing_payoff(plaintiff_type, anticipated, config) >= 0.0
+    return _payoffs(plaintiff_type, anticipated, config)[1] >= 0.0
 
 
-def _filing_payoff(
+def _payoffs(
     plaintiff_type: PlaintiffType, response: DefendantAction, config: FrivolousConfig
-) -> float:
+) -> tuple[FollowUp, float, float]:
+    """The follow-up, plaintiff's payoff net of the fee and defendant's cost under response."""
     fee = config.f_o if plaintiff_type is PlaintiffType.FRIVOLOUS else config.f_q
     if response is DefendantAction.SETTLE:
-        return config.s - fee
+        return FollowUp.NONE, config.s - fee, config.s
     if response is DefendantAction.DEFAULT:
-        return config.j - fee
-    if response is DefendantAction.DEFEND:
-        if plaintiff_followup(plaintiff_type, config) is FollowUp.TRIAL:
-            return config.j - fee - config.c_p
-        return -fee
-    raise DomainError(f"anticipated response must be a real action: got {response!r}")
+        return FollowUp.NONE, config.j - fee, config.j
+    if response is not DefendantAction.DEFEND:
+        raise DomainError(f"anticipated response must be a real action: got {response!r}")
+    if plaintiff_followup(plaintiff_type, config) is FollowUp.DROP:
+        return FollowUp.DROP, -fee, config.d
+    trial_cost = config.d + config.j + config.defense_trial_cost
+    return FollowUp.TRIAL, config.j - fee - config.c_p, trial_cost
 
 
 def play(
@@ -160,16 +162,9 @@ def play(
     """
     belief = 0.0 if belief_merit is None else belief_merit
     response = defendant_best_response(belief, config)
-    payoff = _filing_payoff(plaintiff_type, response, config)
+    followup, payoff, cost = _payoffs(plaintiff_type, response, config)
     if payoff < 0.0:  # the plaintiff does not file
         return GameOutcome(plaintiff_type, False, DefendantAction.NONE, FollowUp.NONE, 0.0, 0.0)
-    if response is not DefendantAction.DEFEND:
-        cost = config.s if response is DefendantAction.SETTLE else config.j
-        return GameOutcome(plaintiff_type, True, response, FollowUp.NONE, payoff, -cost)
-    followup = plaintiff_followup(plaintiff_type, config)
-    cost = config.d
-    if followup is FollowUp.TRIAL:
-        cost = config.d + config.j + config.defense_trial_cost
     return GameOutcome(plaintiff_type, True, response, followup, payoff, -cost)
 
 

@@ -456,7 +456,8 @@ def _write_all(outputs: list[tuple[str, str]]) -> bool:
 
     Each path is resolved by `_target`, so one that `open(path, "w")` refuses raises its
     OSError before anything is renamed. A new or regular file gets its text in a new
-    temporary file beside its real path (so a symlinked output keeps its link), with the
+    temporary file beside its real path (so a symlinked output keeps its link), named by
+    a random token alone so that any name open accepts can be staged, with the
     mode of the file it replaces, or 0666 & ~umask for a new one as open gives; the
     targets are replaced only once all are written. Any other file (a device such as
     /dev/null, a FIFO) holds no earlier output to keep and is written in place, and
@@ -471,8 +472,7 @@ def _write_all(outputs: list[tuple[str, str]]) -> bool:
             if target == 1 or mode is not None and not stat.S_ISREG(mode):
                 in_place.append((1 if target == 1 else path, text))
                 continue
-            head, tail = os.path.split(target)
-            tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+            tmp = os.path.join(os.path.dirname(target), f".{os.urandom(8).hex()}.tmp")
             try:
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             except OSError as e:

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexsim import (
     DefendantAction,
@@ -17,6 +19,10 @@ from lexsim import (
     plaintiff_followup,
     play,
 )
+
+
+# small whole numbers make ties between the responses and break-even filings common
+COSTS = st.one_of(st.integers(0, 12).map(float), st.floats(0.0, 1e6))
 
 
 def game(**overrides) -> FrivolousConfig:
@@ -181,6 +187,15 @@ class TestFilingDecision:
     def test_meritorious_files_into_defense_when_trial_pays(self):
         assert plaintiff_files(PlaintiffType.MERITORIOUS, DefendantAction.DEFEND, game())
 
+    @settings(max_examples=300, deadline=None)
+    @given(ptype=st.sampled_from(PlaintiffType), belief=st.floats(0.0, 1.0),
+           costs=st.lists(COSTS, min_size=7, max_size=7))
+    def test_files_as_play_does_at_the_best_response(self, ptype, belief, costs):
+        f_o, f_q, d, s, j, c_p, trial = costs
+        cfg = FrivolousConfig(f_o=f_o, f_q=f_q, d=d, s=s, j=max(j, 1.0), c_p=c_p,
+                              defense_trial_cost=trial)
+        response = defendant_best_response(belief, cfg)
+        assert plaintiff_files(ptype, response, cfg) == play(ptype, cfg, belief).filed
 
     def test_no_response_is_not_an_action_to_anticipate(self):
         with pytest.raises(DomainError) as exc:

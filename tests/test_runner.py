@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -1263,6 +1264,36 @@ class TestAtomicOutputs:
         capsys.readouterr()
         assert out.read_text().startswith("b_scale,") and svg.read_text().startswith("<svg ")
         assert sorted(os.listdir(tmp_path)) == ["eq.csv", "eq.svg"]
+
+    def test_names_as_long_as_open_accepts_are_staged(self, tmp_path, capsys):
+        # 250 bytes: a temporary named after its target would pass the 255-byte limit
+        out, svg = tmp_path / ("o" * 246 + ".csv"), tmp_path / ("s" * 246 + ".svg")
+        assert main(["equilibrium", "--config", self.CFG, "--out", str(out),
+                     "--svg", str(svg)]) == 0
+        capsys.readouterr()
+        assert (sha256(out), sha256(svg)) == DIGESTS["equilibrium_golden"]
+        assert sorted(os.listdir(tmp_path)) == [out.name, svg.name]
+
+    def test_a_temporary_open_refuses_is_io_and_keeps_an_existing_csv(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        cfg = os.path.abspath(self.CFG)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "charts").mkdir()
+        (tmp_path / "eq.csv").write_bytes(b"old\n")
+        real_open = os.open
+
+        def refuse_svg_temporary(path, *args, **kwargs):
+            if os.path.dirname(path) == str(tmp_path / "charts") and path.endswith(".tmp"):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refuse_svg_temporary)
+        assert main(["equilibrium", "--config", cfg, "--out", "eq.csv",
+                     "--svg", "charts/eq.svg"]) == 2
+        assert capsys.readouterr().err == \
+            "error: io: [Errno 13] Permission denied: 'charts/eq.svg'\n"
+        assert (tmp_path / "eq.csv").read_bytes() == b"old\n"
+        assert [files for _, _, files in os.walk(tmp_path)] == [["eq.csv"], []]
 
     def test_symlinked_output_stays_a_link(self, tmp_path, capsys):
         target = tmp_path / "real" / "eq.csv"

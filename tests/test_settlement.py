@@ -18,6 +18,10 @@ from lexsim import (
 )
 
 FIXTURE = Dispute(p_q=0.6, p_g=0.5, j=100.0, c_q=10.0, c_g=10.0)
+# each settles at 1.7e308, where the two ends of its range sum past float range
+PAST_FLOAT_RANGE = [Dispute(p_q=1.0, p_g=1.0, j=1.7e308, c_q=0.0, c_g=0.0),
+                    Dispute(p_q=1.0, p_g=1.0, j=17 * 10**307, c_q=0.0, c_g=0.0),
+                    Dispute(p_q=1, p_g=1, j=17 * 10**307, c_q=0, c_g=0)]
 
 
 def random_dispute(rng: random.Random) -> Dispute:
@@ -150,11 +154,12 @@ class TestDecide:
 
     @pytest.mark.parametrize("rule", list(FeeRule))
     def test_finite_ends_summing_past_float_range_settle_finite(self, rule):
-        # lower = upper = 1.7e308, whose sum overflows
-        for j in (1.7e308, 17 * 10**307):
-            out = decide(Dispute(p_q=1.0, p_g=1.0, j=j, c_q=0.0, c_g=0.0), rule)
+        # lower = upper = 1.7e308, whose sum overflows; with every input an int, the
+        # American rule's ends are ints whose sum is too large to convert to a float
+        for d in PAST_FLOAT_RANGE:
+            out = decide(d, rule)
             assert out.kind is OutcomeKind.SETTLE
-            assert out.amount == float(j)
+            assert out.amount == 1.7e308
 
     @pytest.mark.parametrize("rule", list(FeeRule))
     def test_subnormal_midpoints_keep_their_bits(self, rule):
@@ -167,9 +172,10 @@ class TestDecide:
         from lexsim.settlement import settle_columns
 
         disputes = [Dispute(p_q=1.0, p_g=1.0, j=j, c_q=0.0, c_g=0.0)
-                    for j in (1.7e308, 5e-324, 100.0)]
+                    for j in (1.7e308, 5e-324, 100.0)] + PAST_FLOAT_RANGE[1:]
         amounts = settle_columns(disputes, rule, 0.0)["amount"].tolist()
-        assert amounts == [decide(d, rule).amount for d in disputes] == [1.7e308, 5e-324, 100.0]
+        assert amounts == [decide(d, rule).amount for d in disputes] == \
+            [1.7e308, 5e-324, 100.0, 1.7e308, 1.7e308]
 
     def test_rule_must_be_a_fee_rule(self):
         for fn in (decide, settlement_range, plaintiff_trial_value):
