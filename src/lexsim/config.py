@@ -9,11 +9,11 @@ reported in one ConfigError rather than failing on the first.
 A model block's schema is its parameter dataclass, a `_Bounded` in its model's
 module, imported only when `_PARAMS` needs it, that checks every field when built,
 in code or here: `_obj` reads each field by its declared type, its bounds metadata
-and its default, so a key, a default or a bound is written once, on the dataclass. A
-model may add one `_check_<model>` for rules across its fields, worded and placed as
-a config reports them; the dataclass's own rules (composition's docket, the sweep's
-run limit) are reported at the block. A block is built unless a field or a check is
-faulty: an unknown key stops nothing.
+and its default, so a key, a default or a bound is written once, on the dataclass. Its
+module may add one `_check_<model>(vals, errs, raw)` for rules across its fields, worded
+and placed as a config reports them; the dataclass's own rules (composition's docket,
+the sweep's run limit) are reported at the block. A block is built unless a field or a
+check is faulty: an unknown key stops nothing.
 A settle block's disputes, by far the longest list, are read into float64 columns.
 """
 
@@ -211,48 +211,6 @@ def _obj(cls, value, path, errs, check=None, raw=None):
         return None
 
 
-def _check_settle(vals, errs, raw):
-    reduction, disputes = vals.get("cost_reduction"), vals.get("disputes")
-    if reduction is None or disputes is None:
-        return
-    import numpy as np
-
-    # NaN, the row of a faulty item, is never exceeded. Float64 orders the two as
-    # their JSON values do except where both round to one float: there the item's
-    # own numbers decide.
-    items = raw["settle"]["disputes"]
-    for i in np.flatnonzero(float(reduction) >= np.minimum(disputes.c_q, disputes.c_g)).tolist():
-        if reduction > min(items[i]["c_q"], items[i]["c_g"]):
-            errs.append((f"settle.disputes[{i}]",
-                         f"cost_reduction {reduction!r} exceeds a party cost"))
-
-
-def _check_frivolous(vals, errs, raw):
-    game, shift = vals.get("game"), vals.get("shift")
-    if game is None or shift is None:
-        return
-    if shift.delta_f > game.f_o:
-        errs.append(("frivolous.shift.delta_f",
-                     f"must be <= f_o ({game.f_o!r}), got {shift.delta_f!r}"))
-    if shift.delta_d > game.d:
-        errs.append(("frivolous.shift.delta_d",
-                     f"must be <= d ({game.d!r}), got {shift.delta_d!r}"))
-
-
-def _check_evolve(vals, errs, raw):
-    population, periods = vals.get("population"), vals.get("periods")
-    if population is not None and periods is not None:
-        from .evolution import _check_draw_size
-
-        try:
-            _check_draw_size(population.n_rules, periods)
-        except DomainError as e:
-            errs.append(("evolve", str(e)))
-    area, cost_delta = vals.get("area"), vals.get("cost_delta")
-    if area is not None and cost_delta is not None and cost_delta > min(area.cost_q, area.cost_g):
-        errs.append(("evolve.cost_delta", f"exceeds a party cost in area {area.name!r}"))
-
-
 def _check_sweep(vals, errs, raw):
     """A sweep's model and axis paths, read or built in code, against the config `raw`."""
     model = vals.get("model") and _str(vals["model"], "sweep.model", errs,
@@ -269,27 +227,29 @@ def _check_sweep(vals, errs, raw):
             errs.append((p, f"must start with the swept model {model!r}, got {axis.path!r}"))
 
 
-_PARAMS = {  # model: (the module and name of its parameter dataclass, its check across fields)
-    "equilibrium": ("contracts", "EquilibriumParams", None),
-    "settle": ("settlement", "SettleParams", _check_settle),
-    "frivolous": ("frivolous", "FrivolousParams", _check_frivolous),
-    "evolve": ("evolution", "EvolveParams", _check_evolve),
-    "composition": ("composition", "CompositionParams", None),
-    "sweep": ("config", "SweepSpec", _check_sweep),
+_PARAMS = {  # model: the module and name of its parameter dataclass
+    "equilibrium": ("contracts", "EquilibriumParams"),
+    "settle": ("settlement", "SettleParams"),
+    "frivolous": ("frivolous", "FrivolousParams"),
+    "evolve": ("evolution", "EvolveParams"),
+    "composition": ("composition", "CompositionParams"),
+    "sweep": ("config", "SweepSpec"),
 }
 MODELS = tuple(_PARAMS)
 
 
 def _params_class(model: str) -> type:
     """`model`'s parameter dataclass; its module is imported here, on a run's first need."""
-    module, name, _ = _PARAMS[model]
+    module, name = _PARAMS[model]
     return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 def build_model_params(raw: dict, model: str, errs: list[tuple[str, str]]):
     """`model`'s parameter block built from a parsed config dict; None if any fault."""
+    cls = _params_class(model)
+    check = getattr(importlib.import_module(cls.__module__), f"_check_{model}", None)
     n_errs = len(errs)
-    params = _obj(_params_class(model), raw.get(model), model, errs, _PARAMS[model][2], raw)
+    params = _obj(cls, raw.get(model), model, errs, check, raw)
     return params if len(errs) == n_errs else None
 
 

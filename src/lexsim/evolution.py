@@ -345,6 +345,18 @@ def _check_draw_size(n_rules: int, periods: int) -> None:
         )
 
 
+def _check_evolve(vals, errs, raw):  # an evolve block's rules across fields, for config
+    population, periods = vals.get("population"), vals.get("periods")
+    if population is not None and periods is not None:
+        try:
+            _check_draw_size(population.n_rules, periods)
+        except DomainError as e:
+            errs.append(("evolve", str(e)))
+    area, cost_delta = vals.get("area"), vals.get("cost_delta")
+    if area is not None and cost_delta is not None and cost_delta > min(area.cost_q, area.cost_g):
+        errs.append(("evolve.cost_delta", f"exceeds a party cost in area {area.name!r}"))
+
+
 def _frivolous_period_counts(stream: FrivolousStream | None) -> tuple[int, int, int]:
     """Per-period (filings, settlements, drops) of the nuisance stream.
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import DomainError, _Bounded, _check
+from .errors import DomainError, _Bounded, _check, _finite
 
 _BELIEF = {"ge": 0.0, "le": 1.0}  # the defendant's prior that a filing has merit
 _DELTA = {"ge": 0.0}  # a cut in the filing or the defense cost
@@ -72,6 +72,15 @@ class FrivolousConfig(_Bounded):
     j: float = field(metadata={"gt": 0.0})  # judgment if the plaintiff wins (or wins by default)
     c_p: float = field(metadata={"ge": 0.0})  # plaintiff's cost of actually going to trial
     defense_trial_cost: float = field(default=0.0, metadata={"ge": 0.0})
+
+    def __post_init__(self):
+        super().__post_init__()
+        try:  # summed as `_payoffs` sums a defended trial's cost
+            ok = _finite(self.d + self.j + self.defense_trial_cost)
+        except OverflowError:  # an int sum that converts to no float
+            ok = False
+        if not ok:
+            raise DomainError("d + j + defense_trial_cost must lie within float range")
 
 
 @dataclass(frozen=True)
@@ -188,3 +197,15 @@ def filing_region_shift(
     if change < 0.0:
         return RegionShift.FEWER_FILINGS
     return RegionShift.UNCHANGED
+
+
+def _check_frivolous(vals, errs, raw):  # a frivolous block's rules across fields, for config
+    game, shift = vals.get("game"), vals.get("shift")
+    if game is None or shift is None:
+        return
+    if shift.delta_f > game.f_o:
+        errs.append(("frivolous.shift.delta_f",
+                     f"must be <= f_o ({game.f_o!r}), got {shift.delta_f!r}"))
+    if shift.delta_d > game.d:
+        errs.append(("frivolous.shift.delta_d",
+                     f"must be <= d ({game.d!r}), got {shift.delta_d!r}"))

@@ -244,6 +244,22 @@ def settle_columns(disputes: Sequence[Dispute], rule: FeeRule,
                 width=width, settle=width >= 0.0, amount=amount, ratio=ratio)
 
 
+def _check_settle(vals, errs, raw):  # a settle block's rules across fields, for config
+    reduction, disputes = vals.get("cost_reduction"), vals.get("disputes")
+    if reduction is None or disputes is None:
+        return
+    import numpy as np
+
+    # NaN, the row of a faulty item, is never exceeded. Float64 orders the two as
+    # their JSON values do except where both round to one float: there the item's
+    # own numbers decide.
+    items = raw["settle"]["disputes"]
+    for i in np.flatnonzero(float(reduction) >= np.minimum(disputes.c_q, disputes.c_g)).tolist():
+        if reduction > min(items[i]["c_q"], items[i]["c_g"]):
+            errs.append((f"settle.disputes[{i}]",
+                         f"cost_reduction {reduction!r} exceeds a party cost"))
+
+
 def shrink_ratio(d: Dispute) -> float:
     """American-to-English ratio of range shrinkage per unit of cost reduction.
 

@@ -47,6 +47,23 @@ class TestValidation:
         with pytest.raises(DomainError):
             defendant_best_response(-0.1, game())
 
+    # j + defense_trial_cost overflows to inf, which a belief of 0 turned into nan; int d
+    # and j whose sum converts to no float
+    @pytest.mark.parametrize("costs", [dict(d=10.0, s=50.0, j=1.7e308, defense_trial_cost=1e308),
+                                       dict(d=9 * 10**307, s=17 * 10**307, j=10**308)],
+                             ids=["inf_trial_cost", "int_sum"])
+    def test_a_defended_trial_cost_past_float_range_is_refused(self, costs):
+        with pytest.raises(DomainError) as exc:
+            game(f_o=0.0, f_q=0.0, c_p=0.0, **costs)
+        assert str(exc.value) == "d + j + defense_trial_cost must lie within float range"
+
+    def test_a_defended_trial_cost_at_the_edge_of_float_range_is_kept(self):
+        for costs in (dict(d=0.0, j=1.7e308), dict(d=7 * 10**307, j=10**308),
+                      dict(d=5e307, j=10**308, defense_trial_cost=2 * 10**307)):
+            cfg = game(f_o=0.0, f_q=0.0, s=17 * 10**307, c_p=0.0, **costs)
+            for ptype in PlaintiffType:
+                assert play(ptype, cfg, 1.0).filed
+
 
 class TestFollowup:
     def test_frivolous_always_drops(self):

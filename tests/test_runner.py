@@ -276,6 +276,35 @@ class TestSweepOutput:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, path, values, error", [
+        ("settle_fixture", "settle.cost_reduction", [0.0, 15.0],
+         ("settle.disputes[0]", "cost_reduction 15.0 exceeds a party cost")),
+        ("frivolous_nuisance", "frivolous.shift.delta_f", [0.5, 2.0],
+         ("frivolous.shift.delta_f", "must be <= f_o (1.0), got 2.0")),
+        ("evolve_tort", "evolve.cost_delta", [0.0, 20.0],
+         ("evolve.cost_delta", "exceeds a party cost in area 'negligence'")),
+        ("evolve_tort", "evolve.periods", [200, 89479],
+         ("evolve", "a block of 2000 rules x 89479 periods needs 4294992000 bytes of draws "
+                    "(24 per rule-period), above the limit of 2^32 = 4294967296")),
+    ])
+    def test_a_point_breaking_a_rule_across_fields_stops_every_point(self, tmp_path,
+                                                                    monkeypatch, name, path,
+                                                                    values, error):
+        model = name.split("_")[0]
+        calls = []
+        header, solve = runner._MODELS[model]
+        monkeypatch.setitem(runner._MODELS, model,
+                            (header, lambda p, seed: calls.append(p) or solve(p, seed)))
+        payload = shipped(name)
+        payload["sweep"] = {"model": model, "axes": [{"path": path, "values": values}]}
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ConfigError) as exc:
+            run_model("sweep", write_config(tmp_path, payload), out)
+        where, message = error
+        assert exc.value.errors == [(f"sweep point ({path}={values[1]}) -> {where}", message)]
+        assert calls == []
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_path_through_a_list_names_the_segment_not_its_value(self, tmp_path):
         payload = shipped("settle_fixture")
         payload["settle"]["disputes"] *= 500
@@ -798,6 +827,23 @@ class TestOverflowingInputs:
                        "cost_g must lie within float range\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["frivolous", "evolve"])
+    @pytest.mark.parametrize("costs", [dict(d=10.0, s=50.0, j=1.7e308, defense_trial_cost=1e308),
+                                       dict(d=9 * 10**307, s=17 * 10**307, j=10**308)],
+                             ids=["inf_trial_cost", "int_sum"])
+    def test_a_filing_game_past_float_range_is_a_config_error(self, tmp_path, model, costs):
+        game = dict(f_o=0.0, f_q=0.0, c_p=0.0, **costs)
+        if model == "frivolous":
+            payload, where = {"frivolous": {"game": game}}, "frivolous.game"
+        else:
+            payload, where = shipped("evolve_tort"), "evolve.frivolous.game"
+            payload["evolve"]["frivolous"] = {"game": game, "filers_per_period": 3}
+        code, err, out = run_cli_process(tmp_path, model, payload)
+        assert code == 1
+        assert err == (f"error: config: {where}: d + j + defense_trial_cost must lie "
+                       "within float range\n")
+        assert not out.exists()
+
     def test_composition_volume_past_float_range_is_a_model_error(self, tmp_path):
         payload = {"composition": {"flat_reduction": 5, "areas": [
             {"name": "tort", "share": 0.5, "unit_cost": 10, "demand_elasticity": 2000},
@@ -1274,26 +1320,48 @@ class TestAtomicOutputs:
         assert (sha256(out), sha256(svg)) == DIGESTS["equilibrium_golden"]
         assert sorted(os.listdir(tmp_path)) == [out.name, svg.name]
 
-    def test_a_temporary_open_refuses_is_io_and_keeps_an_existing_csv(self, tmp_path, capsys,
-                                                                      monkeypatch):
-        cfg = os.path.abspath(self.CFG)
+    def refuse_svg_temporary(self, tmp_path, monkeypatch):
+        """Work in `tmp_path`, which holds eq.csv, with os.open refusing temporaries in charts/."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "charts").mkdir()
         (tmp_path / "eq.csv").write_bytes(b"old\n")
         real_open = os.open
 
-        def refuse_svg_temporary(path, *args, **kwargs):
+        def refuse(path, *args, **kwargs):
             if os.path.dirname(path) == str(tmp_path / "charts") and path.endswith(".tmp"):
                 raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
             return real_open(path, *args, **kwargs)
 
-        monkeypatch.setattr(os, "open", refuse_svg_temporary)
+        monkeypatch.setattr(os, "open", refuse)
+
+    def test_a_temporary_open_refuses_is_io_and_keeps_an_existing_csv(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        cfg = os.path.abspath(self.CFG)
+        self.refuse_svg_temporary(tmp_path, monkeypatch)
         assert main(["equilibrium", "--config", cfg, "--out", "eq.csv",
                      "--svg", "charts/eq.svg"]) == 2
         assert capsys.readouterr().err == \
             "error: io: [Errno 13] Permission denied: 'charts/eq.svg'\n"
         assert (tmp_path / "eq.csv").read_bytes() == b"old\n"
         assert [files for _, _, files in os.walk(tmp_path)] == [["eq.csv"], []]
+
+    def test_a_temporary_left_unremoved_keeps_the_first_error(self, tmp_path, capsys,
+                                                              monkeypatch):
+        cfg = os.path.abspath(self.CFG)
+        self.refuse_svg_temporary(tmp_path, monkeypatch)
+
+        def refuse_unlink(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(os, "unlink", refuse_unlink)
+        assert main(["equilibrium", "--config", cfg, "--out", "eq.csv",
+                     "--svg", "charts/eq.svg"]) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr().err == \
+            "error: io: [Errno 13] Permission denied: 'charts/eq.svg'\n"
+        assert (tmp_path / "eq.csv").read_bytes() == b"old\n"
+        left = sorted(os.listdir(tmp_path))  # the CSV's staged temporary stays
+        assert len(left) == 3 and left[0].endswith(".tmp") and left[1:] == ["charts", "eq.csv"]
 
     def test_symlinked_output_stays_a_link(self, tmp_path, capsys):
         target = tmp_path / "real" / "eq.csv"

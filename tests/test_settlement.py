@@ -253,6 +253,15 @@ class TestDisputeBatch:
         assert loaded == [FIXTURE] * 20_000
         assert loaded != [FIXTURE] * 19_999 + [Dispute(0.6, 0.5, 101.0, 10.0, 10.0)]
 
+    def test_a_non_sequence_is_unequal_and_one_row_reprs_as_its_list(self):
+        from lexsim.settlement import DisputeBatch
+
+        batch = DisputeBatch.of([FIXTURE])
+        assert (batch == 5) is False
+        assert (batch != None) is True  # noqa: E711
+        assert repr(batch) == \
+            "DisputeBatch([Dispute(p_q=0.6, p_g=0.5, j=100.0, c_q=10.0, c_g=10.0)])"
+
     def test_a_slice_is_a_batch_of_the_sliced_items(self):
         from pathlib import Path
 
