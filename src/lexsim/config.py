@@ -14,12 +14,10 @@ module may add one `_check_<model>(vals, errs, raw)` for rules across its fields
 and placed as a config reports them; the dataclass's own rules (composition's docket,
 the sweep's run limit) are reported at the block. A block is built unless a field or a
 check is faulty: an unknown key stops nothing.
-A settle block's disputes, by far the longest list, are read into float64 columns.
 """
 
 from __future__ import annotations
 
-import contextlib
 import importlib
 import json
 import math
@@ -30,15 +28,13 @@ from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, is_dataclass
 from enum import Enum
 from functools import cache
-from itertools import chain
 from typing import get_args, get_origin
 
-from .errors import ConfigError, DomainError, _Bounded, _admitted, _finite, _schema
+from .errors import ConfigError, DomainError, _Bounded, _finite, _schema
 from .rng import _U64_MAX
 
 _MAX_RUNS = 10**6  # per sweep, grid points x replicates; a sweep keeps every summary row
 _COMPARISONS = ((">=", operator.ge), (">", operator.gt), ("<=", operator.le), ("<", operator.lt))
-_NUMBER_TYPES = frozenset((int, float))
 _UNKNOWN = "unknown key"  # the one fault that stops no block from being built
 _MAX_CONFIG_BYTES = 2**28  # 256 MiB; one byte more is read, to see a config past it
 
@@ -123,34 +119,11 @@ def _check_keys(block, allowed, path, errs):
 
 
 def _batch(item_cls, items, path, errs):
-    """The list `items` of `item_cls` read into the float64 columns of `item_cls._batch`.
-
-    If every item is a dict of exactly the item's field names, each an int or a float,
-    the list is read at once as one table, kept if each column passes its bounds by
-    `_admitted` and each row `item_cls._across`. No int but 0 and 1 themselves rounds to
-    0 or 1, a Dispute's bounds, so the table passes exactly when `_obj` accepts every
-    item. Otherwise every item is read by `_obj`, which reports its faults in item
-    order, and `item_cls._batch.of` builds the columns, a faulty item's row NaN. An int
-    beyond 2^53 is rounded.
-    """
-    import numpy as np
-
-    schema = _schema(item_cls)
-    width = len(schema)
-    with contextlib.suppress(KeyError, OverflowError):  # a field missing; an int past float range
-        if (set(map(type, items)) == {dict} and sum(map(len, items)) == width * len(items)
-                and {type(v) for item in items for v in item.values()} <= _NUMBER_TYPES):
-            get = operator.itemgetter(*(name for name, *_ in schema))
-            table = np.fromiter(chain.from_iterable(map(get, items)), np.float64, width * len(items))
-            cols = tuple(table.reshape(-1, width).T)
-            with np.errstate(over="ignore", invalid="ignore"):
-                ok = item_cls._across(*cols)
-            for col, (_, _, _, bounds, _) in zip(cols, schema):
-                ok &= _admitted(col, **bounds)
-            if ok.all():
-                return item_cls._batch(*cols)
-    return item_cls._batch.of([_obj(item_cls, item, f"{path}[{i}]", errs)
-                               for i, item in enumerate(items)])
+    """The list `items` of `item_cls` as an `item_cls._batch`: read at once by `_read`
+    if every item is clean, else by `_obj`, item by item, its faults in item order, into
+    `_batch.of`, a faulty item's row NaN."""
+    return item_cls._batch._read(items) or item_cls._batch.of(
+        [_obj(item_cls, item, f"{path}[{i}]", errs) for i, item in enumerate(items)])
 
 
 def _obj(cls, value, path, errs, check=None, raw=None):
@@ -161,7 +134,7 @@ def _obj(cls, value, path, errs, check=None, raw=None):
     A field with bounds metadata is a number; a str field is a nonempty string, an
     Enum field one of its values; a dataclass field is an object read the same way;
     a list[X] or Sequence[X] field is a nonempty list of X (into X's `_batch` if it has
-    one, as Dispute), and a bare list field a nonempty list of any JSON values. A field
+    one, by `_batch`), and a bare list field a nonempty list of any JSON values. A field
     with a default may be missing, and JSON null counts as missing where that default is
     None. Then `check(vals, errs, raw)` reports the faults across fields: `vals` maps
     each field read without fault to its value, and a list of X to its items, with None

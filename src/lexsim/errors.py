@@ -8,9 +8,10 @@ A bounded number declares its bounds once, as a dict of `ge` or `gt`, optional
 `le` or `lt`, and `integer`, in its dataclass field's metadata or beside the
 function taking it. `_schema` reads each dataclass's fields once, by declared
 type and bounds: `_Bounded` checks every field against it, `_check` a number
-against its bounds, `_admitted` a float64 column against them, and the config
-loader reads its blocks by the same schema. Every parameter dataclass derives
-from `_Bounded`, so it checks itself whether code or a config built it.
+against its bounds, `_admitted` a float64 column against them (for
+`DisputeBatch._read`), and the config loader reads its blocks by the same
+schema. Every parameter dataclass derives from `_Bounded`, so it checks itself
+whether code or a config built it.
 """
 
 from __future__ import annotations

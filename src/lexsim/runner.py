@@ -370,16 +370,23 @@ def _sweep(spec: SweepSpec, cfg: RunConfig):
     grid = list(itertools.product(*(axis.values for axis in spec.axes)))
     print(f"sweep: {len(grid)} grid point(s) x {spec.replicates} replicate(s) = "
           f"{len(grid) * spec.replicates} run(s)", file=sys.stderr)
+    # a fault of the config itself; a path under an earlier axis's runs through its values
+    for i, path in enumerate(paths):
+        if not any(path.startswith(f"{p}.") for p in paths[:i]):
+            _set_path(dict(cfg.raw), path, None)
     summary_header, model = _MODELS[spec.model]
     points = []  # (point, coords, params): every point is validated before any runs
     point_errs: list[tuple[str, str]] = []
     for point in grid:
         coords = ", ".join(f"{p}={v}" for p, v in zip(paths, point))
-        raw_point = dict(cfg.raw)
-        for path, value in zip(paths, point):
-            _set_path(raw_point, path, value)
-        errs = []
-        params = build_model_params(raw_point, spec.model, errs)
+        raw_point, errs = dict(cfg.raw), []
+        try:
+            for path, value in zip(paths, point):
+                _set_path(raw_point, path, value)
+        except ConfigError as e:  # one axis's value blocks another axis's path
+            errs, params = e.errors, None
+        else:
+            params = build_model_params(raw_point, spec.model, errs)
         point_errs.extend((f"sweep point ({coords}) -> {p}", m) for p, m in errs)
         points.append((point, coords, params))
     if point_errs:

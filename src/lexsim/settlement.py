@@ -25,14 +25,16 @@ amplifies a cost change whenever the parties are mutually optimistic.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, _Bounded, _check
+from .errors import DomainError, _Bounded, _admitted, _check, _schema
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,10 +54,10 @@ class OutcomeKind(Enum):
 
 class DisputeBatch(Sequence):
     """A read-only sequence of disputes held as five float64 columns, one per Dispute
-    field, in field order; an item is a Dispute of floats. Only `DisputeBatch.of` makes
-    one from items; the constructor takes columns whose rows are already valid
-    disputes, as the config loader's column read checks them, and makes them read-only.
-    `settle_columns` reads the columns as they are."""
+    field, in field order; an item is a Dispute of floats. `DisputeBatch.of` makes one
+    from Disputes and `_read` from a config's JSON list; the constructor takes columns
+    whose rows are already valid disputes, as `_read` checks them, and makes them
+    read-only. `settle_columns` reads the columns as they are."""
 
     __slots__ = ("p_q", "p_g", "j", "c_q", "c_g")
 
@@ -74,6 +76,31 @@ class DisputeBatch(Sequence):
 
         return cls(*(np.array([getattr(d, name, math.nan) for d in disputes], dtype=np.float64)
                      for name in cls.__slots__))
+
+    @classmethod
+    def _read(cls, items) -> DisputeBatch | None:
+        """A config's JSON list `items` read at once as one table, if every item is a dict of
+        exactly Dispute's field names, each an int or a float, and each column passes its
+        bounds by `_admitted` and each row `Dispute._across`; else None. No int but 0 and 1
+        themselves rounds to 0 or 1, a Dispute's bounds, so the table passes exactly when the
+        loader's item-by-item read accepts every item. An int beyond 2^53 is rounded."""
+        import numpy as np
+
+        schema = _schema(Dispute)
+        width = len(schema)
+        with contextlib.suppress(KeyError, OverflowError):  # a field missing; an int past float range
+            if (set(map(type, items)) == {dict} and sum(map(len, items)) == width * len(items)
+                    and {type(v) for item in items for v in item.values()} <= {int, float}):
+                get = operator.itemgetter(*(name for name, *_ in schema))
+                table = np.fromiter(chain.from_iterable(map(get, items)), np.float64, width * len(items))
+                cols = tuple(table.reshape(-1, width).T)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ok = Dispute._across(*cols)
+                for col, (_, _, _, bounds, _) in zip(cols, schema):
+                    ok &= _admitted(col, **bounds)
+                if ok.all():
+                    return cls(*cols)
+        return None
 
     def columns(self) -> tuple:
         return self.p_q, self.p_g, self.j, self.c_q, self.c_g

@@ -142,6 +142,15 @@ class TestNumpyOnFirstArrayUse:
         assert (done.returncode, done.stdout, done.stderr) == \
             (0, "[True, True, True, True] False\n", "")
 
+    def test_config_imports_no_numpy_even_lazily(self):
+        """The loader reads every block with no array code; a dispute list's column
+        read is `DisputeBatch`'s own."""
+        tree = ast.parse(Path(lexsim.config.__file__).read_text())
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert "json" in modules and not [m for m in modules if m and m.split(".")[0] == "numpy"]
+
     @pytest.mark.parametrize("model, name", [("evolve", "evolve_tort"),
                                              ("settle", "settle_fixture")])
     def test_array_runs_load_numpy(self, model, name, tmp_path):

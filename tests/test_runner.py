@@ -315,6 +315,31 @@ class TestSweepOutput:
         assert exc.value.errors == [
             ("settle.disputes.j", "path runs through settle.disputes, a list, not an object")]
 
+    def test_a_path_one_axis_blocks_is_that_points_fault(self, tmp_path):
+        path = "equilibrium.shock.delta_contracting"
+        payload = shipped("equilibrium_golden")
+        payload["sweep"] = {"model": "equilibrium", "axes": [
+            {"path": "equilibrium.shock", "values": [{}, 5]},
+            {"path": path, "values": [0.5, 1.5]}]}
+        with pytest.raises(ConfigError) as exc:
+            run_model("sweep", write_config(tmp_path, payload), tmp_path / "sweep.csv")
+        through = "path runs through equilibrium.shock, a number, not an object"
+        assert exc.value.errors == [
+            (f"sweep point (equilibrium.shock={{}}, {path}=1.5) -> {path}",
+             "must be < 1.0, got 1.5"),
+            (f"sweep point (equilibrium.shock=5, {path}=0.5) -> {path}", through),
+            (f"sweep point (equilibrium.shock=5, {path}=1.5) -> {path}", through)]
+
+    def test_an_earlier_axis_may_replace_a_value_its_path_runs_through(self, tmp_path):
+        payload = shipped("equilibrium_golden")
+        payload["equilibrium"]["shock"] = 5
+        payload["sweep"] = {"model": "equilibrium", "axes": [
+            {"path": "equilibrium.shock", "values": [{}]},
+            {"path": "equilibrium.shock.delta_contracting", "values": [0.5]}]}
+        out = tmp_path / "sweep.csv"
+        run_model("sweep", write_config(tmp_path, payload), out)
+        assert [row[:2] for row in read_csv(out)[1]] == [["{}", "0.5"]]
+
     def test_points_leave_the_loaded_config_as_it_was(self, tmp_path):
         payload = shipped("evolve_tort")
         payload["sweep"] = {"model": "evolve", "axes": [

@@ -299,3 +299,35 @@ class TestDisputeBatch:
                 items[key]
             with pytest.raises(error):
                 batch[key]
+
+    CLEAN = {"p_q": 0.6, "p_g": 0.5, "j": 100, "c_q": 10.0, "c_g": 10}
+
+    @pytest.mark.parametrize("item", [
+        [0.6, 0.5, 100, 10.0, 10],
+        {k: v for k, v in CLEAN.items() if k != "c_g"},
+        {**{k: v for k, v in CLEAN.items() if k != "c_g"}, "c_h": 10},
+        {**CLEAN, "note": 1},
+        {**CLEAN, "p_q": True},
+        {**CLEAN, "j": "100"},
+        {**CLEAN, "j": 10**400},
+        {**CLEAN, "p_g": 1.5},
+        {**CLEAN, "c_q": -1},
+        {**CLEAN, "j": 1e308, "c_q": 1e308},
+    ], ids=["not a dict", "missing key", "renamed key", "extra key", "bool", "str",
+            "int past float range", "above a bound", "below a bound", "sum past float range"])
+    def test_a_list_with_an_unclean_item_is_not_read(self, item):
+        from lexsim.settlement import DisputeBatch
+
+        assert DisputeBatch._read([self.CLEAN, item]) is None
+        assert DisputeBatch._read([item]) is None
+
+    def test_a_clean_list_reads_as_its_float_disputes(self):
+        from lexsim.settlement import DisputeBatch
+
+        items = [self.CLEAN, {**self.CLEAN, "p_q": 1, "p_g": 0, "j": 2**53 + 1, "c_g": 0.0}]
+        batch = DisputeBatch._read(items)
+        floats = [Dispute(**{k: float(v) for k, v in item.items()}) for item in items]
+        assert type(batch) is DisputeBatch and batch == DisputeBatch.of(floats)
+        assert [str(column.dtype) for column in batch.columns()] == ["float64"] * 5
+        assert not any(column.flags.writeable for column in batch.columns())
+        assert DisputeBatch._read([]) is None
