@@ -184,20 +184,54 @@ def _obj(cls, value, path, errs, check=None, raw=None):
         return None
 
 
+def _set_path(raw: dict, path: str, value) -> None:
+    """Put `value` at the dotted `path` in `raw`, copying each object along the path
+    first, so what `raw` shares with another config stays as it was. A path that runs
+    through a value other than an object raises a ConfigError at `path`."""
+    *parents, last = path.split(".")
+    cursor = raw
+    for i, seg in enumerate(parents):
+        nxt = cursor.get(seg, {})
+        if not isinstance(nxt, dict):
+            kind = {list: "a list", str: "a string", bool: "a boolean", type(None): "null"}
+            raise ConfigError([(path, f"path runs through {'.'.join(parents[:i + 1])}, "
+                                      f"{kind.get(type(nxt), 'a number')}, not an object")])
+        cursor[seg] = cursor = dict(nxt)
+    cursor[last] = value
+
+
 def _check_sweep(vals, errs, raw):
-    """A sweep's model and axis paths, read or built in code, against the config `raw`."""
+    """A sweep's model and axis paths, read or built in code, against the config `raw`.
+
+    The model is one of the others, and `raw` holds its block. Each axis path is dotted
+    and starts with that model; it neither equals nor lies above an earlier axis's path,
+    whose values it would replace at every point; and unless it lies below one, whose
+    values then decide it point by point, it runs through objects of `raw` alone, as
+    `_set_path` walks it.
+    """
     model = vals.get("model") and _str(vals["model"], "sweep.model", errs,
                                        choices=set(MODELS) - {"sweep"})
     if model and model not in raw:
         errs.append((model, f"missing block for swept model {model!r}"))
+    earlier: list[str] = []
     for i, axis in enumerate(vals.get("axes", ())):
         if axis is None:
             continue
-        segments, p = axis.path.split("."), f"sweep.axes[{i}].path"
+        path, p = axis.path, f"sweep.axes[{i}].path"
+        segments = path.split(".")
+        replaced = [q for q in earlier if q == path or q.startswith(f"{path}.")]
         if any(not s for s in segments) or len(segments) < 2:
-            errs.append((p, f"must be a dotted path into a model block, got {axis.path!r}"))
+            errs.append((p, f"must be a dotted path into a model block, got {path!r}"))
         elif model and segments[0] != model:
-            errs.append((p, f"must start with the swept model {model!r}, got {axis.path!r}"))
+            errs.append((p, f"must start with the swept model {model!r}, got {path!r}"))
+        elif replaced:
+            errs.append((p, f"would replace the earlier axis path {replaced[0]!r} at every point"))
+        elif not any(path.startswith(f"{q}.") for q in earlier):
+            try:
+                _set_path(dict(raw), path, None)
+            except ConfigError as e:
+                errs.extend(e.errors)
+        earlier.append(path)
 
 
 _PARAMS = {  # model: the module and name of its parameter dataclass

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import charts
-from .config import MODELS, RunConfig, SweepSpec, _check_sweep, _params_class, build_model_params
+from .config import (MODELS, RunConfig, SweepSpec, _check_sweep, _params_class, _set_path,
+                     build_model_params)
 from .errors import ConfigError, DomainError, LexsimError
 from .rng import _check_ids
 
@@ -338,27 +339,18 @@ _MODELS = {
 }
 
 
-def _set_path(raw: dict, path: str, value) -> None:
-    """Put `value` at the dotted `path` in `raw`, copying each object along the path
-    first, so what `raw` shares with another config stays as it was."""
-    *parents, last = path.split(".")
-    cursor = raw
-    for i, seg in enumerate(parents):
-        nxt = cursor.get(seg, {})
-        if not isinstance(nxt, dict):
-            kind = {list: "a list", str: "a string", bool: "a boolean", type(None): "null"}
-            raise ConfigError([(path, f"path runs through {'.'.join(parents[:i + 1])}, "
-                                      f"{kind.get(type(nxt), 'a number')}, not an object")])
-        cursor[seg] = cursor = dict(nxt)
-    cursor[last] = value
+def _axis_text(value) -> str:
+    """An axis value as a config writes it: a str as it is, any other value as JSON
+    (an int or a finite float as repr writes it). A value JSON cannot hold, which only
+    a SweepSpec built in code can carry, is written as the JSON string of its repr."""
+    if isinstance(value, str):
+        return value
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=repr)
 
 
 def _axis_cell(value) -> str:
-    if type(value) is float:  # an int (and a bool: true, false) as json.dumps writes it
-        return _f(value)
-    if isinstance(value, str):
-        return value
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    # a float as %.17g, an int (and a bool: true, false) as json.dumps writes it
+    return _f(value) if type(value) is float else _axis_text(value)
 
 
 def _sweep(spec: SweepSpec, cfg: RunConfig):
@@ -370,20 +362,16 @@ def _sweep(spec: SweepSpec, cfg: RunConfig):
     grid = list(itertools.product(*(axis.values for axis in spec.axes)))
     print(f"sweep: {len(grid)} grid point(s) x {spec.replicates} replicate(s) = "
           f"{len(grid) * spec.replicates} run(s)", file=sys.stderr)
-    # a fault of the config itself; a path under an earlier axis's runs through its values
-    for i, path in enumerate(paths):
-        if not any(path.startswith(f"{p}.") for p in paths[:i]):
-            _set_path(dict(cfg.raw), path, None)
     summary_header, model = _MODELS[spec.model]
     points = []  # (point, coords, params): every point is validated before any runs
     point_errs: list[tuple[str, str]] = []
     for point in grid:
-        coords = ", ".join(f"{p}={v}" for p, v in zip(paths, point))
+        coords = ", ".join(f"{p}={_axis_text(v)}" for p, v in zip(paths, point))
         raw_point, errs = dict(cfg.raw), []
         try:
             for path, value in zip(paths, point):
                 _set_path(raw_point, path, value)
-        except ConfigError as e:  # one axis's value blocks another axis's path
+        except ConfigError as e:  # an earlier axis's value blocks a path below it
             errs, params = e.errors, None
         else:
             params = build_model_params(raw_point, spec.model, errs)

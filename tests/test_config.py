@@ -387,6 +387,16 @@ class TestSweep:
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, payload), "sweep")
 
+    def test_a_blocked_axis_path_is_reported_with_the_blocks_other_faults(self, tmp_path):
+        payload = settle_block()
+        payload["sweep"] = {"model": "settle", "replicates": 0,
+                            "axes": [{"path": "settle.disputes.j", "values": [1.0]}]}
+        with pytest.raises(ConfigError) as exc:
+            load_config(write(tmp_path, payload), "sweep")
+        assert exc.value.errors == [
+            ("sweep.replicates", "must be >= 1, got 0"),
+            ("settle.disputes.j", "path runs through settle.disputes, a list, not an object")]
+
     @pytest.mark.parametrize("values, replicates", [
         ([1.0], 10**6),
         ([0.5, 1.0, 2.0, 4.0], 250_000),

@@ -340,6 +340,37 @@ class TestSweepOutput:
         run_model("sweep", write_config(tmp_path, payload), out)
         assert [row[:2] for row in read_csv(out)[1]] == [["{}", "0.5"]]
 
+    @pytest.mark.parametrize("axes", [
+        [("equilibrium.shock.delta_contracting", [0.1, 0.9]), ("equilibrium.shock", [{}])],
+        [("equilibrium.curve.kappa", [1.0, 2.0]), ("equilibrium.curve.kappa", [3.0])],
+    ], ids=["path-above-an-earlier-path", "repeated-path"])
+    def test_an_axis_may_not_replace_an_earlier_axis(self, tmp_path, capsys, axes):
+        payload = shipped("equilibrium_golden")
+        payload["sweep"] = {"model": "equilibrium",
+                            "axes": [{"path": p, "values": v} for p, v in axes]}
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config: sweep.axes[1].path: would replace the earlier axis path "
+            f"'{axes[0][0]}' at every point"]
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_point_faults_name_values_as_the_config_writes_them(self, tmp_path):
+        payload = shipped("frivolous_nuisance")
+        payload["sweep"] = {"model": "frivolous", "axes": [
+            {"path": "frivolous.belief", "values": [None, True]},
+            {"path": "frivolous.shift", "values": [{"delta_f": 5, "delta_d": 0.0}]}]}
+        with pytest.raises(ConfigError) as exc:
+            run_model("sweep", write_config(tmp_path, payload), tmp_path / "sweep.csv")
+        shift = 'frivolous.shift={"delta_d":0.0,"delta_f":5}'
+        delta_f = "must be <= f_o (1.0), got 5"
+        assert exc.value.errors == [
+            (f"sweep point (frivolous.belief=null, {shift}) -> frivolous.shift.delta_f", delta_f),
+            (f"sweep point (frivolous.belief=true, {shift}) -> frivolous.belief",
+             "must be a number, got True"),
+            (f"sweep point (frivolous.belief=true, {shift}) -> frivolous.shift.delta_f", delta_f)]
+
     def test_points_leave_the_loaded_config_as_it_was(self, tmp_path):
         payload = shipped("evolve_tort")
         payload["sweep"] = {"model": "evolve", "axes": [
@@ -448,6 +479,33 @@ class TestSweepSpecBuiltInCode:
         assert exc.value.errors == errors
         assert capsys.readouterr().err == ""  # not even the run count
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, axes, errors", [
+        ("equilibrium_golden", [("equilibrium.shock.delta_contracting", [0.1, 0.9]),
+                                ("equilibrium.shock", [{}])],
+         [("sweep.axes[1].path", "would replace the earlier axis path "
+                                 "'equilibrium.shock.delta_contracting' at every point")]),
+        ("settle_fixture", [("settle.disputes.j", [1.0])],
+         [("settle.disputes.j", "path runs through settle.disputes, a list, not an object")]),
+    ], ids=["path-above-an-earlier-path", "path-through-a-list"])
+    def test_its_axis_paths_are_walked_before_the_run_starts(self, tmp_path, capsys, name,
+                                                            axes, errors):
+        spec = SweepSpec(name.split("_")[0], [SweepAxis(p, v) for p, v in axes])
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ConfigError) as exc:
+            run(RunConfig("sweep", spec, 0, str(out), None, shipped(name)))
+        assert exc.value.errors == errors
+        assert capsys.readouterr().err == ""  # not even the run count
+        assert not out.exists()
+
+    def test_a_value_json_cannot_hold_is_named_by_its_repr_as_a_json_string(self, tmp_path):
+        spec = SweepSpec("equilibrium", [SweepAxis("equilibrium.curve.kappa", [Fraction(1, 2)])])
+        with pytest.raises(ConfigError) as exc:
+            run(RunConfig("sweep", spec, 0, str(tmp_path / "sweep.csv"), None,
+                          shipped("equilibrium_golden")))
+        assert exc.value.errors == [
+            ('sweep point (equilibrium.curve.kappa="Fraction(1, 2)") -> equilibrium.curve.kappa',
+             "must be a number, got Fraction(1, 2)")]
 
     def test_past_the_run_limit_is_refused_when_built(self, tmp_path, monkeypatch):
         def no_run(params, seed):
