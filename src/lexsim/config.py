@@ -21,7 +21,6 @@ from __future__ import annotations
 import importlib
 import json
 import math
-import operator
 import os
 import stat
 from collections.abc import Sequence
@@ -30,11 +29,11 @@ from enum import Enum
 from functools import cache
 from typing import get_args, get_origin
 
-from .errors import ConfigError, DomainError, _Bounded, _finite, _schema
+from .errors import ConfigError, DomainError, _Bounded, _admits, _finite, _schema
 from .rng import _U64_MAX
 
 _MAX_RUNS = 10**6  # per sweep, grid points x replicates; a sweep keeps every summary row
-_COMPARISONS = ((">=", operator.ge), (">", operator.gt), ("<=", operator.le), ("<", operator.lt))
+_OPS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}  # how a broken bound is worded
 _UNKNOWN = "unknown key"  # the one fault that stops no block from being built
 _MAX_CONFIG_BYTES = 2**28  # 256 MiB; one byte more is read, to see a config past it
 
@@ -67,24 +66,25 @@ class RunConfig:
     raw: dict
 
 
-def _num(v, path, errs, *, ge=None, gt=None, le=None, lt=None, integer=False):
+def _num(v, path, errs, **bounds):
+    """v if it is a number, not a bool, that `_admits` takes within `bounds` and that is
+    finite; else None, with the first fault of this ladder in errs: not a number, not an
+    integer, a nonfinite float, each bound in turn, then an int past float range."""
+    if not isinstance(v, bool) and _admits(**bounds)(v) and _finite(v):
+        return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        errs.append((path, f"must be a number, got {v!r}"))
-        return None
-    if integer and not isinstance(v, int):
-        errs.append((path, f"must be an integer, got {v!r}"))
-        return None
-    if isinstance(v, float) and not math.isfinite(v):
-        errs.append((path, f"must be finite, got {v!r}"))
-        return None
-    for (op, holds), bound in zip(_COMPARISONS, (ge, gt, le, lt)):
-        if bound is not None and not holds(v, bound):
-            errs.append((path, f"must be {op} {bound}, got {v!r}"))
-            return None
-    if not _finite(v):  # an int beyond float range that no bound caught
-        errs.append((path, f"must be finite, got {v!r}"))
-        return None
-    return v
+        fault = "must be a number"
+    elif bounds.get("integer") and not isinstance(v, int):
+        fault = "must be an integer"
+    elif isinstance(v, float) and not math.isfinite(v):
+        fault = "must be finite"
+    else:  # the first bound v breaks, each tested alone; an int past float range breaks none
+        broken = [k for k in _OPS if k in bounds and not _admits(
+            **{"ge": -math.inf, k: bounds[k]}, integer=isinstance(v, int))(v)]
+        assert broken or not _finite(v), v  # the ladder words only what `_admits` refused
+        fault = f"must be {_OPS[broken[0]]} {bounds[broken[0]]}" if broken else "must be finite"
+    errs.append((path, f"{fault}, got {v!r}"))
+    return None
 
 
 @cache

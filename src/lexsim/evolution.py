@@ -53,6 +53,9 @@ _MAX_DRAW_BYTES = 2**32  # cap on one block's draw array, 24 B per rule-period
 _INT64_MAX = 2**63 - 1  # the trace's count columns are int64
 _COST_DELTA = {"ge": 0.0}  # a cut in both parties' trial costs
 _PERIODS = {"ge": 1, "integer": True}
+# array sizes numpy can take, np.arange's float length exactly too; memory decides the rest
+_N_SAMPLES = {"ge": 1, "le": 2**53 - 1, "integer": True}
+_PATH_PERIODS = {"ge": 0, "le": 2**53 - 1, "integer": True}
 _FRACTION = {"ge": 0.0, "le": 1.0}  # an efficient fraction of the rules
 
 
@@ -270,7 +273,7 @@ def trial_fractions(
     import numpy as np
 
     thresholds = _thresholds(area, cost_delta)
-    _check("n_samples", n_samples, {"ge": 1, "integer": True})
+    _check("n_samples", n_samples, _N_SAMPLES)
     n_samples = int(n_samples)  # a bool passes the check as an int
     u = substream(seed, _STREAM_RATES).random(n_samples)
     return tuple(np.count_nonzero(u >= x) / n_samples for x in thresholds)
@@ -305,7 +308,7 @@ def expected_path(x0: float, rates: FlipRates, periods: int) -> np.ndarray:
     import numpy as np
 
     _check("x0", x0, _FRACTION)
-    _check("periods", periods, {"ge": 0, "integer": True})
+    _check("periods", periods, _PATH_PERIODS)
     if rates.p_ie + rates.p_ei == 0.0:
         return np.full(periods + 1, float(x0))
     x_inf = stationary_fraction(rates)

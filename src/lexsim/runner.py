@@ -341,11 +341,14 @@ _MODELS = {
 
 def _axis_text(value) -> str:
     """An axis value as a config writes it: a str as it is, any other value as JSON
-    (an int or a finite float as repr writes it). A value JSON cannot hold, which only
-    a SweepSpec built in code can carry, is written as the JSON string of its repr."""
+    (an int or a finite float as repr writes it). A value JSON cannot hold or write, which
+    only a SweepSpec built in code can carry, is the JSON string of its repr."""
     if isinstance(value, str):
         return value
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=repr)
+    try:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"), default=repr)
+    except (TypeError, ValueError):  # keys sort_keys cannot order; a circular reference
+        return json.dumps(repr(value))
 
 
 def _axis_cell(value) -> str:
@@ -410,8 +413,9 @@ def run(cfg: RunConfig) -> RunResult:
     _check_ids(cfg.seed, 0)  # the seed of a config built in code, as rng checks it
     if cfg.output_path is None:
         raise DomainError("run configuration has no output path")
-    target = _target(cfg.output_path)[0]  # a path open refuses stops the run here
-    if cfg.svg_path is not None and _target(cfg.svg_path)[0] == target:
+    # each output's one walk: a path open refuses stops the run here, then two to one file
+    outputs = [(p, *_target(p)) for p in (cfg.output_path, cfg.svg_path) if p is not None]
+    if len(outputs) == 2 and outputs[1][1] == outputs[0][1]:
         raise ConfigError([("svg", f"{cfg.svg_path!r} is the same file as the CSV output "
                                    f"{cfg.output_path!r}")])
     if cfg.model == "sweep":
@@ -419,23 +423,23 @@ def run(cfg: RunConfig) -> RunResult:
     else:
         _, table, chart = _MODELS[cfg.model][1](cfg.params, cfg.seed)
     csv_text, n_rows = table()
-    outputs = [(cfg.output_path, csv_text)]
-    if cfg.svg_path is not None:
-        outputs.append((cfg.svg_path, chart()))
-    return RunResult(cfg.output_path, cfg.svg_path, n_rows, _write_all(outputs))
+    texts = [csv_text] if cfg.svg_path is None else [csv_text, chart()]
+    return RunResult(cfg.output_path, cfg.svg_path, n_rows, _write_all(list(zip(outputs, texts))))
 
 
 def _target(path: str) -> tuple[str | int, int | None]:
     """What `open(path, "w")` would write, walked by the OS as open walks it ("x/.."
     needs x): 1 for the file behind fd 1, this process's standard output, else the
     path's real path; and that file's mode, None for a new file open would create.
-    A path open refuses raises stat's OSError, or EISDIR for a directory, naming `path`."""
+    A path open refuses raises stat's OSError, or EISDIR for a directory, naming `path`,
+    as does a closed fd's name in /proc/<pid>/fd (`/dev/stdout` with fd 1 closed)."""
     try:
         st = os.stat(path)  # follows links
-    except FileNotFoundError:  # a new file, if open can create it: not '' or "name/", in
-        real = os.path.realpath(path)  # a directory there as written and past a dangling link
+    except FileNotFoundError:  # a new file, if open can create it: not '' or "name/", in a
+        real = os.path.realpath(path)  # directory there as written and past a dangling link,
+        folder = os.path.dirname(real)  # and not in /proc/<pid>/fd, which takes no new file
         if not (os.path.basename(path) and os.path.isdir(os.path.dirname(path) or ".")
-                and os.path.isdir(os.path.dirname(real))):
+                and os.path.isdir(folder) and folder != f"/proc/{os.getpid()}/fd"):
             raise
         return real, None
     if stat.S_ISDIR(st.st_mode):
@@ -446,24 +450,23 @@ def _target(path: str) -> tuple[str | int, int | None]:
     return os.path.realpath(path), st.st_mode
 
 
-def _write_all(outputs: list[tuple[str, str]]) -> bool:
-    """Write every (path, text) or, failing, leave every file as it was; True if one went to fd 1.
+def _write_all(outputs: list[tuple[tuple[str, str | int, int | None], str]]) -> bool:
+    """Write each ((path, target, mode), text) where `run`'s one `_target` walk of path
+    pointed or, failing, leave every file as it was; True if one went to fd 1.
 
-    Each path is resolved by `_target`, so one that `open(path, "w")` refuses raises its
-    OSError before anything is renamed. A new or regular file gets its text in a new
-    temporary file beside its real path (so a symlinked output keeps its link), named by
-    a random token alone so that any name open accepts can be staged, with the
-    mode of the file it replaces, or 0666 & ~umask for a new one as open gives; the
-    targets are replaced only once all are written. Any other file (a device such as
-    /dev/null, a FIFO) holds no earlier output to keep and is written in place, and
-    standard output to fd 1 after any text already printed to `sys.stdout`. Every
-    output is UTF-8 whatever the locale; text it cannot hold raises UnicodeEncodeError.
+    A new or regular file gets its text in a new temporary file beside its target, its
+    real path (so a symlinked output keeps its link), named by a random token alone so
+    that any name open accepts can be staged, with `mode`, or 0666 & ~umask for a new
+    file as open gives; the targets are replaced by renames, which follow no link made
+    since the walk, only once all are written and none has become a directory. Any other file (a device such as
+    /dev/null, a FIFO) holds no earlier output to keep and is written in place through
+    `path`, and standard output to fd 1 after any text already printed to `sys.stdout`.
+    Every output is UTF-8 whatever the locale; text it cannot hold raises UnicodeEncodeError.
     """
-    staged: list[tuple[str, str]] = []  # (temporary, target), not yet renamed
+    staged: list[tuple[str, str, str]] = []  # (temporary, target, path), not yet renamed
     in_place: list[tuple[str | int, str]] = []  # (path, or 1 for stdout, text)
     try:
-        for path, text in outputs:
-            target, mode = _target(path)  # again: what `run` saw may be stale by now
+        for (path, target, mode), text in outputs:
             if target == 1 or mode is not None and not stat.S_ISREG(mode):
                 in_place.append((1 if target == 1 else path, text))
                 continue
@@ -472,7 +475,7 @@ def _write_all(outputs: list[tuple[str, str]]) -> bool:
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             except OSError as e:
                 raise OSError(e.errno, e.strerror, path) from None
-            staged.append((tmp, target))
+            staged.append((tmp, target, path))
             with open(fd, "w", encoding="utf-8", newline="") as fh:
                 if mode is not None:
                     os.fchmod(fd, stat.S_IMODE(mode))
@@ -482,12 +485,15 @@ def _write_all(outputs: list[tuple[str, str]]) -> bool:
                 sys.stdout.flush()
             with open(path, "w", encoding="utf-8", newline="", closefd=path != 1) as fh:
                 fh.write(text)
+        for _, target, path in staged:  # a directory made there since the walk: refused
+            if not os.path.islink(target) and os.path.isdir(target):  # before any rename
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         while staged:
-            os.replace(*staged[0])
+            os.replace(*staged[0][:2])
             staged.pop(0)
         return any(path == 1 for path, _ in in_place)
     finally:
-        for tmp, _ in staged:
+        for tmp, *_ in staged:
             try:
                 os.unlink(tmp)
             except OSError:

@@ -347,6 +347,21 @@ class TestTrialFractions:
                 trial_fractions(tort_area(), n_samples=1, seed=seed)
         assert flip_rates(tort_area(), n_samples=True) == flip_rates(tort_area(), n_samples=1)
 
+    @pytest.mark.parametrize("size", [2**62, 10**400], ids=["2^62", "10^400"])
+    @pytest.mark.parametrize("name, call", [
+        ("n_samples", lambda n: trial_fractions(tort_area(), n_samples=n)),
+        ("n_samples", lambda n: flip_rates(tort_area(), n_samples=n)),
+        ("periods", lambda n: expected_path(0.5, FlipRates(0.02, 0.01), n)),
+        ("periods", lambda n: expected_path(0.5, FlipRates(0.0, 0.0), n)),
+    ], ids=["trial_fractions", "flip_rates", "expected_path", "expected_path-flat"])
+    def test_a_size_numpy_cannot_hold_is_a_domain_error(self, name, call, size):
+        bound = 2**53 - 1
+        with pytest.raises(DomainError) as info:
+            call(size)
+        assert str(info.value) == f"{name} must be <= {bound}: got {size}"
+        with pytest.raises(MemoryError):  # at the bound numpy sizes the array, and fails it
+            call(bound)
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), area=tort_areas(), n_samples=st.integers(1, 40),
            seed=st.integers(0, 2**64 - 1))

@@ -507,6 +507,20 @@ class TestSweepSpecBuiltInCode:
             ('sweep point (equilibrium.curve.kappa="Fraction(1, 2)") -> equilibrium.curve.kappa',
              "must be a number, got Fraction(1, 2)")]
 
+    def test_a_value_json_cannot_write_is_named_by_its_repr_as_a_json_string(self, tmp_path,
+                                                                             capsys):
+        # keys of mixed types, which sort_keys cannot order: the reader's fault, not a TypeError
+        spec = SweepSpec("equilibrium", [SweepAxis("equilibrium.shock",
+                                                   [{1: 0.5, "delta_litigation": 0.1}])])
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ConfigError) as exc:
+            run(RunConfig("sweep", spec, 0, str(out), None, shipped("equilibrium_golden")))
+        assert exc.value.errors == [
+            ("sweep point (equilibrium.shock=\"{1: 0.5, 'delta_litigation': 0.1}\") -> "
+             "equilibrium.shock.1", "unknown key")]
+        assert capsys.readouterr().err == "sweep: 1 grid point(s) x 1 replicate(s) = 1 run(s)\n"
+        assert not out.exists()
+
     def test_past_the_run_limit_is_refused_when_built(self, tmp_path, monkeypatch):
         def no_run(params, seed):
             raise AssertionError("a sweep past the run limit started")
@@ -725,22 +739,29 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.strip() == f"wrote {out} and {svg}"
 
-    def test_each_output_path_is_walked_twice(self, tmp_path, monkeypatch, capsys):
-        # once by run before the model, once at write time: the CLI walks none itself
-        walks = []
+    def test_each_output_path_is_walked_once(self, tmp_path, monkeypatch, capsys):
+        # by run, before the model: the writer and the CLI walk none themselves
+        walks, walks_at_model = [], []
 
         def counted(path):
             walks.append(path)
             return target(path)
 
+        def model(params, seed):
+            walks_at_model.append(len(walks))
+            return solve(params, seed)
+
         target = runner._target
         for module in list(sys.modules.values()):
             if getattr(module, "_target", None) is target:
                 monkeypatch.setattr(module, "_target", counted)
+        header, solve = runner._MODELS["equilibrium"]
+        monkeypatch.setitem(runner._MODELS, "equilibrium", (header, model))
         out, svg = str(tmp_path / "eq.csv"), str(tmp_path / "eq.svg")
         assert main(["equilibrium", "--config", f"{CONFIG_DIR}/equilibrium_golden.json",
                      "--out", out, "--svg", svg]) == 0
-        assert sorted(walks) == [out, out, svg, svg]
+        assert sorted(walks) == [out, svg]
+        assert walks_at_model == [2]
         assert capsys.readouterr().out == f"wrote {out} and {svg}\n"
 
     def test_missing_config_is_exit_one(self, tmp_path, capsys):
@@ -1059,7 +1080,21 @@ class TestOutToStdout:
 
 
 class TestClosedStdout:
-    """A `wrote` line into a pipe whose reader has gone is an io error, not a traceback."""
+    """A `wrote` line into a pipe whose reader has gone is an io error, not a traceback;
+    an output to fd 1 when fd 1 is closed is one before the model runs."""
+
+    @pytest.mark.parametrize("out, svg", [("/dev/stdout", None), ("x.csv", "/dev/stdout")])
+    def test_an_output_to_closed_stdout_is_refused_before_the_model(self, tmp_path, out, svg):
+        argv = ["sh", "-c", 'exec "$@" >&-', "sh",  # the run starts with fd 1 closed
+                sys.executable, "-m", "lexsim.cli", "sweep", "--out", out,
+                "--config", os.path.abspath(f"{CONFIG_DIR}/sweep_litigation_delta.json")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.abspath("src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+        done = subprocess.run(argv + ([] if svg is None else ["--svg", svg]), cwd=tmp_path,
+                              stderr=subprocess.PIPE, text=True, env=env, check=False)
+        assert (done.returncode, done.stderr) == (
+            2, "error: io: [Errno 2] No such file or directory: '/dev/stdout'\n")  # no `sweep:`
+        assert os.listdir(tmp_path) == []
 
     def test_the_wrote_line_into_a_closed_pipe(self, tmp_path):
         out = tmp_path / "eq.csv"
@@ -1606,6 +1641,38 @@ class TestSameFile:
     def test_dev_null_twice(self, capsys):
         self.check(capsys, self.CFG, "/dev/null", "/dev/null")
 
+    def test_the_files_checked_are_the_files_written(self, tmp_path, monkeypatch, capsys):
+        # b.svg becomes a link to a.csv while the model runs: the run writes what it walked
+        def model(params, seed):
+            os.symlink("a.csv", tmp_path / "b.svg")
+            return solve(params, seed)
+
+        header, solve = runner._MODELS["equilibrium"]
+        monkeypatch.setitem(runner._MODELS, "equilibrium", (header, model))
+        cfg = os.path.abspath(self.CFG)
+        monkeypatch.chdir(tmp_path)
+        assert main(["equilibrium", "--config", cfg, "--out", "a.csv", "--svg", "b.svg"]) == 0
+        assert capsys.readouterr() == ("wrote a.csv and b.svg\n", "")
+        assert (sha256(tmp_path / "a.csv"), sha256(tmp_path / "b.svg")) == \
+            DIGESTS["equilibrium_golden"]
+        assert stat.S_ISREG(os.lstat(tmp_path / "b.svg").st_mode)
+
+    def test_a_directory_made_while_the_model_runs(self, tmp_path, monkeypatch, capsys):
+        # b.svg becomes a directory while the model runs: refused before a.csv is replaced
+        def model(params, seed):
+            (tmp_path / "b.svg").mkdir()
+            return solve(params, seed)
+
+        header, solve = runner._MODELS["equilibrium"]
+        monkeypatch.setitem(runner._MODELS, "equilibrium", (header, model))
+        cfg = os.path.abspath(self.CFG)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.csv").write_bytes(b"old\n")
+        assert main(["equilibrium", "--config", cfg, "--out", "a.csv", "--svg", "b.svg"]) == 2
+        assert capsys.readouterr() == ("", "error: io: [Errno 21] Is a directory: 'b.svg'\n")
+        assert (tmp_path / "a.csv").read_bytes() == b"old\n"
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.svg"]
+
     def test_stdout_by_two_names(self, tmp_path):
         argv = [sys.executable, "-m", "lexsim.cli", "equilibrium", "--config", self.CFG,
                 "--out", "/dev/stdout", "--svg", "/proc/self/fd/1"]
@@ -1639,6 +1706,14 @@ class TestTarget:
     def test_standard_output(self):
         # fd 1 is whatever pytest captures into, a file, a pipe or a terminal
         assert runner._target("/dev/stdout") == (1, os.fstat(1).st_mode)
+
+    def test_a_closed_descriptor(self):
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        path = f"/proc/self/fd/{fd}"
+        with pytest.raises(FileNotFoundError) as info:
+            runner._target(path)
+        assert info.value.filename == path
 
     @pytest.mark.parametrize("path, err", [("", FileNotFoundError), (".", IsADirectoryError),
                                            ("missing/../n.csv", FileNotFoundError),
