@@ -432,36 +432,50 @@ def _target(path: str) -> tuple[str | int, int | None]:
     needs x): 1 for the file behind fd 1, this process's standard output, else the
     path's real path; and that file's mode, None for a new file open would create.
     A path open refuses raises stat's OSError, or EISDIR for a directory, naming `path`,
-    as does a closed fd's name in /proc/<pid>/fd (`/dev/stdout` with fd 1 closed)."""
+    as does a new or regular file whose real folder takes no `_temporary` (/proc, a
+    closed fd's name, a folder the user cannot write): one is made there and removed."""
     try:
         st = os.stat(path)  # follows links
     except FileNotFoundError:  # a new file, if open can create it: not '' or "name/", in a
-        real = os.path.realpath(path)  # directory there as written and past a dangling link,
-        folder = os.path.dirname(real)  # and not in /proc/<pid>/fd, which takes no new file
-        if not (os.path.basename(path) and os.path.isdir(os.path.dirname(path) or ".")
-                and os.path.isdir(folder) and folder != f"/proc/{os.getpid()}/fd"):
-            raise
-        return real, None
-    if stat.S_ISDIR(st.st_mode):
+        if not (os.path.basename(path) and os.path.isdir(os.path.dirname(path) or ".")):
+            raise  # directory there as written
+        st = None
+    if st is not None and stat.S_ISDIR(st.st_mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     with contextlib.suppress(OSError):  # fd 1 may be closed
-        if os.path.samestat(st, os.fstat(1)):
+        if st is not None and os.path.samestat(st, os.fstat(1)):
             return 1, st.st_mode
-    return os.path.realpath(path), st.st_mode
+    real, mode = os.path.realpath(path), None if st is None else st.st_mode
+    if mode is None or stat.S_ISREG(mode):  # what `_write_all` stages beside `real`
+        fd, tmp = _temporary(real, path)
+        os.close(fd)
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+    return real, mode
+
+
+def _temporary(target: str, path: str) -> tuple[int, str]:
+    """A new file beside `target` named by a random token alone, so that any name open
+    accepts can be staged, and made as open makes one; its fd and name. Errors name `path`."""
+    tmp = os.path.join(os.path.dirname(target), f".{os.urandom(8).hex()}.tmp")
+    try:
+        return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
 
 
 def _write_all(outputs: list[tuple[tuple[str, str | int, int | None], str]]) -> bool:
     """Write each ((path, target, mode), text) where `run`'s one `_target` walk of path
     pointed or, failing, leave every file as it was; True if one went to fd 1.
 
-    A new or regular file gets its text in a new temporary file beside its target, its
-    real path (so a symlinked output keeps its link), named by a random token alone so
-    that any name open accepts can be staged, with `mode`, or 0666 & ~umask for a new
-    file as open gives; the targets are replaced by renames, which follow no link made
-    since the walk, only once all are written and none has become a directory. Any other file (a device such as
-    /dev/null, a FIFO) holds no earlier output to keep and is written in place through
-    `path`, and standard output to fd 1 after any text already printed to `sys.stdout`.
-    Every output is UTF-8 whatever the locale; text it cannot hold raises UnicodeEncodeError.
+    A new or regular file gets its text in a `_temporary` beside its target, its real path
+    (so a symlinked output keeps its link), with `mode`, or 0666 & ~umask for a new file as
+    open gives (`_target` made one there before the model ran); renames replace the targets,
+    following no link made since the walk, once all are written and none is a directory.
+    Any other file (a device such as /dev/null, a FIFO) holds no earlier output to keep and
+    is written in place through `path`, and standard output to fd 1 after any text already
+    printed to `sys.stdout`. Every output is UTF-8 whatever the locale; text it cannot hold
+    raises UnicodeEncodeError.
     """
     staged: list[tuple[str, str, str]] = []  # (temporary, target, path), not yet renamed
     in_place: list[tuple[str | int, str]] = []  # (path, or 1 for stdout, text)
@@ -470,11 +484,7 @@ def _write_all(outputs: list[tuple[tuple[str, str | int, int | None], str]]) -> 
             if target == 1 or mode is not None and not stat.S_ISREG(mode):
                 in_place.append((1 if target == 1 else path, text))
                 continue
-            tmp = os.path.join(os.path.dirname(target), f".{os.urandom(8).hex()}.tmp")
-            try:
-                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            except OSError as e:
-                raise OSError(e.errno, e.strerror, path) from None
+            fd, tmp = _temporary(target, path)
             staged.append((tmp, target, path))
             with open(fd, "w", encoding="utf-8", newline="") as fh:
                 if mode is not None:
@@ -494,7 +504,5 @@ def _write_all(outputs: list[tuple[tuple[str, str | int, int | None], str]]) -> 
         return any(path == 1 for path, _ in in_place)
     finally:
         for tmp, *_ in staged:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass

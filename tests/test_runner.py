@@ -1083,7 +1083,8 @@ class TestClosedStdout:
     """A `wrote` line into a pipe whose reader has gone is an io error, not a traceback;
     an output to fd 1 when fd 1 is closed is one before the model runs."""
 
-    @pytest.mark.parametrize("out, svg", [("/dev/stdout", None), ("x.csv", "/dev/stdout")])
+    @pytest.mark.parametrize("out, svg", [("/dev/stdout", None), ("x.csv", "/dev/stdout"),
+                                          ("/proc/thread-self/fd/1", None)])
     def test_an_output_to_closed_stdout_is_refused_before_the_model(self, tmp_path, out, svg):
         argv = ["sh", "-c", 'exec "$@" >&-', "sh",  # the run starts with fd 1 closed
                 sys.executable, "-m", "lexsim.cli", "sweep", "--out", out,
@@ -1093,7 +1094,7 @@ class TestClosedStdout:
         done = subprocess.run(argv + ([] if svg is None else ["--svg", svg]), cwd=tmp_path,
                               stderr=subprocess.PIPE, text=True, env=env, check=False)
         assert (done.returncode, done.stderr) == (
-            2, "error: io: [Errno 2] No such file or directory: '/dev/stdout'\n")  # no `sweep:`
+            2, f"error: io: [Errno 2] No such file or directory: {svg or out!r}\n")  # no `sweep:`
         assert os.listdir(tmp_path) == []
 
     def test_the_wrote_line_into_a_closed_pipe(self, tmp_path):
@@ -1481,6 +1482,95 @@ class TestAtomicOutputs:
         left = sorted(os.listdir(tmp_path))  # the CSV's staged temporary stays
         assert len(left) == 3 and left[0].endswith(".tmp") and left[1:] == ["charts", "eq.csv"]
 
+    @staticmethod
+    def counting_model(monkeypatch):
+        """Count the equilibrium model's calls, in the list returned."""
+        calls, (header, solve) = [], runner._MODELS["equilibrium"]
+        monkeypatch.setitem(runner._MODELS, "equilibrium",
+                            (header, lambda params, seed: calls.append(seed) or solve(params, seed)))
+        return calls
+
+    def check_refused_before_the_model(self, tmp_path, capsys, monkeypatch, cfg):
+        """In `tmp_path`, whose charts/ takes no new file, a run into eq.csv and
+        charts/eq.svg is io, exit 2, before the model, and every file is kept as it was."""
+        os.chmod(tmp_path / "eq.csv", 0o640)
+
+        def files():
+            return {p: (p.read_bytes(), stat.S_IMODE(os.stat(p).st_mode))
+                    for p in tmp_path.rglob("*") if p.is_file()}
+
+        before, calls = files(), self.counting_model(monkeypatch)
+        assert main(["equilibrium", "--config", cfg, "--out", "eq.csv",
+                     "--svg", "charts/eq.svg"]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: io: [Errno 13] Permission denied: 'charts/eq.svg'\n")
+        assert calls == []
+        assert files() == before  # no temporary either
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_a_folder_refusing_temporaries_stops_the_run_before_the_model(
+            self, tmp_path, capsys, monkeypatch, existing):
+        cfg = os.path.abspath(self.CFG)
+        self.refuse_svg_temporary(tmp_path, monkeypatch)
+        if existing:
+            (tmp_path / "charts" / "eq.svg").write_bytes(b"old svg\n")
+        self.check_refused_before_the_model(tmp_path, capsys, monkeypatch, cfg)
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes into a read-only folder")
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_a_read_only_folder_stops_the_run_before_the_model(self, tmp_path, capsys,
+                                                               monkeypatch, existing):
+        cfg = os.path.abspath(self.CFG)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "charts").mkdir()
+        (tmp_path / "eq.csv").write_bytes(b"old\n")
+        if existing:
+            (tmp_path / "charts" / "eq.svg").write_bytes(b"old svg\n")
+        os.chmod(tmp_path / "charts", 0o555)
+        try:
+            self.check_refused_before_the_model(tmp_path, capsys, monkeypatch, cfg)
+        finally:
+            os.chmod(tmp_path / "charts", 0o755)
+
+    @pytest.mark.parametrize("unlink_refused", [False, True], ids=["removed", "left"])
+    def test_a_folder_refusing_the_writers_temporary_keeps_an_existing_csv(
+            self, tmp_path, capsys, monkeypatch, unlink_refused):
+        # charts/ takes the probe's temporary and refuses the writer's, as a folder made
+        # read-only while the model runs: the writer's own error and cleanup
+        cfg = os.path.abspath(self.CFG)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "charts").mkdir()
+        (tmp_path / "eq.csv").write_bytes(b"old\n")
+        real_open, opened = os.open, []
+
+        def refuse_second(path, *args, **kwargs):
+            if os.path.dirname(path) == str(tmp_path / "charts") and path.endswith(".tmp"):
+                opened.append(path)
+                if len(opened) == 2:
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_open(path, *args, **kwargs)
+
+        real_unlink, calls = os.unlink, self.counting_model(monkeypatch)
+
+        def unlink(path, *args, **kwargs):  # refused once the model ran, after the probes
+            if unlink_refused and calls:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refuse_second)
+        monkeypatch.setattr(os, "unlink", unlink)
+        assert main(["equilibrium", "--config", cfg, "--out", "eq.csv",
+                     "--svg", "charts/eq.svg"]) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr() == \
+            ("", "error: io: [Errno 13] Permission denied: 'charts/eq.svg'\n")
+        assert len(calls) == 1 and len(opened) == 2
+        assert (tmp_path / "eq.csv").read_bytes() == b"old\n"
+        left = sorted(os.listdir(tmp_path))  # the CSV's staged temporary, if unlink refused
+        assert left[-2:] == ["charts", "eq.csv"] and len(left) == 2 + unlink_refused
+        assert all(name.endswith(".tmp") for name in left[:-2])
+        assert os.listdir(tmp_path / "charts") == []
+
     def test_symlinked_output_stays_a_link(self, tmp_path, capsys):
         target = tmp_path / "real" / "eq.csv"
         target.parent.mkdir()
@@ -1590,7 +1680,8 @@ class TestAtomicOutputs:
     @pytest.mark.parametrize("out, svg", [("evolve.csv", "no_such_dir/e.svg"),
                                           ("no_such_dir/e.csv", "evolve.svg"),
                                           ("evolve.csv/", None),
-                                          ("evolve.csv", "link.svg"), ("link.svg", None)])
+                                          ("evolve.csv", "link.svg"), ("link.svg", None),
+                                          ("/proc/x.csv", None), ("evolve.csv", "/proc/x.svg")])
     def test_a_refused_path_stops_the_run_before_the_model(self, tmp_path, capsys,
                                                            monkeypatch, out, svg):
         calls = []
@@ -1714,6 +1805,11 @@ class TestTarget:
         with pytest.raises(FileNotFoundError) as info:
             runner._target(path)
         assert info.value.filename == path
+
+    def test_a_folder_that_takes_no_new_file(self):
+        with pytest.raises(FileNotFoundError) as info:
+            runner._target("/proc/x.csv")
+        assert info.value.filename == "/proc/x.csv"
 
     @pytest.mark.parametrize("path, err", [("", FileNotFoundError), (".", IsADirectoryError),
                                            ("missing/../n.csv", FileNotFoundError),
