@@ -85,9 +85,11 @@ def main(argv: list[str] | None = None) -> int:
         print("error: interrupted", file=sys.stderr)
         return 130
     stream = sys.stderr if result.to_stdout else sys.stdout
-    paths = [p for p in (result.csv_path, result.svg_path) if p is not None]
+    line = "wrote " + " and ".join(p for p in (result.csv_path, result.svg_path) if p is not None)
+    encoding = getattr(stream, "encoding", None)  # escaped as stderr escapes what it cannot hold
     try:
-        print("wrote " + " and ".join(paths), file=stream, flush=True)
+        print(line.encode(encoding, "backslashreplace").decode(encoding) if encoding else line,
+              file=stream, flush=True)
     except OSError as e:  # a closed pipe, say; the outputs are already in place
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())  # no retry at exit
         print(f"error: io: {_one_line(e)}", file=sys.stderr)

@@ -431,17 +431,15 @@ def _target(path: str) -> tuple[str | int, int | None]:
     """What `open(path, "w")` would write, walked by the OS as open walks it ("x/.."
     needs x): 1 for the file behind fd 1, this process's standard output, else the
     path's real path; and that file's mode, None for a new file open would create.
-    A path open refuses raises stat's OSError, or EISDIR for a directory, naming `path`,
-    as does a new or regular file whose real folder takes no `_temporary` (/proc, a
-    closed fd's name, a folder the user cannot write): one is made there and removed."""
+    A path open refuses raises its OSError naming `path`: stat's; for a new or regular file,
+    that of a `_temporary` made beside it and removed (in /proc, a closed fd's folder, a folder
+    the user cannot write); for any other but a FIFO (a directory, socket or device), open's."""
     try:
         st = os.stat(path)  # follows links
     except FileNotFoundError:  # a new file, if open can create it: not '' or "name/", in a
         if not (os.path.basename(path) and os.path.isdir(os.path.dirname(path) or ".")):
             raise  # directory there as written
         st = None
-    if st is not None and stat.S_ISDIR(st.st_mode):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     with contextlib.suppress(OSError):  # fd 1 may be closed
         if st is not None and os.path.samestat(st, os.fstat(1)):
             return 1, st.st_mode
@@ -451,6 +449,8 @@ def _target(path: str) -> tuple[str | int, int | None]:
         os.close(fd)
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+    elif not stat.S_ISFIFO(mode):  # a FIFO's open waits for a reader
+        os.close(os.open(path, os.O_WRONLY | os.O_NOCTTY | os.O_NONBLOCK))
     return real, mode
 
 

@@ -34,7 +34,7 @@ from enum import Enum
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, _Bounded, _admitted, _check, _schema
+from .errors import DomainError, _Bounded, _check, _schema
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,10 +80,10 @@ class DisputeBatch(Sequence):
     @classmethod
     def _read(cls, items) -> DisputeBatch | None:
         """A config's JSON list `items` read at once as one table, if every item is a dict of
-        exactly Dispute's field names, each an int or a float, and each column passes its
-        bounds by `_admitted` and each row `Dispute._across`; else None. No int but 0 and 1
-        themselves rounds to 0 or 1, a Dispute's bounds, so the table passes exactly when the
-        loader's item-by-item read accepts every item. An int beyond 2^53 is rounded."""
+        exactly Dispute's field names, each an int or a float, each column's least and greatest
+        number (NaN if one is; every bound has a lower end) pass its field's `_schema` test and
+        each row `Dispute._across`; else None. No int but 0 and 1 rounds to a bound, 0 or 1, so
+        the table passes exactly when the loader's item-by-item read does. An int past 2^53 rounds."""
         import numpy as np
 
         schema = _schema(Dispute)
@@ -95,11 +95,9 @@ class DisputeBatch(Sequence):
                 table = np.fromiter(chain.from_iterable(map(get, items)), np.float64, width * len(items))
                 cols = tuple(table.reshape(-1, width).T)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    ok = Dispute._across(*cols)
-                for col, (_, _, _, bounds, _) in zip(cols, schema):
-                    ok &= _admitted(col, **bounds)
-                if ok.all():
-                    return cls(*cols)
+                    if (all(test(c.min()) and test(c.max()) for c, (*_, test) in zip(cols, schema))
+                            and Dispute._across(*cols).all()):
+                        return cls(*cols)
         return None
 
     def columns(self) -> tuple:

@@ -23,6 +23,7 @@ from lexsim import (
     load_config,
 )
 from lexsim import config
+from lexsim.settlement import DisputeBatch
 
 CONFIG_DIR = "configs"
 
@@ -583,6 +584,7 @@ class TestPlainDispute:
         expected = [config._obj(Dispute, item, f"settle.disputes[{i}]", expected_errs)
                     for i, item in enumerate(items)]
         assert errs == expected_errs
+        assert (DisputeBatch._read(items) is not None) == (not expected_errs)
         for i, d in enumerate(expected):  # a faulty item's row holds NaN
             row = [float(column[i]) for column in batch.columns()]
             if d is None:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import socket
 import stat
 import subprocess
 import sys
@@ -1155,6 +1156,17 @@ class TestUtf8:
                                              out="/dev/stdout")  # the join keeps the absolute path
         assert (code, stdout) == (0, out.read_bytes())
 
+    @pytest.mark.parametrize("name, encoding, shown", [
+        (os.fsdecode(b"\xfd.csv"), "utf-8:strict", r"\udcfd.csv"),  # not UTF-8
+        ("\xe9.csv", "ascii", r"\xe9.csv")], ids=["undecodable", "ascii"])
+    def test_the_wrote_line_escapes_what_stdout_cannot_encode(self, tmp_path, name, encoding,
+                                                              shown):
+        config = Path(f"{CONFIG_DIR}/equilibrium_golden.json").read_bytes()
+        code, err, out, svg, stdout = self.run_cli(tmp_path, "equilibrium", config,
+                                                   {"PYTHONIOENCODING": encoding}, out=name)
+        assert (code, err, stdout) == (0, "", f"wrote {tmp_path}/{shown} and {svg}\n".encode())
+        assert (sha256(out), sha256(svg)) == DIGESTS["equilibrium_golden"]
+
     def test_a_lone_surrogate_is_a_config_error(self, tmp_path):
         payload = shipped("composition_docket")
         payload["composition"]["areas"][0]["name"] = "\ud800"
@@ -1681,7 +1693,8 @@ class TestAtomicOutputs:
                                           ("no_such_dir/e.csv", "evolve.svg"),
                                           ("evolve.csv/", None),
                                           ("evolve.csv", "link.svg"), ("link.svg", None),
-                                          ("/proc/x.csv", None), ("evolve.csv", "/proc/x.svg")])
+                                          ("/proc/x.csv", None), ("evolve.csv", "/proc/x.svg"),
+                                          ("sock", None), ("evolve.csv", "sock")])
     def test_a_refused_path_stops_the_run_before_the_model(self, tmp_path, capsys,
                                                            monkeypatch, out, svg):
         calls = []
@@ -1689,18 +1702,22 @@ class TestAtomicOutputs:
         cfg = os.path.abspath(f"{CONFIG_DIR}/evolve_tort.json")
         monkeypatch.chdir(tmp_path)
         os.symlink("no_such_dir/e.svg", "link.svg")  # open would create e.svg where no dir is
+        with socket.socket(socket.AF_UNIX) as sock:  # open refuses a socket with ENXIO
+            sock.bind("sock")
         argv = ["evolve", "--config", cfg, "--out", out] + ([] if svg is None else
                                                             ["--svg", svg])
         assert main(argv) == 2
         refused = svg if out == "evolve.csv" else out
-        assert capsys.readouterr() == ("", f"error: io: [Errno 2] {os.strerror(2)}: {refused!r}\n")
+        err_no = errno.ENXIO if refused == "sock" else errno.ENOENT
+        assert capsys.readouterr() == \
+            ("", f"error: io: [Errno {err_no}] {os.strerror(err_no)}: {refused!r}\n")
         run_cfg = load_config(cfg, "evolve")  # and `run` itself, as code calls it
         run_cfg.output_path, run_cfg.svg_path = out, svg
-        with pytest.raises(FileNotFoundError) as info:
+        with pytest.raises(OSError) as info:
             run(run_cfg)
-        assert info.value.filename == refused
+        assert (info.value.errno, info.value.filename) == (err_no, refused)
         assert calls == []
-        assert os.listdir(tmp_path) == ["link.svg"]
+        assert sorted(os.listdir(tmp_path)) == ["link.svg", "sock"]
 
 
 class TestSameFile:
@@ -1805,6 +1822,14 @@ class TestTarget:
         with pytest.raises(FileNotFoundError) as info:
             runner._target(path)
         assert info.value.filename == path
+
+    def test_a_socket(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind("sock")
+        with pytest.raises(OSError) as info:
+            runner._target("sock")
+        assert (info.value.errno, info.value.filename) == (errno.ENXIO, "sock")
 
     def test_a_folder_that_takes_no_new_file(self):
         with pytest.raises(FileNotFoundError) as info:
