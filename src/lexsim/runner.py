@@ -79,18 +79,6 @@ def _digit_tables():
     return quads, np.array([float(10**k) for k in range(23)])
 
 
-def _two_product(a, b):
-    """(hi, lo) with hi = fl(a * b) and hi + lo == a * b exactly (Dekker, Veltkamp splits)."""
-    hi = a * b
-    c = a * 134217729.0  # 2^27 + 1
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    c = b * 134217729.0
-    b_hi = c - (c - b)
-    b_lo = b - b_hi
-    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
 def _f_cells(x):
     """`_f` of each number in the float64 column `x`, as the ASCII rows of an (n, w)
     uint8 array: each cell left-aligned and NUL-padded to the array's width, w <= 24.
@@ -119,7 +107,7 @@ def _f_cells(x):
     a[~fast] = 1.0
     k = 16 - np.floor(np.log10(a)).astype(np.intp)
     while True:
-        hi, lo = _two_product(a, pow10[k])
+        hi, lo = charts._two_product(a, pow10[k])
         step = ((hi < 1e16) | (hi == 1e16) & (lo < 0)).view(np.int8) - \
             ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).view(np.int8)
         if not step.any():
@@ -217,7 +205,6 @@ def _settle(p: settlement.SettleParams, seed: int):
     a = settle_columns(p.disputes, p.rule, p.cost_reduction)
     n = len(p.disputes)
     settled = int(a["settle"].sum())
-    widths = a["width"].tolist()
 
     def table():
         header = ["index", "rule", "p_q", "p_g", "j", "c_q", "c_g", "cost_reduction",
@@ -241,13 +228,13 @@ def _settle(p: settlement.SettleParams, seed: int):
         return "".join(text), n
 
     def chart():
-        return charts.line_chart([("range width", range(n), widths)],
+        return charts.line_chart([("range width", np.arange(n, dtype=np.float64), a["width"])],
                                  title="Settlement range width by dispute",
                                  x_label="dispute index", y_label="width")
 
     # Python's sum adds one width at a time; np.sum's pairwise sum could move
     # the last digit of a sweep cell
-    return [str(n), str(settled), str(n - settled), _f(sum(widths) / n)], table, chart
+    return [str(n), str(settled), str(n - settled), _f(sum(a["width"].tolist()) / n)], table, chart
 
 
 def _frivolous(p: frivolous.FrivolousParams, seed: int):
@@ -292,7 +279,8 @@ def _evolve(p: evolution.EvolveParams, seed: int):
                              for t, x, *rest in zip(*columns)])
 
     def chart():
-        return charts.line_chart([("fraction efficient", trace.t, trace.fraction_efficient)],
+        return charts.line_chart([("fraction efficient", trace.t.astype(float),
+                                   trace.fraction_efficient)],
                                  title=f"Efficient rules over time ({trace.area_name})",
                                  x_label="period", y_label="fraction efficient")
 
@@ -431,6 +419,7 @@ def _target(path: str) -> tuple[str | int, int | None]:
     """What `open(path, "w")` would write, walked by the OS as open walks it ("x/.."
     needs x): 1 for the file behind fd 1, this process's standard output, else the
     path's real path; and that file's mode, None for a new file open would create.
+    An fd 1 open only for reading raises EBADF naming `path`, as its write would.
     A path open refuses raises its OSError naming `path`: stat's; for a new or regular file,
     that of a `_temporary` made beside it and removed (in /proc, a closed fd's folder, a folder
     the user cannot write); for any other but a FIFO (a directory, socket or device), open's."""
@@ -440,9 +429,16 @@ def _target(path: str) -> tuple[str | int, int | None]:
         if not (os.path.basename(path) and os.path.isdir(os.path.dirname(path) or ".")):
             raise  # directory there as written
         st = None
-    with contextlib.suppress(OSError):  # fd 1 may be closed
-        if st is not None and os.path.samestat(st, os.fstat(1)):
-            return 1, st.st_mode
+    try:
+        on_fd1 = st is not None and os.path.samestat(st, os.fstat(1))
+    except OSError:  # fd 1 may be closed
+        on_fd1 = False
+    if on_fd1:
+        import fcntl  # only here: a run that writes to a file never loads it
+
+        if fcntl.fcntl(1, fcntl.F_GETFL) & os.O_ACCMODE == os.O_RDONLY:  # as write would
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), path)
+        return 1, st.st_mode
     real, mode = os.path.realpath(path), None if st is None else st.st_mode
     if mode is None or stat.S_ISREG(mode):  # what `_write_all` stages beside `real`
         fd, tmp = _temporary(real, path)

@@ -6,11 +6,15 @@ import math
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lexsim import DomainError, line_chart
+from lexsim import DomainError, charts, line_chart
 from lexsim.cli import main
 
 
@@ -188,3 +192,97 @@ class TestValidation:
     def test_the_largest_finite_span_renders(self):
         svg = line_chart([("wide", [0.0, 1.0], [-8.9e307, 8.9e307])])
         assert "nan" not in svg and "inf" not in svg
+
+
+def percent_2f(xs, ys):
+    return " ".join("%.2f,%.2f" % p for p in zip(xs, ys))
+
+
+# the coordinates an array series' polyline can hold: [0, 999.995), whose cents fit
+# "III.FF"; x.xx5 ties, exact and as near as a double gets, and both their neighbours
+COORDINATES = st.one_of(
+    st.floats(0.0, 999.995, exclude_max=True),
+    st.integers(0, 199_998).map(lambda k: k / 200),  # each x.xx0 and x.xx5
+    st.integers(0, 7_999).map(lambda k: k / 8),  # k + 0.125, 0.375, ...: exact ties
+    st.tuples(st.integers(0, 99_998), st.sampled_from([0.0, math.inf])).map(
+        lambda m_to: math.nextafter((2 * m_to[0] + 1) / 200, m_to[1])),
+    st.integers(0, 999).map(float),
+    st.just(0.0),
+)
+
+
+class TestPointsKernel:
+    """`charts._points`, the exact `%.2f` layout of an array series' polyline."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(COORDINATES, COORDINATES), min_size=1, max_size=40))
+    @example([(0.0, 0.125), (0.375, 999.985), (2.675, 1.005), (math.nextafter(0.015, 1), 0.0)])
+    def test_matches_format(self, points):
+        xs, ys = (list(c) for c in zip(*points))
+        assert charts._points(np.array(xs), np.array(ys)) == percent_2f(xs, ys)
+
+    def test_every_half_cent_and_its_neighbours(self):
+        # every double nearest a multiple of 0.005 in range, and the doubles on each side
+        v = np.arange(199_999) / 200
+        v = np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, math.inf)])
+        assert charts._points(v, v[::-1].copy()) == percent_2f(v.tolist(), v[::-1].tolist())
+
+
+# values a series may hold: any finite float, signed zeros, subnormals and spans
+# near the float limit among them
+VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 8.9e307, -8.9e307, 1.7e308,
+     -1.7e308, sys.float_info.max, -sys.float_info.max]))
+
+
+@st.composite
+def series_lists(draw):
+    """One to three labeled series of equal-length lists; some constant, for the pads."""
+    out = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 6))
+        column = st.one_of(st.lists(VALUES, min_size=n, max_size=n),
+                           VALUES.map(lambda v, n=n: [v] * n))
+        out.append((f"s{i}", draw(column), draw(column)))
+    return out
+
+
+def rendered(series):
+    try:
+        return line_chart(series, title="t", x_label="x", y_label="y")
+    except DomainError as e:
+        return f"DomainError: {e}"
+
+
+class TestArraySeries:
+    """Series of float64 arrays are laid out as arrays, to the bytes of the same lists."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(series_lists())
+    @example([("one", [3.0], [-0.0])])
+    @example([("flat", [0.0, -0.0, 0.0], [5e-324] * 3), ("tiny", [-0.0], [-5e-324])])
+    @example([("huge", [0.0, 1.0], [-8.9e307, 8.9e307])])
+    @example([("wide", [0.0, 1.0], [-1.7e308, 1.7e308])])
+    def test_same_bytes_as_lists(self, series):
+        arrays = [(label, np.array(xs), np.array(ys)) for label, xs, ys in series]
+        with mock.patch.object(charts, "_points", wraps=charts._points) as kernel:
+            text = rendered(arrays)
+        assert text == rendered(series)
+        assert kernel.call_count == (0 if text.startswith("DomainError") else len(series))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_a_non_finite_value_is_refused_as_in_a_list(self, bad, axis):
+        series = [("ok", [0.0], [0.0]), ["bad", [0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]]
+        series[1][axis][1] = bad
+        arrays = [(label, np.array(xs), np.array(ys)) for label, xs, ys in series]
+        assert rendered(arrays) == rendered(series) == \
+            "DomainError: series 'bad' contains a non-finite value"
+
+    def test_other_arrays_take_the_list_path(self):
+        ints = np.arange(4)
+        mixed = [("ints", ints, ints.astype(float)), ("floats", ints * 1.0, ints * 1.0)]
+        with mock.patch.object(charts, "_points", wraps=charts._points) as kernel:
+            assert line_chart(mixed) == line_chart([(s, list(xs), list(ys))
+                                                   for s, xs, ys in mixed])
+        assert kernel.call_count == 0

@@ -1082,7 +1082,8 @@ class TestOutToStdout:
 
 class TestClosedStdout:
     """A `wrote` line into a pipe whose reader has gone is an io error, not a traceback;
-    an output to fd 1 when fd 1 is closed is one before the model runs."""
+    an output to fd 1 when fd 1 is closed, or open only for reading, is one before the
+    model runs."""
 
     @pytest.mark.parametrize("out, svg", [("/dev/stdout", None), ("x.csv", "/dev/stdout"),
                                           ("/proc/thread-self/fd/1", None)])
@@ -1097,6 +1098,22 @@ class TestClosedStdout:
         assert (done.returncode, done.stderr) == (
             2, f"error: io: [Errno 2] No such file or directory: {svg or out!r}\n")  # no `sweep:`
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("out, svg", [("/dev/stdout", None), ("x.csv", "/dev/stdout")])
+    def test_an_output_to_read_only_stdout_is_refused_before_the_model(self, tmp_path, out, svg):
+        (tmp_path / "ro.txt").write_text("kept\n")
+        argv = [sys.executable, "-m", "lexsim.cli", "sweep", "--out", out,
+                "--config", os.path.abspath(f"{CONFIG_DIR}/sweep_litigation_delta.json")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.abspath("src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+        with open(tmp_path / "ro.txt", "rb") as stdout:  # fd 1 open for reading only
+            done = subprocess.run(argv + ([] if svg is None else ["--svg", svg]), cwd=tmp_path,
+                                  stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                                  check=False)
+        assert (done.returncode, done.stderr) == (
+            2, "error: io: [Errno 9] Bad file descriptor: '/dev/stdout'\n")  # no `sweep:`
+        assert os.listdir(tmp_path) == ["ro.txt"]
+        assert (tmp_path / "ro.txt").read_text() == "kept\n"
 
     def test_the_wrote_line_into_a_closed_pipe(self, tmp_path):
         out = tmp_path / "eq.csv"
