@@ -184,20 +184,23 @@ def _obj(cls, value, path, errs, check=None, raw=None):
         return None
 
 
-def _set_path(raw: dict, path: str, value) -> None:
+def _set_path(raw: dict, path: str, value, errs) -> bool:
     """Put `value` at the dotted `path` in `raw`, copying each object along the path
-    first, so what `raw` shares with another config stays as it was. A path that runs
-    through a value other than an object raises a ConfigError at `path`."""
+    first, so what `raw` shares with another config stays as it was, and return True.
+    A path that runs through a value other than an object puts its fault at `path` in
+    errs and returns False, with `raw` part-copied and `value` set nowhere."""
     *parents, last = path.split(".")
     cursor = raw
     for i, seg in enumerate(parents):
         nxt = cursor.get(seg, {})
         if not isinstance(nxt, dict):
             kind = {list: "a list", str: "a string", bool: "a boolean", type(None): "null"}
-            raise ConfigError([(path, f"path runs through {'.'.join(parents[:i + 1])}, "
-                                      f"{kind.get(type(nxt), 'a number')}, not an object")])
+            errs.append((path, f"path runs through {'.'.join(parents[:i + 1])}, "
+                               f"{kind.get(type(nxt), 'a number')}, not an object"))
+            return False
         cursor[seg] = cursor = dict(nxt)
     cursor[last] = value
+    return True
 
 
 def _check_sweep(vals, errs, raw):
@@ -227,10 +230,7 @@ def _check_sweep(vals, errs, raw):
         elif replaced:
             errs.append((p, f"would replace the earlier axis path {replaced[0]!r} at every point"))
         elif not any(path.startswith(f"{q}.") for q in earlier):
-            try:
-                _set_path(dict(raw), path, None)
-            except ConfigError as e:
-                errs.extend(e.errors)
+            _set_path(dict(raw), path, None, errs)
         earlier.append(path)
 
 

@@ -366,7 +366,7 @@ def _frivolous_period_counts(stream: FrivolousStream | None) -> tuple[int, int, 
     The filing game is deterministic, so the stream contributes constant
     counts; defaulted filings show up in filings only.
     """
-    if stream is None or stream.filers_per_period == 0:
+    if stream is None:
         return 0, 0, 0
     outcome = play(PlaintiffType.FRIVOLOUS, stream.game, stream.belief)
     if not outcome.filed:

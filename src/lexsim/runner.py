@@ -359,13 +359,9 @@ def _sweep(spec: SweepSpec, cfg: RunConfig):
     for point in grid:
         coords = ", ".join(f"{p}={_axis_text(v)}" for p, v in zip(paths, point))
         raw_point, errs = dict(cfg.raw), []
-        try:
-            for path, value in zip(paths, point):
-                _set_path(raw_point, path, value)
-        except ConfigError as e:  # an earlier axis's value blocks a path below it
-            errs, params = e.errors, None
-        else:
-            params = build_model_params(raw_point, spec.model, errs)
+        # all() stops at the first axis path that an earlier axis's value blocks
+        params = (build_model_params(raw_point, spec.model, errs)
+                  if all(_set_path(raw_point, p, v, errs) for p, v in zip(paths, point)) else None)
         point_errs.extend((f"sweep point ({coords}) -> {p}", m) for p, m in errs)
         points.append((point, coords, params))
     if point_errs:

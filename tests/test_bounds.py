@@ -321,6 +321,71 @@ def test_config_accepts_a_number_exactly_when_its_dataclass_does(field, v):
     assert config_ok == direct_ok
 
 
+COST = st.floats(0.0, 1e300)  # within each block's own bounds and float-range rules
+
+
+def cuts_near(cost):
+    """A cut in `cost`: any cost, or `cost` itself or a float beside it, the tie each rule
+    across fields turns on (below 0.0, the cut's own bound refuses it in both layers)."""
+    return st.one_of(COST, st.sampled_from([cost, math.nextafter(cost, -math.inf),
+                                            math.nextafter(cost, math.inf)]))
+
+
+def loader_refuses(raw, model):
+    errs = []
+    build_model_params(raw, model, errs)
+    return bool(errs)
+
+
+def model_refuses(fn, *args, **kw):
+    try:
+        fn(*args, **kw)
+    except DomainError:
+        return True
+    return False
+
+
+@st.composite
+def costs_and_cut(draw, n):
+    costs = draw(st.lists(COST, min_size=n, max_size=n))
+    return costs, draw(st.sampled_from(costs).flatmap(cuts_near))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=costs_and_cut(6))
+def test_loader_and_model_refuse_the_same_settle_cost_reduction(case):
+    from lexsim.settlement import settle_columns
+
+    costs, cut = case
+    disputes = [{**DISPUTE, "c_q": c_q, "c_g": c_g} for c_q, c_g in zip(costs[::2], costs[1::2])]
+    raw = copy.deepcopy(BASE)
+    raw["settle"].update(disputes=disputes, cost_reduction=cut)
+    assert loader_refuses(raw, "settle") == model_refuses(
+        settle_columns, [Dispute(**d) for d in disputes], FeeRule.AMERICAN, cut)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=costs_and_cut(2))
+def test_loader_and_model_refuse_the_same_evolve_cost_delta(case):
+    (cost_q, cost_g), cut = case
+    raw = copy.deepcopy(BASE)
+    raw["evolve"]["area"].update(cost_q=cost_q, cost_g=cost_g)
+    raw["evolve"]["cost_delta"] = cut
+    assert loader_refuses(raw, "evolve") == model_refuses(
+        trial_fractions, area(cost_q=cost_q, cost_g=cost_g), cut, n_samples=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), f_o=COST, d=COST)
+def test_loader_and_model_refuse_the_same_frivolous_shift(data, f_o, d):
+    delta_f, delta_d = data.draw(cuts_near(f_o)), data.draw(cuts_near(d))
+    raw = copy.deepcopy(BASE)
+    raw["frivolous"]["game"].update(f_o=f_o, d=d)
+    raw["frivolous"]["shift"] = {"delta_f": delta_f, "delta_d": delta_d}
+    assert loader_refuses(raw, "frivolous") == model_refuses(
+        filing_region_shift, FrivolousConfig(**{**GAME, "f_o": f_o, "d": d}), delta_f, delta_d)
+
+
 RUN_PARAMETERS = {  # a run parameter's config path: its dataclass, built with the number
     "equilibrium.tolerance": lambda v: EquilibriumParams(GapCurve(**CURVE), tolerance=v),
     "settle.cost_reduction": lambda v: SettleParams(FeeRule.AMERICAN, [Dispute(**DISPUTE)], v),

@@ -116,6 +116,18 @@ class TestSolve:
         assert sol.level == pytest.approx(344.5, rel=1e-3)
         assert 1e-9 < sol.residual <= 1e-9 * sol.level
 
+    @pytest.mark.parametrize("curve, g_star", [
+        (GapCurve(5e-324, 1.0, 1.0, 1.0), 5e-324),  # the least float: exactly 1074 halvings
+        (GapCurve(0.001131326278450144, 0.055953019238518295, 1.4304723814284908,
+                  0.054793870591714644), pytest.approx(2.45e-57, rel=1e-2)),
+        (GapCurve(1.0, 1.0, 1e-30, 1.0), pytest.approx(1.0, abs=1e-15)),
+    ], ids=["subnormal", "tiny", "near-one"])
+    def test_bisection_stops_within_1074_halvings(self, curve, g_star):
+        # the loop has no cap: it ends when the midpoint meets an end, as adjacent floats
+        sol = solve_completeness(curve)
+        assert sol.iterations <= 1074
+        assert sol.g_star == g_star
+
     def test_curve_too_extreme_to_bracket(self):
         with pytest.raises(ConvergenceError) as exc:
             solve_completeness(GapCurve(1e300, 0.05, 1e-300, 1.0))

@@ -331,6 +331,18 @@ class TestSweepOutput:
             (f"sweep point (equilibrium.shock=5, {path}=0.5) -> {path}", through),
             (f"sweep point (equilibrium.shock=5, {path}=1.5) -> {path}", through)]
 
+    def test_a_point_reports_only_its_first_blocked_path(self, tmp_path):
+        first, second = "equilibrium.shock.delta_contracting", "equilibrium.shock.delta_litigation"
+        payload = shipped("equilibrium_golden")
+        payload["sweep"] = {"model": "equilibrium", "axes": [
+            {"path": "equilibrium.shock", "values": [5]},
+            {"path": first, "values": [0.5]}, {"path": second, "values": [0.5]}]}
+        with pytest.raises(ConfigError) as exc:
+            run_model("sweep", write_config(tmp_path, payload), tmp_path / "sweep.csv")
+        assert exc.value.errors == [
+            (f"sweep point (equilibrium.shock=5, {first}=0.5, {second}=0.5) -> {first}",
+             "path runs through equilibrium.shock, a number, not an object")]
+
     def test_an_earlier_axis_may_replace_a_value_its_path_runs_through(self, tmp_path):
         payload = shipped("equilibrium_golden")
         payload["equilibrium"]["shock"] = 5
