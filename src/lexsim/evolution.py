@@ -32,6 +32,7 @@ reach trial, so rule columns are untouched by construction.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,7 +41,7 @@ from typing import TYPE_CHECKING
 from .contracts import _TOLERANCE, AiShock, GapCurve, apply_shock, solve_completeness
 from .errors import ConvergenceError, DomainError, _Bounded, _check, _finite
 from .frivolous import _BELIEF, DefendantAction, FollowUp, FrivolousConfig, PlaintiffType, play
-from .rng import fill_substreams, substream
+from .rng import _check_ids, _generator, fill_substreams
 from .settlement import FeeRule, _bounds
 
 if TYPE_CHECKING:
@@ -258,6 +259,18 @@ def _thresholds(area: LegalArea, cost_delta: float) -> tuple[float, float]:
                  for stakes in (area.stakes_j * area.stakes_multiplier, area.stakes_j))
 
 
+@functools.lru_cache(maxsize=1)
+def _rate_draws(seed: int, n_samples: int) -> np.ndarray:
+    """`substream(seed, _STREAM_RATES).random(n_samples)`, read-only: the estimator's draws.
+
+    The cache keys on equality, where True and 1.0 equal 1, so a caller checks
+    `seed` with `_check_ids` before it asks.
+    """
+    u = _generator(seed, _STREAM_RATES).random(n_samples)
+    u.flags.writeable = False
+    return u
+
+
 def trial_fractions(
     area: LegalArea,
     cost_delta: float = 0.0,
@@ -269,13 +282,18 @@ def trial_fractions(
     Both stakes levels reuse the same belief draws, so a cost cut moves the
     two estimates together and their comparison is noise-free. Each level
     counts the draws at or above its threshold, as `simulate` decides them.
+
+    The draws depend on `(seed, n_samples)` alone, so calls at one such pair
+    share one read-only draw array: the last one asked for, 8 bytes per sample,
+    kept until a call with another pair.
     """
     import numpy as np
 
     thresholds = _thresholds(area, cost_delta)
     _check("n_samples", n_samples, _N_SAMPLES)
     n_samples = int(n_samples)  # a bool passes the check as an int
-    u = substream(seed, _STREAM_RATES).random(n_samples)
+    _check_ids(seed, _STREAM_RATES)
+    u = _rate_draws(seed, n_samples)
     return tuple(np.count_nonzero(u >= x) / n_samples for x in thresholds)
 
 

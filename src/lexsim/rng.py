@@ -37,9 +37,13 @@ def _check_ids(seed: int, stream: int) -> None:
 
 def substream(seed: int, stream: int) -> np.random.Generator:
     """Return the generator for stream `stream` under `seed` (both u64)."""
+    _check_ids(seed, stream)
+    return _generator(seed, stream)
+
+
+def _generator(seed: int, stream: int) -> np.random.Generator:  # ids `_check_ids` passed
     import numpy as np
 
-    _check_ids(seed, stream)
     return np.random.Generator(np.random.Philox(key=seed, counter=stream << 192))
 
 

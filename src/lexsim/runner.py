@@ -325,6 +325,7 @@ _MODELS = {
                 "total_trials"], _evolve),
     "composition": (["n_areas", "share_l1_shift"], _composition),
 }
+_SEEDED = {"evolve"}  # the models that read their seed; a sweep runs the rest once per point
 
 
 def _axis_text(value) -> str:
@@ -370,10 +371,11 @@ def _sweep(spec: SweepSpec, cfg: RunConfig):
     for point, coords, params in points:
         for rep in range(spec.replicates):
             seed_rep = (cfg.seed + rep) % _SEED_MOD
-            try:
-                cells = model(params, seed_rep)[0]
-            except LexsimError as e:
-                raise LexsimError(f"sweep point ({coords}), replicate {rep}: {e}") from e
+            if rep == 0 or spec.model in _SEEDED:
+                try:
+                    cells = model(params, seed_rep)[0]
+                except LexsimError as e:
+                    raise LexsimError(f"sweep point ({coords}), replicate {rep}: {e}") from e
             rows.append([_axis_cell(v) for v in point] + [str(rep), str(seed_rep)] + cells)
 
     def chart():

@@ -371,6 +371,38 @@ class TestTrialFractions:
             area, cost_delta, n_samples, seed
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), a=st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 300)),
+           b=st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 300)))
+    def test_shared_draws_equal_fresh_draws(self, data, a, b):
+        # keys a, b, a, a: b evicts a, a enters again, then a is found
+        for seed, n in (a, b, a, a):
+            area = data.draw(tort_areas(), label="area")
+            cost_delta = data.draw(st.floats(0.0, min(area.cost_q, area.cost_g)),
+                                   label="cost_delta")
+            u = substream(seed, _STREAM_RATES).random(n)
+            want = tuple(np.count_nonzero(u >= x) / n
+                         for x in evolution._thresholds(area, cost_delta))
+            assert trial_fractions(area, cost_delta, n, seed) == want
+            assert evolution._rate_draws.cache_info().currsize <= 1
+        shared = evolution._rate_draws(*a)
+        assert shared is evolution._rate_draws(*a) and not shared.flags.writeable
+
+    def test_a_seed_is_checked_before_the_shared_draws(self):
+        # True and 1.0 hash as 1, so a cache keyed by them would hand out seed 1's draws
+        trial_fractions(tort_area(), seed=1)
+        for seed in (True, 1.0, -1):
+            with pytest.raises(DomainError) as want:
+                substream(seed, _STREAM_RATES)
+            with pytest.raises(DomainError) as info:
+                trial_fractions(tort_area(), seed=seed)
+            assert str(info.value) == str(want.value)
+        # cost_delta first, then n_samples, then the seed
+        with pytest.raises(DomainError, match="^cost_delta"):
+            trial_fractions(tort_area(), cost_delta=-1.0, n_samples=0, seed=True)
+        with pytest.raises(DomainError, match="^n_samples"):
+            trial_fractions(tort_area(), n_samples=0, seed=True)
+
     def test_overflowing_costs_are_tried_like_decide(self):
         # c_q + c_g lies just inside float range, so many English ranges are wider
         # than any float: an inf width, which decide() settles; `trial_fractions` and
@@ -508,11 +540,7 @@ class TestTrialThreshold:
             k = int(evolution._trial_threshold(area, stakes, area.cost_q, area.cost_g) * 2**53)
             edges += [math.ldexp(k - 1, -53), math.ldexp(k, -53)]
 
-        class Draws:
-            def random(self, n):
-                return np.resize(edges, n)
-
-        monkeypatch.setattr(evolution, "substream", lambda seed, stream: Draws())
+        monkeypatch.setattr(evolution, "_rate_draws", lambda seed, n: np.resize(edges, n))
         want = tuple(sum(tried_by_decide(area, u, stakes, area.cost_q, area.cost_g)
                          for u in edges) / len(edges) for stakes in levels)
         assert trial_fractions(area, n_samples=len(edges)) == want

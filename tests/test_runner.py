@@ -236,6 +236,33 @@ class TestSweepOutput:
         assert [r[header.index("replicate")] for r in rows] == ["0", "1", "2"] * 2
         assert [r[header.index("seed")] for r in rows] == ["40", "41", "42"] * 2
 
+    @pytest.mark.parametrize("name, path, values", [
+        ("equilibrium_golden", "equilibrium.curve.k_scale", [1.0, 2.0]),
+        ("settle_fixture", "settle.cost_reduction", [0.0, 5.0]),
+        ("frivolous_nuisance", "frivolous.shift.delta_f", [0.0, 0.5]),
+        ("composition_docket", "composition.flat_reduction", [1.0, 5.0]),
+        ("evolve_tort", "evolve.periods", [5, 10]),
+    ])
+    def test_only_a_seeded_model_runs_per_replicate(self, tmp_path, monkeypatch, name, path,
+                                                    values):
+        # a model that never reads its seed is solved once per point, for all 3 rows
+        model = name.split("_")[0]
+        calls, (header, solve) = [], runner._MODELS[model]
+        monkeypatch.setitem(runner._MODELS, model,
+                            (header, lambda p, seed: calls.append(seed) or solve(p, seed)))
+        payload = shipped(name)
+        payload["seed"] = 40
+        payload["sweep"] = {"model": model, "axes": [{"path": path, "values": values}],
+                            "replicates": 3}
+        out = tmp_path / "sweep.csv"
+        run_model("sweep", write_config(tmp_path, payload), out)
+        _, rows = read_csv(out)
+        assert calls == ([40, 41, 42] if model == "evolve" else [40]) * 2
+        assert [r[1:3] for r in rows] == [["0", "40"], ["1", "41"], ["2", "42"]] * 2
+        if model != "evolve":
+            assert [r[3:] for r in rows[:3]] == [rows[0][3:]] * 3
+            assert [r[3:] for r in rows[3:]] == [rows[3][3:]] * 3
+
     def test_invalid_point_names_its_coordinates(self, tmp_path):
         payload = {
             "equilibrium": {"curve": {"b_scale": 1.0, "beta": 1.0,
