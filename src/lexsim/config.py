@@ -63,7 +63,7 @@ class RunConfig:
     seed: int
     output_path: str | None
     svg_path: str | None
-    raw: dict
+    raw: dict  # the parsed config file for a sweep, whose points are built from it; else {}
 
 
 def _num(v, path, errs, **bounds):
@@ -293,4 +293,4 @@ def load_config(path: str, model: str) -> RunConfig:
     if errs:
         raise ConfigError(errs)
     return RunConfig(model=model, params=params, seed=seed,
-                     output_path=None, svg_path=None, raw=raw)
+                     output_path=None, svg_path=None, raw=raw if model == "sweep" else {})

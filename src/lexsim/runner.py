@@ -2,15 +2,18 @@
 
 Output contract: CSV columns are fixed per model and documented in the README;
 floats are printed with 17 significant digits so rereading them round-trips
-bit-exactly; rows use "\n" line endings regardless of platform. Everything is
-computed before anything is written, and outputs replace their targets only
-once every one is written, so a failed run leaves existing files as they were
-and no partial outputs behind.
+bit-exactly; rows use "\n" line endings regardless of platform. The model and
+the SVG are computed before anything is written. A CSV staged in a temporary
+file is written there one block of rows at a time, as its rows are laid out;
+an output written in place (standard output, a FIFO, a device) is laid out
+whole first. Outputs replace their targets only once every one is written, so
+a failed run leaves existing files as they were and no partial outputs behind.
 
 Each model's `_<model>(params, seed)` imports its model's module when it runs,
 solves it once and returns (summary cells, table, chart): its sweep row and
-builders of its CSV and SVG over that same result. A sweep calls neither
-builder, so its rows agree with the CSV.
+builders of its CSV and SVG over that same result. `table()` gives the CSV as
+(chunks of text, row count). A sweep calls neither builder, so its rows agree
+with the CSV.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .errors import ConfigError, DomainError, LexsimError
 from .rng import _check_ids
 
 if TYPE_CHECKING:  # each model's module is imported by its function, when it runs
+    from collections.abc import Iterable
+
     from . import composition, contracts, evolution, frivolous, settlement
 
 _SEED_MOD = 2**64
@@ -52,13 +57,13 @@ def _f(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> tuple[str, int]:
-    """A list-row table's CSV text and row count."""
+def _csv(header: list[str], rows: list[list[str]]) -> tuple[list[str], int]:
+    """A list-row table's CSV text, as one chunk, and row count."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue(), len(rows)
+    return [buf.getvalue()], len(rows)
 
 
 _BLOCK = 4096  # settle rows laid out at a time
@@ -210,22 +215,26 @@ def _settle(p: settlement.SettleParams, seed: int):
         header = ["index", "rule", "p_q", "p_g", "j", "c_q", "c_g", "cost_reduction",
                   "lower", "upper", "width", "outcome", "amount", "shrink_ratio"]
         # every cell is a number, a fixed enum word or empty, so no cell needs CSV
-        # quoting; rows are laid out in blocks, which bounds the memory they hold
+        # quoting; rows are laid out a block at a time, as the writer asks for them,
+        # so no more than one block's text is held
         outcomes = np.frombuffer(b",trial,\0,settle,", np.uint8).reshape(2, 8)
         names = ["p_q", "p_g", "j", "c_q", "c_g", "lower", "upper", "width", "amount", "ratio"]
         cols = [np.arange(n, dtype=np.float64)] + [a[k] for k in names]
-        text = [",".join(header) + "\n"]
-        for r0 in range(0, n, _BLOCK):
-            rows = slice(r0, r0 + _BLOCK)
-            index, p_q, p_g, j, c_q, c_g, lower, upper, width, amount, ratio = (
-                _f_cells(c[rows]) for c in cols)
-            settle = a["settle"][rows]
-            amount[~settle] = 0  # NUL cells: a trial's amount, an undefined ratio
-            ratio[np.isnan(a["ratio"][rows])] = 0
-            text.append(_rows(index, f",{p.rule.value},", p_q, ",", p_g, ",", j, ",", c_q, ",",
-                              c_g, f",{_f(p.cost_reduction)},", lower, ",", upper, ",", width,
-                              outcomes[settle.view(np.uint8)], amount, ",", ratio, "\n"))
-        return "".join(text), n
+
+        def chunks():
+            yield ",".join(header) + "\n"
+            for r0 in range(0, n, _BLOCK):
+                rows = slice(r0, r0 + _BLOCK)
+                index, p_q, p_g, j, c_q, c_g, lower, upper, width, amount, ratio = (
+                    _f_cells(c[rows]) for c in cols)
+                settle = a["settle"][rows]
+                amount[~settle] = 0  # NUL cells: a trial's amount, an undefined ratio
+                ratio[np.isnan(a["ratio"][rows])] = 0
+                yield _rows(index, f",{p.rule.value},", p_q, ",", p_g, ",", j, ",", c_q, ",",
+                            c_g, f",{_f(p.cost_reduction)},", lower, ",", upper, ",", width,
+                            outcomes[settle.view(np.uint8)], amount, ",", ratio, "\n")
+
+        return chunks(), n
 
     def chart():
         return charts.line_chart([("range width", np.arange(n, dtype=np.float64), a["width"])],
@@ -408,8 +417,8 @@ def run(cfg: RunConfig) -> RunResult:
         table, chart = _sweep(cfg.params, cfg)
     else:
         _, table, chart = _MODELS[cfg.model][1](cfg.params, cfg.seed)
-    csv_text, n_rows = table()
-    texts = [csv_text] if cfg.svg_path is None else [csv_text, chart()]
+    csv_chunks, n_rows = table()
+    texts = [csv_chunks] if cfg.svg_path is None else [csv_chunks, [chart()]]
     return RunResult(cfg.output_path, cfg.svg_path, n_rows, _write_all(list(zip(outputs, texts))))
 
 
@@ -458,32 +467,33 @@ def _temporary(target: str, path: str) -> tuple[int, str]:
         raise OSError(e.errno, e.strerror, path) from None
 
 
-def _write_all(outputs: list[tuple[tuple[str, str | int, int | None], str]]) -> bool:
-    """Write each ((path, target, mode), text) where `run`'s one `_target` walk of path
+def _write_all(outputs: list[tuple[tuple[str, str | int, int | None], Iterable[str]]]) -> bool:
+    """Write each ((path, target, mode), chunks) where `run`'s one `_target` walk of path
     pointed or, failing, leave every file as it was; True if one went to fd 1.
 
-    A new or regular file gets its text in a `_temporary` beside its target, its real path
-    (so a symlinked output keeps its link), with `mode`, or 0666 & ~umask for a new file as
-    open gives (`_target` made one there before the model ran); renames replace the targets,
-    following no link made since the walk, once all are written and none is a directory.
-    Any other file (a device such as /dev/null, a FIFO) holds no earlier output to keep and
-    is written in place through `path`, and standard output to fd 1 after any text already
-    printed to `sys.stdout`. Every output is UTF-8 whatever the locale; text it cannot hold
-    raises UnicodeEncodeError.
+    A new or regular file gets its chunks, as they are laid out, in a `_temporary` beside its
+    target, its real path (so a symlinked output keeps its link), with `mode`, or 0666 & ~umask
+    for a new file as open gives (`_target` made one there before the model ran); renames
+    replace the targets, following no link made since the walk, once all are written and none
+    is a directory. Any other file (a device such as /dev/null, a FIFO) holds no earlier output
+    to keep and is written in place through `path`, and standard output to fd 1 after any text
+    already printed to `sys.stdout`; its chunks are joined before anything is written to it, so
+    a failure while they are laid out leaves it untouched. Every output is UTF-8 whatever the
+    locale; text it cannot hold raises UnicodeEncodeError.
     """
     staged: list[tuple[str, str, str]] = []  # (temporary, target, path), not yet renamed
     in_place: list[tuple[str | int, str]] = []  # (path, or 1 for stdout, text)
     try:
-        for (path, target, mode), text in outputs:
+        for (path, target, mode), chunks in outputs:
             if target == 1 or mode is not None and not stat.S_ISREG(mode):
-                in_place.append((1 if target == 1 else path, text))
+                in_place.append((1 if target == 1 else path, "".join(chunks)))
                 continue
             fd, tmp = _temporary(target, path)
             staged.append((tmp, target, path))
             with open(fd, "w", encoding="utf-8", newline="") as fh:
                 if mode is not None:
                     os.fchmod(fd, stat.S_IMODE(mode))
-                fh.write(text)
+                fh.writelines(chunks)
         for path, text in in_place:
             if path == 1:
                 sys.stdout.flush()

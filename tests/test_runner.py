@@ -7,11 +7,13 @@ import io
 import json
 import math
 import os
+import random
 import socket
 import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
@@ -420,6 +422,13 @@ class TestSweepOutput:
         cfg.output_path = str(tmp_path / "sweep.csv")
         run(cfg)
         assert cfg.raw == payload
+
+    def test_only_a_sweep_keeps_the_parsed_config(self, tmp_path):
+        payload = shipped("settle_fixture")
+        assert load_config(write_config(tmp_path, payload), "settle").raw == {}
+        payload["sweep"] = {"model": "settle", "axes": [
+            {"path": "settle.rule", "values": ["american", "english"]}]}
+        assert load_config(write_config(tmp_path, payload), "sweep").raw == payload
 
     def test_string_axis_cells(self, tmp_path):
         payload = shipped("settle_fixture")
@@ -1359,7 +1368,8 @@ def settle_arrays_output(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         summary, table, _ = runner._settle(p, 0)
-        text, n_rows = table()
+        chunks, n_rows = table()
+        text = "".join(chunks)  # the rows are laid out here, as the chunks are drawn
     assert n_rows == len(p.disputes)
     return text, summary
 
@@ -1460,6 +1470,76 @@ class TestSettleArrays:
         row = dict(zip(header, rows[0]))
         assert (row["outcome"], row["lower"], row["upper"], row["amount"]) == \
             ("settle", f17(1.7e308), f17(1.7e308), f17(1.7e308))
+
+
+def settle_batch_config(tmp_path, n):
+    """A config of n English-rule disputes drawn from a fixed seed."""
+    rng = random.Random(n)
+    disputes = [{"p_q": round(rng.uniform(0.05, 0.95), 6),
+                 "p_g": round(rng.uniform(0.05, 0.95), 6), "j": round(rng.uniform(10.0, 500.0), 3),
+                 "c_q": round(rng.uniform(5.0, 60.0), 3), "c_g": round(rng.uniform(5.0, 60.0), 3)}
+                for _ in range(n)]
+    return write_config(tmp_path, {"settle": {"rule": "english", "cost_reduction": 2.5,
+                                              "disputes": disputes}})
+
+
+class TestStreamedCsv:
+    """A settle CSV staged in a temporary is written there a block of rows at a time; an
+    output written in place is laid out whole first. Either way the bytes are the same."""
+
+    @pytest.mark.parametrize("n, block", [(10, 3), (4097, None)])  # the last block partial
+    @pytest.mark.parametrize("out", ["settle.csv", "/dev/stdout"])
+    def test_blocks_join_to_the_scalar_csv(self, tmp_path, monkeypatch, capfdbinary, n, block,
+                                           out):
+        if block is not None:
+            monkeypatch.setattr(runner, "_BLOCK", block)
+        assert n > runner._BLOCK
+        cfg = load_config(settle_batch_config(tmp_path, n), "settle")
+        expected = settle_oracle(cfg.params)[0].encode()
+        assert b",settle," in expected and b",trial," in expected
+        monkeypatch.chdir(tmp_path)
+        cfg.output_path = out
+        assert run(cfg).rows == n
+        written = capfdbinary.readouterr().out
+        if out != "/dev/stdout":
+            assert written == b""
+            written = (tmp_path / out).read_bytes()
+        assert written == expected
+        assert sorted(os.listdir(tmp_path)) == sorted({"cfg.json", out} - {"/dev/stdout"})
+
+    @pytest.mark.parametrize("out", ["kept.csv", "/dev/stdout"])
+    def test_out_of_memory_mid_stream_writes_nothing(self, tmp_path, monkeypatch, capfd, out):
+        monkeypatch.setattr(runner, "_BLOCK", 3)
+        cfg = settle_batch_config(tmp_path, 10)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kept.csv").write_bytes(b"old\n")
+        seen, real_rows = [], runner._rows
+
+        def rows(*parts):  # the folder as each block is laid out; the second block fails
+            seen.append(sorted(os.listdir(tmp_path)))
+            if len(seen) == 2:
+                raise MemoryError
+            return real_rows(*parts)
+
+        monkeypatch.setattr(runner, "_rows", rows)
+        assert main(["settle", "--config", cfg, "--out", out]) == 2
+        assert capfd.readouterr() == ("", "error: model: out of memory\n")
+        assert (tmp_path / "kept.csv").read_bytes() == b"old\n"
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "kept.csv"]
+        # a staged CSV's temporary is open, the header already given to it, while the
+        # blocks are laid out; one written in place is not opened before they are
+        assert [len(names) for names in seen] == ([3, 3] if out == "kept.csv" else [2, 2])
+
+    def test_peak_memory_is_below_the_csv_size(self, tmp_path):
+        cfg = load_config(settle_batch_config(tmp_path, 50_000), "settle")
+        cfg.output_path = str(tmp_path / "settle.csv")
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(cfg.output_path)
 
 
 class TestAtomicOutputs:
